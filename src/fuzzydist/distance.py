@@ -19,9 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .halfint import HalfInteger, ladder_radicand
-from .linalg import singular_triplets
 from .sphere import HSOperator, SphereDomainError, _halfint
-from .triple import SpectralTriple, dirac_commutator, lipschitz_seminorm
+from .triple import SpectralTriple, lipschitz_seminorm
 
 
 class OptimizerError(RuntimeError):
@@ -103,34 +102,38 @@ def arc_length_step(n, n3, lam: float = 1.0) -> float:
 # projected subgradient ascent for the Connes supremum
 
 def _hermitize_traceless(a):
-    h = (a + a.conj().T) / 2.0
-    d = h.shape[0]
-    return h - (np.trace(h) / d) * np.eye(d)
+    """Traceless Hermitian part of a matrix or of each matrix in a stack."""
+    h = (a + a.conj().swapaxes(-1, -2)) / 2.0
+    d = h.shape[-1]
+    return h - np.einsum("...ii->...", h)[..., None, None] / d * np.eye(d)
 
 
-def _spinor_block_sum(m):
-    half = m.shape[0] // 2
-    return m[:half, :half] + m[half:, half:]
+def _normalize(a):
+    return a / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
 
 
-def _seminorm_subgradient(triple, a, degeneracy_rtol=1e-8):
-    """Hermitian traceless G with d||[D,pi(a)]|| = <G, da> at smooth points.
+def _ratio_batch(triple, drho, a):
+    """R = tr(drho a)/h, h = ||[D, pi(a)]|| and the subgradient G of h, per slice of a.
 
-    Degenerate top singular values are averaged, which handles the symmetric
-    points where the largest value is multiple.
+    a is a stack of Hermitian dim x dim matrices. pi(a) = I_2 (x) a, so D pi(a)
+    for the whole stack is one product with D viewed as a (4 dim) x dim matrix,
+    and [D, pi(a)] = D pi(a) - (D pi(a))^dag. G averages the Hermitian
+    traceless direction of W_i = outer(u_i, conj(vh_i)) over the top singular
+    set; the map W -> G is linear, so the sum of the W_i^dag goes through it
+    once.
     """
-    M = dirac_commutator(triple, a)
-    u, s, vh = singular_triplets(M)
-    top = s[0]
-    grads = []
-    for i in range(len(s)):
-        if s[i] < top * (1.0 - degeneracy_rtol):
-            break
-        W = np.outer(u[:, i], vh[i, :].conj())
-        Q = _spinor_block_sum(W.conj().T @ triple.dirac - triple.dirac @ W.conj().T)
-        grads.append(_hermitize_traceless(Q))
-    G = sum(grads) / len(grads)
-    return G, top
+    dim = triple.algebra_dim
+    D = triple.dirac
+    da = (D.reshape(4 * dim, dim) @ a).reshape(-1, 2 * dim, 2 * dim)
+    u, s, vh = np.linalg.svd(da - da.conj().swapaxes(-1, -2))
+    h = s[:, 0]
+    top = s >= h[:, None] * (1.0 - 1e-8)  # the (near-)degenerate top set
+    w = vh.swapaxes(-1, -2) @ (top[:, :, None] * u.conj().swapaxes(-1, -2))
+    q = w @ D - D @ w
+    q = q[:, :dim, :dim] + q[:, dim:, dim:]
+    G = _hermitize_traceless(q) / top.sum(axis=1)[:, None, None]
+    val = np.einsum("ij,bji->b", drho, a).real
+    return val / h, G, h, val
 
 
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int = 20000,
@@ -141,72 +144,64 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
     The objective is linear and the constraint positively homogeneous, so we
     ascend R(a) = tr(drho a)/||[D, pi(a)]|| on the unit Frobenius sphere of
     traceless Hermitian matrices and rescale at the end. Starts from the
-    displacement itself plus seeded random directions.
+    displacement itself plus ``restarts`` seeded random directions.
+
+    The starts run in lockstep, one batched ratio evaluation per round over
+    those still active, and each keeps its own rule: a step of 0.1, times 1.3
+    on acceptance, up to 30 halvings per iteration, and a stop after 50
+    stalled iterations or at ``max_iters``. The best start's matrix is
+    rescaled with the dense ``lipschitz_seminorm``, which also gives the ball
+    residual. If that start stopped at ``max_iters``, OptimizerError is
+    raised with the rescaled value as ``best_value``.
     """
     a0 = rho.matrix if isinstance(rho, HSOperator) else np.asarray(rho, dtype=complex)
     b0 = rho2.matrix if isinstance(rho2, HSOperator) else np.asarray(rho2, dtype=complex)
-    drho = b0 - a0
+    drho = (b0 - a0).astype(complex)
     if np.abs(drho).max() == 0.0:
         return DistanceResult(0.0, "optimizer", None, None)
     dim = triple.algebra_dim
 
-    rng = np.random.default_rng(seed)
-    starts = [_normalize(_hermitize_traceless(drho))]
-    for _ in range(restarts):
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        starts.append(_normalize(_hermitize_traceless(z)))
+    # each restart draws dim^2 real parts, then dim^2 imaginary parts
+    z = np.random.default_rng(seed).standard_normal((restarts, 2, dim, dim))
+    a = _normalize(_hermitize_traceless(np.concatenate([drho[None], z[:, 0] + 1j * z[:, 1]])))
+    R, G, h, val = _ratio_batch(triple, drho, a)
+    n = len(a)
+    step, R_prev, grad = np.full(n, 0.1), R.copy(), np.empty_like(a)
+    stall, iters, halvings = np.zeros((3, n), dtype=int)
+    stop = np.full(n, "" if max_iters > 0 else "max_iters", dtype=object)  # "" while active
+    new = np.arange(n)  # starts beginning an iteration
+    while True:
+        new = new[stop[new] == ""]
+        # gradient of the ratio, then tangent projection on the sphere
+        hn = h[new, None, None]
+        g = _hermitize_traceless((drho * hn - val[new, None, None] * G[new]) / (hn * hn))
+        grad[new] = g - np.einsum("bij,bij->b", a[new].conj(), g).real[:, None, None] * a[new]
+        stop[new[np.linalg.norm(grad[new], axis=(-2, -1)) == 0.0]] = "zero_gradient"
+        R_prev[new], halvings[new] = R[new], 0
+        act = np.flatnonzero(stop == "")
+        if not act.size:
+            break
+        cand = _normalize(a[act] + step[act, None, None] * grad[act])
+        Rc, Gc, hc, valc = _ratio_batch(triple, drho, cand)
+        up = Rc > R[act]
+        acc = act[up]
+        a[acc], R[acc], G[acc], h[acc], val[acc] = cand[up], Rc[up], Gc[up], hc[up], valc[up]
+        step[act] *= np.where(up, 1.3, 0.5)
+        halvings[act] += ~up
+        new = act[up | (halvings[act] >= 30)]  # iterations that ended this round
+        gain = (R[new] - R_prev[new]) / np.maximum(np.abs(R[new]), 1.0)
+        stall[new] = np.where((halvings[new] >= 30) | (gain < tol), stall[new] + 1, 0)
+        iters[new] += 1
+        stop[new[iters[new] >= max_iters]] = "max_iters"
+        stop[new[stall[new] >= 50]] = "stalled"
 
-    def ratio(a):
-        G, h = _seminorm_subgradient(triple, a)
-        val = float(np.real(np.trace(drho @ a)))
-        return val / h, G, h, val
-
-    best_a, best_R = None, -np.inf
-    converged = False
-    for a in starts:
-        R, G, h, val = ratio(a)
-        step = 0.1
-        stall = 0
-        for _ in range(max_iters):
-            R_prev = R
-            # gradient of the ratio, then tangent projection on the sphere
-            grad = (drho.astype(complex) * h - val * G) / (h * h)
-            grad = _hermitize_traceless(grad)
-            grad = grad - float(np.real(np.vdot(a, grad))) * a
-            gn = np.linalg.norm(grad)
-            if gn == 0.0:
-                converged = True
-                break
-            improved = False
-            for _bt in range(30):
-                cand = _normalize(a + step * grad)
-                Rc, Gc, hc, valc = ratio(cand)
-                if Rc > R:
-                    a, R, G, h, val = cand, Rc, Gc, hc, valc
-                    step *= 1.3
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved or (R - R_prev) / max(abs(R), 1.0) < tol:
-                stall += 1
-            else:
-                stall = 0
-            if stall >= 50:
-                converged = True
-                break
-        if R > best_R:
-            best_R, best_a = R, a
-    if best_a is None or not np.isfinite(best_R):
+    best = int(np.argmax(R))
+    if not np.isfinite(R[best]):
         raise OptimizerError("ascent produced no finite ratio", best_value=None)
-    if not converged and best_R <= 0:
-        raise OptimizerError("no feasible ascent direction found", best_value=best_R)
-
-    h = lipschitz_seminorm(triple, best_a)
-    a_star = best_a / h
+    a_star = a[best] / lipschitz_seminorm(triple, a[best])
     value = float(np.real(np.trace(drho @ a_star)))
+    if stop[best] == "max_iters":
+        raise OptimizerError("best start stopped at max_iters = %d without converging"
+                             % max_iters, best_value=value)
     residual = abs(lipschitz_seminorm(triple, a_star) - 1.0)
     return DistanceResult(value, "optimizer", a_star, residual)
-
-
-def _normalize(a):
-    return a / np.linalg.norm(a)

@@ -91,7 +91,7 @@ def frobenius_norm(m) -> float:
 
 
 def singular_triplets(m):
-    """SVD as (u, s, vh) with s descending; convenience for subgradients."""
+    """SVD as (u, s, vh) with s descending."""
     return np.linalg.svd(as_matrix(m))
 
 

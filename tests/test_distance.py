@@ -7,6 +7,8 @@ import pytest
 
 from fuzzydist.distance import (
     OptimizerError,
+    _hermitize_traceless,
+    _ratio_batch,
     adjacent_distance_closed_form,
     arc_length_step,
     connes_distance_optimized,
@@ -15,7 +17,7 @@ from fuzzydist.distance import (
 )
 from fuzzydist.halfint import HalfInteger
 from fuzzydist.sphere import build_space, pure_state
-from fuzzydist.triple import build_dirac
+from fuzzydist.triple import build_dirac, dirac_commutator, lipschitz_seminorm
 
 H = HalfInteger
 
@@ -92,9 +94,47 @@ def test_optimizer_spin_half_exact_value():
 def test_optimizer_seed_determinism():
     s = build_space(H(2), 1.0)
     tr = build_dirac(s, "config", 0)
-    a = connes_distance_optimized(tr, pure_state(s, H(0)), pure_state(s, H(2)), seed=7)
-    b = connes_distance_optimized(tr, pure_state(s, H(0)), pure_state(s, H(2)), seed=7)
-    assert a.value == b.value
+    for restarts in (0, 8):
+        a, b = (connes_distance_optimized(tr, pure_state(s, H(0)), pure_state(s, H(2)),
+                                          seed=7, restarts=restarts) for _ in range(2))
+        assert a.value == b.value
+
+
+def test_optimizer_max_iters_raises():
+    # pole to pole at n = 2: three iterations leave the ascent well short of
+    # the true 4.4495 (the sum of the adjacent closed forms)
+    s = build_space(H(4), 1.0)
+    tr = build_dirac(s, "config", 0)
+    with pytest.raises(OptimizerError) as err:
+        connes_distance_optimized(tr, pure_state(s, H(-4)), pure_state(s, H(4)), max_iters=3)
+    assert 0.0 < err.value.best_value <= 4.4495
+
+
+@pytest.mark.parametrize("twice_n", [1, 2, 3, 4])
+def test_ratio_batch_matches_dense_seminorm(twice_n):
+    """The stacked kernel against the dense seminorm and the per-vector subgradient."""
+    s = build_space(H(twice_n), 1.0)
+    tr = build_dirac(s, "config", 0)
+    dim = tr.algebra_dim
+    rng = np.random.default_rng(twice_n)
+    z = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+    a = _hermitize_traceless(z)
+    drho = _hermitize_traceless(rng.standard_normal((dim, dim)))
+    R, G, h, val = _ratio_batch(tr, drho, a)
+    for i in range(len(a)):
+        want_h = lipschitz_seminorm(tr, a[i])
+        assert abs(h[i] - want_h) <= 1e-12 * want_h
+        assert abs(val[i] - np.trace(drho @ a[i]).real) <= 1e-12 * np.abs(drho).sum()
+        assert R[i] == val[i] / h[i]
+        # reference: average over the top singular set of W = outer(u, conj(vh))
+        u, sv, vh = np.linalg.svd(dirac_commutator(tr, a[i]))
+        grads = []
+        for j in np.flatnonzero(sv >= sv[0] * (1.0 - 1e-8)):
+            W = np.outer(u[:, j], vh[j].conj()).conj().T
+            Q = W @ tr.dirac - tr.dirac @ W
+            grads.append(_hermitize_traceless(Q[:dim, :dim] + Q[dim:, dim:]))
+        want_G = sum(grads) / len(grads)
+        assert np.abs(G[i] - want_G).max() <= 1e-12 * np.abs(want_G).max()
 
 
 def test_polar_angle_and_arc_length():
