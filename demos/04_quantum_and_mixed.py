@@ -35,7 +35,9 @@ def main():
         print("%6s  %11.8f | %10.8f  %11.8f | %10.8f"
               % (n3, same, same_orc, dist, dist_orc))
 
-    print("\ndistance, same vs distinct (distinct is never cheaper):")
+    # Between distinct sectors the Connes supremum is infinite (the sector
+    # projectors commute with D), so that column is the lower-bound formula.
+    print("\nsame-sector distance vs distinct-sector 2/seminorm (never cheaper):")
     for t3 in range(-4, 3, 2):
         n3 = HalfInteger(t3)
         d_same = quantum_pure_distance(n, lam, n3, True)

@@ -289,11 +289,8 @@ def _cmd_quantum_pure(args):
         row = {"n": str(n), "n3": str(n3), "right_sector": args.right_sector,
                "distance": d, "value": d, "method": "closed_form"}
         if args.oracle:
-            up = n3 + HalfInteger(2)
-            if same:
-                sem = quantum.quantum_seminorm_oracle(n, lam, n3, n, n)
-            else:
-                sem = quantum.quantum_seminorm_oracle(n, lam, n3, n3, up)
+            rights = (n, n) if same else (n3, n3 + HalfInteger(2))
+            sem = quantum.quantum_seminorm_oracle(n, lam, n3, *rights)
             row["oracle"] = 2.0 / sem
             row["ratio"] = row["oracle"] / d
             if not same:

@@ -68,7 +68,8 @@ def distance_lower_bound(triple: SpectralTriple, rho, rho2) -> DistanceResult:
         return DistanceResult(0.0, "norm_pipeline", None, None)
     h = lipschitz_seminorm(triple, drho)
     if h == 0.0:
-        # cannot happen for the k=0 triples (irreducibility); treat as corruption
+        # cannot happen for the irreducible k=0 config triple; for the quantum triple,
+        # whose commutant is I (x) M_dim (the right action), the distance is +infinity
         raise ArithmeticError("nonzero displacement with zero seminorm: infinite distance")
     cert = drho / h
     return DistanceResult(num / h, "norm_pipeline", cert, abs(lipschitz_seminorm(triple, cert) - 1.0))

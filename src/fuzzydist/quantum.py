@@ -8,6 +8,15 @@ whether the right sectors of the two states coincide. Mixed states carry a
 probability profile over the right sector, and their distance functional
 uses the Hilbert-Schmidt (Frobenius) norm of the Dirac commutator; see
 mixed_commutator_norms for the measured comparison against the nuclear norm.
+
+The quantum Dirac operator acts on the left index only, D_q = D_c (x) I_right,
+and the displacements the oracles build are diagonal in |i, j), so
+[D_q, pi(drho)] is a direct sum of config blocks, one per right sector j
+(_step_blocks). The oracles work on those blocks and build no dim^2 x dim^2
+matrix; the dense quantum triple of triple.py is kept as a small-n test
+oracle. I (x) |l><l| commutes with D_q, so between distinct right sectors the
+Connes distance is +infinity and the values here are the lower-bound formula
+2/seminorm.
 """
 
 from __future__ import annotations
@@ -20,9 +29,8 @@ from typing import Dict, List
 import numpy as np
 
 from .halfint import HalfInteger
-from .linalg import frobenius_norm, operator_norm, trace_norm
 from .sphere import FuzzySphere, SphereDomainError, _halfint
-from .triple import build_dirac, dirac_commutator, lipschitz_seminorm
+from .triple import build_dirac
 
 
 class MinimizationError(RuntimeError):
@@ -72,6 +80,14 @@ def _nn1(n: HalfInteger) -> Fraction:
     return n.times_self_plus_one()
 
 
+def _step(n, n3):
+    """(n, n3) as half-integers, checked to label a step n3 -> n3+1 at spin n."""
+    n, n3 = _halfint(n), _halfint(n3)
+    if n3.twice < -n.twice or n3.twice > n.twice - 2:
+        raise SphereDomainError("need -n <= n3 <= n-1 for a step, got n3 = %s" % n3)
+    return n, n3
+
+
 def same_sector_seminorm(n, lam: float, n3) -> float:
     """||[D, pi(drho_q)]|| when both states share the right sector."""
     n = _halfint(n)
@@ -108,15 +124,13 @@ def distinct_sector_seminorm_symmetrized(n, lam: float, n3) -> float:
 
 
 def quantum_pure_distance(n, lam: float, n3, right_same: bool) -> float:
-    """Distance between |n3+1, r)(n3+1, r| and |n3, r')(n3, r'| pure states.
+    """Closed-form value for the pure states |n3+1, r)(n3+1, r| and |n3, r')(n3, r'|.
 
-    right_same selects the branch: r = r' gives the configuration-space
-    value; r != r' the doubled closed form over the shifted radicand.
+    right_same selects the branch: r = r' gives the configuration-space Connes
+    distance (compressing to sector r loses nothing); r != r' the lower-bound
+    formula 2/seminorm with the literal radicand, not a Connes distance.
     """
-    n = _halfint(n)
-    n3 = _halfint(n3)
-    if n3.twice < -n.twice or n3.twice > n.twice - 2:
-        raise SphereDomainError("need -n <= n3 <= n-1, got n3 = %s" % n3)
+    n, n3 = _step(n, n3)
     nn1 = float(_nn1(n))
     if right_same:
         rad = float(_nn1(n) - _nn1(n3))
@@ -126,11 +140,8 @@ def quantum_pure_distance(n, lam: float, n3, right_same: bool) -> float:
 
 
 def quantum_pure_distance_symmetrized(n, lam: float, n3) -> float:
-    """Distinct-sector distance built from the symmetrized seminorm (= 2/seminorm)."""
-    n = _halfint(n)
-    n3 = _halfint(n3)
-    if n3.twice < -n.twice or n3.twice > n.twice - 2:
-        raise SphereDomainError("need -n <= n3 <= n-1, got n3 = %s" % n3)
+    """Distinct-sector lower-bound formula 2/seminorm, symmetrized; not a Connes distance."""
+    n, n3 = _step(n, n3)
     return 2.0 / distinct_sector_seminorm_symmetrized(n, lam, n3)
 
 
@@ -138,21 +149,28 @@ def quantum_seminorm_oracle(n, lam: float, n3, n3p, l3p) -> float:
     """Eigensolver norm of [D, pi(drho_q)] for the explicit displacement.
 
     drho_q = |n3+1, l3p)(n3+1, l3p| - |n3, n3p)(n3, n3p|, no closed forms
-    involved anywhere.
+    involved anywhere: the top singular value over its right-sector blocks.
     """
-    n = _halfint(n)
-    n3 = _halfint(n3)
-    n3p = _halfint(n3p)
-    l3p = _halfint(l3p)
+    n, n3 = _step(n, n3)
     sphere = FuzzySphere(n, lam)
-    up = n3 + HalfInteger(2)
-    if up.twice > n.twice:
-        raise SphereDomainError("n3 + 1 out of range")
-    if up == n3 and n3p == l3p:
-        raise SphereDomainError("states must differ")
-    triple = build_dirac(sphere, "quantum")
-    drho = quantum_projector(sphere, up, l3p) - quantum_projector(sphere, n3, n3p)
-    return lipschitz_seminorm(triple, drho)
+    e = np.eye(sphere.dim)
+    _, blocks = _step_blocks(sphere, n3, e[sphere.index_of(l3p)], e[sphere.index_of(n3p)])
+    return float(np.linalg.svd(blocks, compute_uv=False).max())
+
+
+def _step_blocks(sphere: FuzzySphere, n3: HalfInteger, pu: np.ndarray, pd: np.ndarray):
+    """Weights w and right-sector blocks of [D_q, pi(drho)] for one step n3 -> n3+1.
+
+    drho = sum_l pu[l] |n3+1, l)(n3+1, l| - pd[l] |n3, l)(n3, l| = sum w[i, j] |i, j)(i, j|.
+    Right sector j contributes the block [D_c, pi_c(diag w[:, j])]; the zero
+    ones are skipped. Its entry (r, c) is D_c[r, c] (v[c] - v[r]) with
+    v = (w[:, j], w[:, j]), so the stack is one broadcast product with D_c.
+    """
+    w = np.zeros((sphere.dim, sphere.dim))
+    w[sphere.index_of(n3 + HalfInteger(2))] = pu
+    w[sphere.index_of(n3)] = -pd
+    v = np.tile(w[:, np.any(w != 0.0, axis=0)].T, 2)
+    return w, build_dirac(sphere, "config", 0).dirac * (v[:, None, :] - v[:, :, None])
 
 
 def distinct_branch_report(n, lam: float = 1.0, tol: float = 1e-10) -> List[dict]:
@@ -311,10 +329,7 @@ def trace_norm_distance(n, lam: float, n3, profile: ProbabilityProfile) -> float
     commutator norm with prefactor 2/(lam sqrt(n(n+1))). Equals
     (lam sqrt(n(n+1))/2) Num/sqrt(S).
     """
-    n = _halfint(n)
-    n3 = _halfint(n3)
-    if n3.twice < -n.twice or n3.twice > n.twice - 2:
-        raise SphereDomainError("need -n <= n3 <= n-1 for a step, got %s" % n3)
+    n, n3 = _step(n, n3)
     pu = profile.at(n3 + HalfInteger(2))
     pd = profile.at(n3)
     num, s = _step_quadratics(n, n3, pu, pd)
@@ -329,37 +344,33 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
 
     The display (prefactor 2/(lam r) times sqrt(S)) coincides with the
     Frobenius norm of the commutator; the nuclear norm is profile-independent
-    and differs, so it cannot be the norm the display means. Returned keys:
-    display, frobenius, nuclear, operator, numerator.
+    and differs, so it cannot be the norm the display means. The commutator
+    norms come from one SVD of the stacked right-sector blocks. Returned keys:
+    display, frobenius, nuclear, operator, numerator, numerator_closed.
     """
-    n = _halfint(n)
-    n3 = _halfint(n3)
-    sphere = FuzzySphere(n, lam)
-    up = n3 + HalfInteger(2)
-    pu = profile.at(up)
+    n, n3 = _step(n, n3)
+    pu = profile.at(n3 + HalfInteger(2))
     pd = profile.at(n3)
-    drho = np.zeros((sphere.dim ** 2, sphere.dim ** 2), dtype=complex)
-    for idx, l3 in enumerate(sphere.n3_values()):
-        drho += pu[idx] * quantum_projector(sphere, up, l3)
-        drho -= pd[idx] * quantum_projector(sphere, n3, l3)
-    triple = build_dirac(sphere, "quantum")
-    M = dirac_commutator(triple, drho)
+    w, blocks = _step_blocks(FuzzySphere(n, lam), n3, pu, pd)
+    sv = np.linalg.svd(blocks, compute_uv=False)
     num, s = _step_quadratics(n, n3, pu, pd)
     nn1 = float(_nn1(n))
     return {
         "display": 2.0 / (lam * math.sqrt(nn1)) * math.sqrt(s),
-        "frobenius": frobenius_norm(M),
-        "nuclear": trace_norm(M),
-        "operator": operator_norm(M),
-        "numerator": float(np.real(np.trace(drho @ drho))),
+        "frobenius": float(np.sqrt(np.sum(sv * sv))),
+        "nuclear": float(sv.sum()),
+        "operator": float(sv.max()),
+        "numerator": float(np.sum(w * w)),
         "numerator_closed": num,
     }
 
 
 def mixed_distance_oracle(n, lam: float, n3, profile: ProbabilityProfile) -> float:
-    """Distance recomputed from the explicit commutator, no closed forms."""
-    norms = mixed_commutator_norms(n, lam, n3, profile)
-    return norms["numerator"] / norms["frobenius"]
+    """Distance recomputed from the explicit commutator, no closed forms and no SVD."""
+    n, n3 = _step(n, n3)
+    w, blocks = _step_blocks(FuzzySphere(n, lam), n3, profile.at(n3 + HalfInteger(2)),
+                             profile.at(n3))
+    return float(np.sum(w * w)) / float(np.linalg.norm(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +556,7 @@ def uniform_minimized_distance(n, lam: float, n3) -> float:
 
     (1/sqrt(2n+1)) lam sqrt(n(n+1)) / sqrt(3[n(n+1) - n3(n3+1) - 1/3]).
     """
-    n = _halfint(n)
-    n3 = _halfint(n3)
-    if n3.twice < -n.twice or n3.twice > n.twice - 2:
-        raise SphereDomainError("need -n <= n3 <= n-1, got %s" % n3)
+    n, n3 = _step(n, n3)
     nn1 = _nn1(n)
     rad = 3 * (nn1 - _nn1(n3)) - 1   # 3[n(n+1) - n3(n3+1) - 1/3], exact
     if rad <= 0:
@@ -626,13 +634,10 @@ def thermal_distance(n, lam: float, n3, spectrum: EnergySpectrum, beta: float) -
 
     Identical to trace_norm_distance evaluated on the thermal profile.
     """
-    n = _halfint(n)
-    n3 = _halfint(n3)
+    n, n3 = _step(n, n3)
     if spectrum.levels.size != n.twice + 1:
         raise SphereDomainError("spectrum has %d levels, sphere needs %d"
                                 % (spectrum.levels.size, n.twice + 1))
-    if n3.twice < -n.twice or n3.twice > n.twice - 2:
-        raise SphereDomainError("need -n <= n3 <= n-1, got %s" % n3)
     nn1 = _nn1(n)
     rad = 3 * (nn1 - _nn1(n3)) - 1
     return thermal_prefactor(spectrum, beta) * lam * math.sqrt(float(nn1)) / math.sqrt(float(rad))

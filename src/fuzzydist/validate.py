@@ -55,10 +55,6 @@ def run_checks(names=None, seed: int = 42):
     return out
 
 
-def _halfint_range(lo_twice, hi_twice):
-    return [HalfInteger(t) for t in range(lo_twice, hi_twice + 1)]
-
-
 # ---------------------------------------------------------------------------
 # configuration space
 

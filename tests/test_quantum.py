@@ -1,10 +1,12 @@
 """Operator-space distances: two-branch pure formula, profiles, thermal states."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fuzzydist import cli, quantum, triple
 from fuzzydist.halfint import HalfInteger
 from fuzzydist.quantum import (
     EnergySpectrum,
@@ -32,6 +34,7 @@ from fuzzydist.quantum import (
     uniform_minimized_distance,
 )
 from fuzzydist.sphere import SphereDomainError, build_space
+from fuzzydist.triple import build_dirac, dirac_commutator, lipschitz_seminorm
 
 H = HalfInteger
 
@@ -113,6 +116,104 @@ def test_literal_expression_where_valid():
         lit = distinct_sector_seminorm_literal(n, 1.0, H(t3))
         ora = quantum_seminorm_oracle(n, 1.0, H(t3), H(t3), H(t3) + H(2))
         assert lit == pytest.approx(ora, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# block route D_q = D_c (x) I_right against the dense quantum triple
+
+def _dense_norms(tr, drho):
+    """(operator, Frobenius, nuclear, numerator) from the dense dim^2 commutator."""
+    sv = np.linalg.svd(dirac_commutator(tr, drho), compute_uv=False)
+    return sv.max(), np.sqrt(np.sum(sv * sv)), sv.sum(), np.real(np.trace(drho @ drho))
+
+
+def _profiles(t, rng):
+    raw = rng.dirichlet(np.ones(t + 1), size=t + 1)
+    return [ProbabilityProfile.uniform(H(t)), ProbabilityProfile.delta(H(t), H(t - 2)),
+            ProbabilityProfile(H(t), {tt: raw[i] for i, tt in enumerate(range(t, -t - 1, -2))})]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_block_route_matches_dense_quantum_triple(t):
+    n = H(t)
+    s = build_space(n, 1.0)
+    tr = build_dirac(s, "quantum")
+    labels = s.n3_values()
+    for t3 in range(-t, t - 1, 2):
+        n3 = H(t3)
+        for n3p in labels:
+            for l3p in labels:
+                drho = quantum_projector(s, n3 + H(2), l3p) - quantum_projector(s, n3, n3p)
+                dense = _dense_norms(tr, drho)
+                rows = drho.diagonal().real.reshape(s.dim, s.dim)
+                w, blocks = quantum._step_blocks(s, n3, rows[s.index_of(n3 + H(2))],
+                                                 -rows[s.index_of(n3)])
+                sv = np.linalg.svd(blocks, compute_uv=False)
+                block = (quantum_seminorm_oracle(n, 1.0, n3, n3p, l3p),
+                         np.sqrt(np.sum(sv * sv)), sv.sum(), np.sum(w * w))
+                np.testing.assert_allclose(block, dense, rtol=1e-12, atol=0)
+        for prof in _profiles(t, np.random.default_rng(t)):
+            drho = (mixed_state(s, n3 + H(2), prof).matrix - mixed_state(s, n3, prof).matrix)
+            op, frob, nuc, num = _dense_norms(tr, drho)
+            norms = mixed_commutator_norms(n, 1.0, n3, prof)
+            np.testing.assert_allclose(
+                [norms["operator"], norms["frobenius"], norms["nuclear"], norms["numerator"]],
+                [op, frob, nuc, num], rtol=1e-12, atol=0)
+            assert mixed_distance_oracle(n, 1.0, n3, prof) == pytest.approx(num / frob, rel=1e-12)
+
+
+def test_oracles_never_build_the_dense_quantum_triple(monkeypatch):
+    built = []
+
+    def config_only(sphere, representation="config", k=0):
+        if representation == "quantum":
+            raise AssertionError("dense quantum triple built")
+        built.append(representation)
+        return build_dirac(sphere, representation, k)
+
+    def no_projector(*args):
+        raise AssertionError("dim^2 x dim^2 projector built")
+
+    monkeypatch.setattr(quantum, "build_dirac", config_only)
+    monkeypatch.setattr(triple, "build_dirac", config_only)
+    monkeypatch.setattr(quantum, "quantum_projector", no_projector)
+    n = H(4)
+    assert quantum_seminorm_oracle(n, 1.0, H(0), H(0), H(2)) == pytest.approx(
+        distinct_sector_seminorm_symmetrized(n, 1.0, H(0)), rel=1e-12)
+    prof = ProbabilityProfile.uniform(n)
+    assert mixed_commutator_norms(n, 1.0, H(0), prof)["operator"] > 0
+    assert mixed_distance_oracle(n, 1.0, H(0), prof) == pytest.approx(
+        trace_norm_distance(n, 1.0, H(0), prof), rel=1e-10)
+    assert built == ["config"] * 3
+
+
+def test_large_n_seminorm_oracle():
+    """n = 67: the dense 2 dim^2 = 36450-row commutator would need about 21 GB."""
+    n = H(134)
+    for t3, t3p, t3l in ((0, 0, 2), (-134, -134, -132), (132, 0, -2), (-2, 4, 4), (66, 66, 66)):
+        got = quantum_seminorm_oracle(n, 1.0, H(t3), H(t3p), H(t3l))
+        want = (same_sector_seminorm(n, 1.0, H(t3)) if t3p == t3l
+                else distinct_sector_seminorm_symmetrized(n, 1.0, H(t3)))
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_large_n_quantum_pure_cli(capsys):
+    code = cli.main(["quantum-pure", "--n", "67", "--n3", "0", "--right-sector", "distinct",
+                     "--oracle", "--no-timestamp"])
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert code == 0
+    assert row["oracle"] == pytest.approx(row["symmetrized"], rel=1e-10)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_right_sector_projectors_commute_with_quantum_dirac(t):
+    """I (x) |l><l| has seminorm exactly 0, so distinct right sectors are at infinite distance."""
+    s = build_space(H(t), 1.0)
+    tr = build_dirac(s, "quantum")
+    for i in range(s.dim):
+        proj = np.zeros((s.dim, s.dim))
+        proj[i, i] = 1.0
+        assert lipschitz_seminorm(tr, np.kron(np.eye(s.dim), proj)) == 0.0
 
 
 # ---------------------------------------------------------------------------
