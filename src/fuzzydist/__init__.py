@@ -3,11 +3,11 @@
 Submodules:
 
 * halfint: exact half-integer arithmetic for spin labels
-* linalg: thin checked wrappers over the dense numpy/scipy kernels
+* linalg: thin checked wrappers over the dense numpy kernels
 * sphere: matrix coordinates, pure states, the two-mode oscillator picture
 * triple: Dirac operators and the Lipschitz seminorm
 * distance: closed forms, the norm pipeline, the constrained-ascent optimizer
-* coherent: Bloch coherent states and the infinitesimal metric
+* coherent: coherent states as SU(2) rotations of |n,n>, the infinitesimal metric
 * quantum: operator-space pure/mixed/thermal distances
 * continuum: commutative checks (Hopf map, round metric, monopole charts)
 * validate: the named-check registry behind `fuzzydist validate`

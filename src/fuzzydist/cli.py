@@ -282,12 +282,13 @@ def _cmd_quantum_pure(args):
     from . import quantum
     n, lam = args.n, args.lam
     same = args.right_sector == "same"
+    method = "closed_form" if same else "lower_bound_formula"  # distinct: Connes distance is +inf
     labels = _adjacent_labels(n, args.n3)
     rows = []
     for n3 in labels:
         d = quantum.quantum_pure_distance(n, lam, n3, same)
         row = {"n": str(n), "n3": str(n3), "right_sector": args.right_sector,
-               "distance": d, "value": d, "method": "closed_form"}
+               "distance": d, "value": d, "method": method}
         if args.oracle:
             rights = (n, n) if same else (n3, n3 + HalfInteger(2))
             sem = quantum.quantum_seminorm_oracle(n, lam, n3, *rights)

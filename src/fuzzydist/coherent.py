@@ -1,11 +1,11 @@
 """SU(2) coherent states and the coherent-state distance.
 
 States are labelled by the stereographic coordinate z of a point on the
-sphere, built by applying the exact exponentiated ladder generator to the
-highest-weight vector. The displacement between infinitesimally separated
-coherent states is evaluated in the north-pole frame; distances at general
-z carry the analytic 1/(1+|z|^2) factor instead of a numerically rotated
-frame.
+sphere and built as Perelomov's rotations of the highest-weight vector
+|n,n>, from one checked eigendecomposition of J_y per spin (coherent_state).
+The displacement between infinitesimally separated coherent states is
+evaluated in the north-pole frame; distances at general z carry the analytic
+1/(1+|z|^2) factor instead of a numerically rotated frame.
 
 The numeric distance route here deliberately mirrors the closed-form
 derivation: one commutator block with the dimensionless ladder matrix, one
@@ -19,11 +19,13 @@ rather than hiding it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
-from .linalg import matrix_exp, operator_norm
+from .halfint import HalfInteger
+from .linalg import DECOMP_TOL, LinalgDomainError, hermitian_eigh, operator_norm
 from .sphere import FuzzySphere, HSOperator, SphereDomainError, _halfint
 
 
@@ -44,25 +46,36 @@ class CoherentState:
         return float(abs(self.amplitudes[0]) ** 2)
 
 
-def coherent_state(sphere: FuzzySphere, z: complex) -> CoherentState:
-    """Unitary rotation of |n,n> to the point with stereographic label z.
+@functools.lru_cache(maxsize=None)
+def _jy_eigh(two_n: int):
+    """(mu, V) with J_y = V diag(mu) V^dag at spin two_n/2; J_y = x2/lam is lam-free."""
+    jy = FuzzySphere(HalfInteger(two_n), 1.0).x2
+    mu, v = hermitian_eigh(jy)
+    resid = np.abs((v * mu) @ v.conj().T - jy).max()
+    if resid > DECOMP_TOL:
+        raise LinalgDomainError("J_y eigendecomposition residual %.3e" % resid)
+    mu.setflags(write=False)  # shared by every caller through the cache
+    v.setflags(write=False)
+    return mu, v
 
-    Generator (theta/2)(e^{i phi} J- - e^{-i phi} J+) with tan(theta/2) = |z|
-    and phi = arg z; at z = 0 this is the identity.
+
+def coherent_state(sphere: FuzzySphere, z: complex) -> CoherentState:
+    """Perelomov's rotation of |n,n> to the point with stereographic label z.
+
+    exp((theta/2)(e^{i phi} J- - e^{-i phi} J+)) = e^{-i phi J3} e^{-i theta J_y} e^{i phi J3}
+    with tan(theta/2) = |z| and phi = arg z. With J_y = V diag(mu) V^dag the state is
+    diag(e^{i phi (n - n3)}) V diag(e^{-i theta mu}) V^dag e_0; z = 0 gives e_0 exactly.
     """
     z = complex(z)
-    dim = sphere.dim
-    e0 = np.zeros(dim, dtype=complex)
-    e0[0] = 1.0
     if z == 0:
+        e0 = np.zeros(sphere.dim, dtype=complex)
+        e0[0] = 1.0
         return CoherentState(sphere, z, e0)
-    jplus = sphere.xplus / sphere.lam
-    jminus = sphere.xminus / sphere.lam
-    theta_half = math.atan(abs(z))
-    phase = cmath.exp(1j * cmath.phase(z))
-    gen = theta_half * (phase * jminus - phase.conjugate() * jplus)
-    u = matrix_exp(gen)
-    return CoherentState(sphere, z, u @ e0)
+    mu, v = _jy_eigh(sphere.n.twice)
+    theta = 2.0 * math.atan(abs(z))
+    rotated = v @ (np.exp(-1j * theta * mu) * v[0].conj())
+    phases = np.exp(1j * cmath.phase(z) * np.arange(sphere.dim))  # row i holds n - n3 = i
+    return CoherentState(sphere, z, phases * rotated)
 
 
 def coherent_drho(sphere: FuzzySphere, dz: complex) -> HSOperator:

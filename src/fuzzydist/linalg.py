@@ -1,8 +1,9 @@
 """Dense complex matrix services used by every oracle in the package.
 
-Thin validated wrappers over LAPACK (via numpy.linalg) and scipy's expm.
-Matrices here are small (at most a few hundred rows), so robustness and
-clear error messages matter more than speed.
+Thin validated wrappers over LAPACK via numpy.linalg, the only dependency.
+There is no matrix exponential: coherent states are rotations built from one
+hermitian_eigh of J_y per spin. Matrices here are small (at most a few hundred
+rows), so robustness and clear error messages matter more than speed.
 
 Tolerances are fixed once, here, and imported by the other modules:
 SYMMETRY_TOL for Hermiticity checks, DECOMP_TOL for decomposition residuals.
@@ -11,7 +12,6 @@ SYMMETRY_TOL for Hermiticity checks, DECOMP_TOL for decomposition residuals.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 SYMMETRY_TOL = 1e-12
 DECOMP_TOL = 1e-10
@@ -34,10 +34,6 @@ def is_hermitian(m, tol: float = SYMMETRY_TOL) -> bool:
         return False
     scale = max(np.abs(a).max(), 1.0)
     return np.abs(a - a.conj().T).max() <= tol * scale
-
-
-def dagger(m) -> np.ndarray:
-    return as_matrix(m).conj().T
 
 
 def commutator(a, b) -> np.ndarray:
@@ -88,20 +84,3 @@ def trace_norm(m) -> float:
 
 def frobenius_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
-
-
-def singular_triplets(m):
-    """SVD as (u, s, vh) with s descending."""
-    return np.linalg.svd(as_matrix(m))
-
-
-def matrix_exp(m) -> np.ndarray:
-    """exp(M) for square M, checked against exp(M)exp(-M) = I."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise LinalgDomainError("matrix_exp: matrix is %dx%d, not square" % a.shape)
-    e = scipy.linalg.expm(a)
-    resid = np.abs(e @ scipy.linalg.expm(-a) - np.eye(a.shape[0])).max()
-    if resid > DECOMP_TOL:
-        raise LinalgDomainError("matrix_exp: inverse check failed (residual %.3e)" % resid)
-    return e

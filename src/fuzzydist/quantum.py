@@ -310,13 +310,19 @@ def mixed_state(sphere: FuzzySphere, n3, profile: ProbabilityProfile) -> Quantum
 # ---------------------------------------------------------------------------
 # mixed-state distance functional
 
-def _step_quadratics(n: HalfInteger, n3: HalfInteger, pu: np.ndarray, pd: np.ndarray):
-    """(Num, S) for one step n3 -> n3+1 with upper/lower probability rows."""
+def _step_coefficients(n: HalfInteger, n3: HalfInteger):
+    """(cu, cd, cx) of S = cu |pu|^2 + cd |pd|^2 + cx pu.pd for the step n3 -> n3+1."""
     nn1 = _nn1(n)
     up = n3 + HalfInteger(2)
     cu = float(nn1 - Fraction(up.twice ** 2, 4))      # n(n+1) - (n3+1)^2
     cd = float(nn1 - Fraction(n3.twice ** 2, 4))      # n(n+1) - n3^2
     cx = float(nn1 - _nn1(n3))                        # n(n+1) - n3(n3+1)
+    return cu, cd, cx
+
+
+def _step_quadratics(n: HalfInteger, n3: HalfInteger, pu: np.ndarray, pd: np.ndarray):
+    """(Num, S) for one step n3 -> n3+1 with upper/lower probability rows."""
+    cu, cd, cx = _step_coefficients(n, n3)
     num = float(np.dot(pu, pu) + np.dot(pd, pd))
     s = float(np.dot(pu, pu) * cu + np.dot(pd, pd) * cd + np.dot(pu, pd) * cx)
     return num, s
@@ -468,12 +474,12 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int = 42,
-                           max_iters: int = 2000, fd_step: float = 1e-6) -> dict:
+                           max_iters: int = 2000) -> dict:
     """Minimize the path distance over profiles on the product of simplices.
 
-    Projected gradient descent with Armijo backtracking; gradients by central
-    finite differences. Returns {"profile", "distance", "iterations"} for the
-    best start. The minimizer found is the uniform profile.
+    Projected gradient descent with Armijo backtracking on the analytic
+    gradient _raw_path_grad. Returns {"profile", "distance", "iterations"}
+    for the best start. The minimizer found is the uniform profile.
     """
     n = _halfint(n)
     n_i = _halfint(n_i)
@@ -483,23 +489,6 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     npts = (n_f.twice - n_i.twice) // 2 + 1
     m = n.twice + 1
     labels = [n_i.twice + 2 * r for r in range(npts)]
-
-    def to_profile(x):
-        return ProbabilityProfile(n, {t: x[r] for r, t in enumerate(labels)})
-
-    def objective(x):
-        return path_distance(n, lam, to_profile(x), n_i, n_f)
-
-    def fd_grad(x):
-        g = np.zeros_like(x)
-        for r in range(npts):
-            for c in range(m):
-                xp = x.copy(); xp[r, c] += fd_step
-                xm = x.copy(); xm[r, c] -= fd_step
-                # stay inside the domain: rows need not sum to 1 for the
-                # quadratics, only for profile validation, so evaluate raw
-                g[r, c] = (_raw_path(n, lam, xp, labels) - _raw_path(n, lam, xm, labels)) / (2 * fd_step)
-        return g
 
     rng = np.random.default_rng(seed)
     inits = [np.full((npts, m), 1.0 / m)]
@@ -513,7 +502,7 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
         iters = 0
         converged = False
         for iters in range(1, max_iters + 1):
-            g = fd_grad(x)
+            g = _raw_path_grad(n, lam, x, labels)
             moved = False
             for _bt in range(40):
                 cand = np.vstack([_project_simplex(x[r] - t * g[r]) for r in range(npts)])
@@ -536,7 +525,8 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     if not converged:
         raise MinimizationError("descent did not converge in %d iterations" % max_iters,
                                 best={"distance": fx, "profile_rows": x})
-    return {"profile": to_profile(x), "distance": fx, "iterations": iters}
+    profile = ProbabilityProfile(n, {t: x[r] for r, t in enumerate(labels)})
+    return {"profile": profile, "distance": fx, "iterations": iters}
 
 
 def _raw_path(n, lam, x, labels) -> float:
@@ -549,6 +539,22 @@ def _raw_path(n, lam, x, labels) -> float:
             return np.inf
         total += (lam * math.sqrt(float(_nn1(n))) / 2.0) * num / math.sqrt(s)
     return total
+
+
+def _raw_path_grad(n, lam, x, labels) -> np.ndarray:
+    """Gradient of _raw_path: each step adds d = c Num/sqrt(S) with c = lam r/2, so
+    dd/dp = c (2p/sqrt(S) - Num (dS/dp)/(2 S^{3/2})) for its two rows p = pu, pd."""
+    c = lam * math.sqrt(float(_nn1(n))) / 2.0
+    g = np.zeros_like(x)
+    for r in range(len(labels) - 1):
+        n3, pu, pd = HalfInteger(labels[r]), x[r + 1], x[r]
+        cu, cd, cx = _step_coefficients(n, n3)
+        num, s = _step_quadratics(n, n3, pu, pd)
+        k = c / math.sqrt(s)
+        h = c * num / (2.0 * s ** 1.5)
+        g[r + 1] += 2.0 * k * pu - h * (2.0 * cu * pu + cx * pd)
+        g[r] += 2.0 * k * pd - h * (2.0 * cd * pd + cx * pu)
+    return g
 
 
 def uniform_minimized_distance(n, lam: float, n3) -> float:

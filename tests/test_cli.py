@@ -78,7 +78,15 @@ def test_quantum_pure_oracle_columns(capsys):
     row = json.loads(out)["results"][0]
     assert row["distance"] == pytest.approx(1.9364916731037085, rel=1e-12)
     assert row["oracle"] == pytest.approx(row["distance"], rel=1e-10)
+    assert row["method"] == "lower_bound_formula"
     assert "symmetrized" in row
+    code, out, _ = run_cli(
+        ["quantum-pure", "--n", "3/2", "--n3", "1/2", "--right-sector", "same",
+         "--oracle", "--no-timestamp"], capsys)
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert row["method"] == "closed_form"
+    assert row["oracle"] == pytest.approx(row["distance"], rel=1e-10)
 
 
 def test_coherent_oracle_columns(capsys):

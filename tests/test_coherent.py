@@ -1,5 +1,6 @@
 """Coherent states, the stereographic metric coefficient, and its oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -29,6 +30,24 @@ def test_z_zero_is_top_basis_state():
     e0 = np.zeros(s.dim)
     e0[0] = 1.0
     assert np.array_equal(st.amplitudes, e0)
+
+
+@pytest.mark.parametrize("twice_n", range(1, 13))
+def test_amplitudes_match_binomial_law(twice_n):
+    """<n,n3|z> = sqrt(C(2n,k)) z^k / (1+|z|^2)^n with k = n - n3, phases included.
+
+    The closed form is only the reference: coherent_state rotates |n,n> with
+    an eigendecomposition of J_y and never evaluates it.
+    """
+    k = np.arange(twice_n + 1)
+    root_binom = np.sqrt([math.comb(twice_n, j) for j in k])
+    for lam in (1.0, 0.37):
+        s = build_space(H(twice_n), lam)
+        for mag in (1e-5, 1e-2, 0.5, 1.0, 2.0, 5.0):
+            for quadrant in range(4):
+                z = mag * cmath.exp(1j * (0.4 + quadrant * math.pi / 2))
+                want = root_binom * z ** k / (1 + abs(z) ** 2) ** (twice_n / 2)
+                assert np.abs(coherent_state(s, z).amplitudes - want).max() <= 1e-12
 
 
 def test_overlap_law():

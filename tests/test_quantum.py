@@ -329,6 +329,21 @@ def test_minimizer_recovers_uniform():
     assert out["distance"] <= want + 1e-8
 
 
+@pytest.mark.parametrize("twice_n", [1, 2, 3, 4])
+def test_path_gradient_matches_central_difference(twice_n):
+    n = H(twice_n)
+    labels = list(range(-twice_n, twice_n + 1, 2))
+    x = np.random.default_rng(twice_n).dirichlet(np.ones(twice_n + 1), size=len(labels))
+    h = 1e-6
+    fd = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        e = np.zeros_like(x)
+        e[idx] = h
+        fd[idx] = (quantum._raw_path(n, 1.3, x + e, labels)
+                   - quantum._raw_path(n, 1.3, x - e, labels)) / (2 * h)
+    assert np.abs(quantum._raw_path_grad(n, 1.3, x, labels) - fd).max() <= 1e-8
+
+
 def test_path_distance_adds_steps():
     # two adjacent steps from -1 to +1 at n = 1, uniform profile
     u = ProbabilityProfile.uniform(H(2))
