@@ -8,7 +8,8 @@ Submodules:
 * triple: Dirac operators and the Lipschitz seminorm
 * distance: closed forms, the norm pipeline, the constrained-ascent optimizer
 * coherent: coherent states as SU(2) rotations of |n,n>, the infinitesimal metric
-* quantum: operator-space pure/mixed/thermal distances
+* quantum: operator-space pure/mixed/thermal distances; every quantum state is
+  diagonal in |n3, l3) and held as its (2n+1) x (2n+1) weight matrix
 * continuum: commutative checks (Hopf map, round metric, monopole charts)
 * validate: the named-check registry behind `fuzzydist validate`
 * cli: command-line front end
@@ -69,9 +70,6 @@ _EXPORTS = {
     "resolution_of_identity_residual": "coherent",
     "large_n_scaling_deviation": "coherent",
     "MinimizationError": "quantum",
-    "QuantumState": "quantum",
-    "quantum_basis_vector": "quantum",
-    "quantum_projector": "quantum",
     "same_sector_seminorm": "quantum",
     "distinct_sector_seminorm_literal": "quantum",
     "distinct_sector_seminorm_symmetrized": "quantum",
@@ -80,7 +78,6 @@ _EXPORTS = {
     "quantum_seminorm_oracle": "quantum",
     "distinct_branch_report": "quantum",
     "ProbabilityProfile": "quantum",
-    "mixed_state": "quantum",
     "trace_norm_distance": "quantum",
     "mixed_commutator_norms": "quantum",
     "mixed_distance_oracle": "quantum",

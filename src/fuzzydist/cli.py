@@ -217,9 +217,8 @@ def _emit_csv(meta: dict, rows: list) -> str:
 
 def _adjacent_labels(n: HalfInteger, n3):
     if n3 is not None:
-        if n3.twice < -n.twice or n3.twice > n.twice - 2:
-            raise UsageError("need -n <= n3 <= n-1, got n3 = %s at n = %s" % (n3, n))
-        return [n3]
+        from .sphere import _adjacent_step
+        return [_adjacent_step(n, n3)[1]]
     return [HalfInteger(t) for t in range(-n.twice, n.twice - 1, 2)]
 
 
@@ -386,10 +385,6 @@ def _cmd_thermal(args):
     return extra, rows, 0
 
 
-_CONTINUUM_CHECKS = ("continuum-hopf", "continuum-metric", "continuum-killing",
-                     "continuum-clifford", "continuum-monopole", "continuum-connection")
-
-
 def _check_rows(results):
     rows = []
     code = 0
@@ -405,7 +400,8 @@ def _check_rows(results):
 
 def _cmd_continuum_check(args):
     from . import validate
-    results = validate.run_checks(names=_CONTINUUM_CHECKS, seed=args.seed)
+    names = [name for name in validate.check_names() if name.startswith("continuum-")]
+    results = validate.run_checks(names=names, seed=args.seed)
     rows, code = _check_rows(results)
     return {}, rows, code
 

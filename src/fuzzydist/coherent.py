@@ -187,10 +187,10 @@ def resolution_of_identity_residual(n, grid: int = 200) -> float:
         th = (i + 0.5) * dth
         zmag = math.tan(th / 2.0)
         w = math.sin(th) * dth * dph
-        for j in range(grid):
-            ph = (j + 0.5) * dph
-            st = coherent_state(sphere, zmag * cmath.exp(1j * ph))
-            acc += w * st.projector()
+        # the ring's states as rows of A; sum_j |z_j><z_j| = A^T conj(A)
+        ring = np.array([coherent_state(sphere, zmag * cmath.exp(1j * (j + 0.5) * dph)).amplitudes
+                         for j in range(grid)])
+        acc += w * (ring.T @ ring.conj())
     acc *= (sphere.n.twice + 1) / (4.0 * math.pi)
     return float(np.abs(acc - np.eye(dim)).max())
 

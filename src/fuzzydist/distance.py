@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .halfint import HalfInteger, ladder_radicand
-from .sphere import HSOperator, SphereDomainError, _halfint
+from .halfint import ladder_radicand
+from .sphere import HSOperator, SphereDomainError, _adjacent_step, _halfint
 from .triple import SpectralTriple, lipschitz_seminorm
 
 
@@ -39,16 +39,9 @@ class DistanceResult:
     ball_residual: Optional[float] = None
 
 
-def _check_adjacent_range(n: HalfInteger, n3: HalfInteger):
-    if n3.twice < -n.twice or n3.twice > n.twice - 2:
-        raise SphereDomainError("need -n <= n3 <= n-1, got n3 = %s at n = %s" % (n3, n))
-
-
 def adjacent_distance_closed_form(n, n3, lam: float = 1.0) -> float:
     """Distance between |n3+1> and |n3> pure states: lam sqrt(n(n+1)) / sqrt(n(n+1) - n3(n3+1))."""
-    n = _halfint(n)
-    n3 = _halfint(n3)
-    _check_adjacent_range(n, n3)
+    n, n3 = _adjacent_step(n, n3)
     nn1 = float(n.times_self_plus_one())
     rad = float(ladder_radicand(n, n3))
     return lam * math.sqrt(nn1) / math.sqrt(rad)

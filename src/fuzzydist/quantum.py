@@ -1,21 +1,25 @@
 """Distances on the quantum (operator) Hilbert space.
 
-States here are density matrices over the vectorized operator basis
-|n3, n3'), i.e. matrix units of the configuration space flattened row-major
-to vectors of length dim^2. Pure displacements between neighbouring left
-sectors admit closed-form commutator norms with two branches, depending on
-whether the right sectors of the two states coincide. Mixed states carry a
-probability profile over the right sector, and their distance functional
-uses the Hilbert-Schmidt (Frobenius) norm of the Dirac commutator; see
-mixed_commutator_norms for the measured comparison against the nuclear norm.
+The quantum Hilbert space has the basis |n3, l3) of configuration-space matrix
+units, left label n3 and right label l3. Every state and displacement used
+here is diagonal in that basis, so it is stored as its (2n+1) x (2n+1) weight
+matrix w[i, j] (left n3 in row i, right l3 in column j, both descending), and
+a path of probability rows P(n3), P(n3+1), ... as one (steps+1) x (2n+1)
+array. Pure displacements between neighbouring left sectors admit closed-form
+commutator norms with two branches, depending on whether the right sectors of
+the two states coincide. Mixed states rho(n3) = sum_l P_l(n3) |n3, l)(n3, l|
+carry a probability profile over the right sector; their distance functional
+uses the Hilbert-Schmidt (Frobenius) norm of the Dirac commutator, evaluated
+for every step of a path at once by _step_functional. mixed_commutator_norms
+measures it against the nuclear norm.
 
 The quantum Dirac operator acts on the left index only, D_q = D_c (x) I_right,
-and the displacements the oracles build are diagonal in |i, j), so
-[D_q, pi(drho)] is a direct sum of config blocks, one per right sector j
-(_step_blocks). The oracles work on those blocks and build no dim^2 x dim^2
-matrix; the dense quantum triple of triple.py is kept as a small-n test
-oracle. I (x) |l><l| commutes with D_q, so between distinct right sectors the
-Connes distance is +infinity and the values here are the lower-bound formula
+so for a diagonal displacement [D_q, pi(drho)] is a direct sum of config
+blocks, one per right sector j (_step_blocks). The oracles work on those
+blocks and build no dim^2 x dim^2 matrix; the dense quantum triple of
+triple.py is kept as a small-n test oracle, fed np.diag(w.ravel()). I (x)
+|l><l| commutes with D_q, so between distinct right sectors the Connes
+distance is +infinity and the values here are the lower-bound formula
 2/seminorm.
 """
 
@@ -29,7 +33,7 @@ from typing import Dict, List
 import numpy as np
 
 from .halfint import HalfInteger
-from .sphere import FuzzySphere, SphereDomainError, _halfint
+from .sphere import FuzzySphere, SphereDomainError, _adjacent_step, _halfint
 from .triple import build_dirac
 
 
@@ -40,52 +44,10 @@ class MinimizationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# vectorized basis
-
-def quantum_basis_vector(sphere: FuzzySphere, n3, n3p) -> np.ndarray:
-    """Unit vector for |n3, n3'): the matrix unit E_{n3, n3'} flattened row-major."""
-    i = sphere.index_of(n3)
-    j = sphere.index_of(n3p)
-    v = np.zeros(sphere.dim ** 2, dtype=complex)
-    v[i * sphere.dim + j] = 1.0
-    return v
-
-
-def quantum_projector(sphere: FuzzySphere, n3, n3p) -> np.ndarray:
-    v = quantum_basis_vector(sphere, n3, n3p)
-    return np.outer(v, v.conj())
-
-
-@dataclass
-class QuantumState:
-    sphere: FuzzySphere
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        d2 = self.sphere.dim ** 2
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (d2, d2):
-            raise SphereDomainError("quantum state must be %dx%d" % (d2, d2))
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise SphereDomainError("quantum state is not Hermitian")
-        if abs(m.trace() - 1.0) > 1e-12:
-            raise SphereDomainError("quantum state trace != 1")
-        self.matrix = m
-
-
-# ---------------------------------------------------------------------------
 # pure-state two-branch distance
 
 def _nn1(n: HalfInteger) -> Fraction:
     return n.times_self_plus_one()
-
-
-def _step(n, n3):
-    """(n, n3) as half-integers, checked to label a step n3 -> n3+1 at spin n."""
-    n, n3 = _halfint(n), _halfint(n3)
-    if n3.twice < -n.twice or n3.twice > n.twice - 2:
-        raise SphereDomainError("need -n <= n3 <= n-1 for a step, got n3 = %s" % n3)
-    return n, n3
 
 
 def same_sector_seminorm(n, lam: float, n3) -> float:
@@ -130,7 +92,7 @@ def quantum_pure_distance(n, lam: float, n3, right_same: bool) -> float:
     distance (compressing to sector r loses nothing); r != r' the lower-bound
     formula 2/seminorm with the literal radicand, not a Connes distance.
     """
-    n, n3 = _step(n, n3)
+    n, n3 = _adjacent_step(n, n3)
     nn1 = float(_nn1(n))
     if right_same:
         rad = float(_nn1(n) - _nn1(n3))
@@ -141,7 +103,7 @@ def quantum_pure_distance(n, lam: float, n3, right_same: bool) -> float:
 
 def quantum_pure_distance_symmetrized(n, lam: float, n3) -> float:
     """Distinct-sector lower-bound formula 2/seminorm, symmetrized; not a Connes distance."""
-    n, n3 = _step(n, n3)
+    n, n3 = _adjacent_step(n, n3)
     return 2.0 / distinct_sector_seminorm_symmetrized(n, lam, n3)
 
 
@@ -151,7 +113,7 @@ def quantum_seminorm_oracle(n, lam: float, n3, n3p, l3p) -> float:
     drho_q = |n3+1, l3p)(n3+1, l3p| - |n3, n3p)(n3, n3p|, no closed forms
     involved anywhere: the top singular value over its right-sector blocks.
     """
-    n, n3 = _step(n, n3)
+    n, n3 = _adjacent_step(n, n3)
     sphere = FuzzySphere(n, lam)
     e = np.eye(sphere.dim)
     _, blocks = _step_blocks(sphere, n3, e[sphere.index_of(l3p)], e[sphere.index_of(n3p)])
@@ -229,17 +191,13 @@ class ProbabilityProfile:
             self.rows[t] = np.clip(v, 0.0, None) / s
 
     @classmethod
-    def uniform(cls, n, n3_values=None) -> "ProbabilityProfile":
+    def uniform(cls, n) -> "ProbabilityProfile":
         n = _halfint(n)
         m = n.twice + 1
-        if n3_values is None:
-            ts = range(-n.twice, n.twice + 1, 2)
-        else:
-            ts = [_halfint(v).twice for v in n3_values]
-        return cls(n, {t: np.full(m, 1.0 / m) for t in ts})
+        return cls(n, {t: np.full(m, 1.0 / m) for t in range(-n.twice, n.twice + 1, 2)})
 
     @classmethod
-    def delta(cls, n, peak_l3, n3_values=None) -> "ProbabilityProfile":
+    def delta(cls, n, peak_l3) -> "ProbabilityProfile":
         n = _halfint(n)
         m = n.twice + 1
         peak = _halfint(peak_l3)
@@ -248,11 +206,7 @@ class ProbabilityProfile:
             raise SphereDomainError("peak l3 = %s out of range" % peak)
         row = np.zeros(m)
         row[idx] = 1.0
-        if n3_values is None:
-            ts = range(-n.twice, n.twice + 1, 2)
-        else:
-            ts = [_halfint(v).twice for v in n3_values]
-        return cls(n, {t: row.copy() for t in ts})
+        return cls(n, {t: row.copy() for t in range(-n.twice, n.twice + 1, 2)})
 
     @classmethod
     def from_text(cls, text: str, n) -> "ProbabilityProfile":
@@ -293,39 +247,38 @@ class ProbabilityProfile:
             raise SphereDomainError("profile has no row at n3 = %s" % HalfInteger(t))
         return self.rows[t]
 
-    def has(self, n3) -> bool:
-        return _halfint(n3).twice in self.rows
-
-
-def mixed_state(sphere: FuzzySphere, n3, profile: ProbabilityProfile) -> QuantumState:
-    """rho_q(n3) = sum_l3 P_{l3}(n3) |n3, l3)(n3, l3|."""
-    probs = profile.at(n3)
-    m = np.zeros((sphere.dim ** 2, sphere.dim ** 2), dtype=complex)
-    for idx, l3 in enumerate(sphere.n3_values()):
-        if probs[idx] != 0.0:
-            m += probs[idx] * quantum_projector(sphere, n3, l3)
-    return QuantumState(sphere, m)
+    def _path(self, labels) -> np.ndarray:
+        """Rows at the 2 n3 values in labels as one array, one row per label."""
+        return np.array([self.at(HalfInteger(t)) for t in labels])
 
 
 # ---------------------------------------------------------------------------
 # mixed-state distance functional
 
-def _step_coefficients(n: HalfInteger, n3: HalfInteger):
-    """(cu, cd, cx) of S = cu |pu|^2 + cd |pd|^2 + cx pu.pd for the step n3 -> n3+1."""
-    nn1 = _nn1(n)
-    up = n3 + HalfInteger(2)
-    cu = float(nn1 - Fraction(up.twice ** 2, 4))      # n(n+1) - (n3+1)^2
-    cd = float(nn1 - Fraction(n3.twice ** 2, 4))      # n(n+1) - n3^2
-    cx = float(nn1 - _nn1(n3))                        # n(n+1) - n3(n3+1)
-    return cu, cd, cx
+def _step_functional(n: HalfInteger, x: np.ndarray, t0: int):
+    """Num, S and (cu, cd, cx) for every step of the path of profile rows x.
+
+    Row r of x is P(n3) at n3 = t0/2 + r, so step r runs n3 -> n3+1 with
+    pu = x[r+1], pd = x[r]: Num = |pu|^2 + |pd|^2 and
+    S = cu |pu|^2 + cd |pd|^2 + cx pu.pd with cu = n(n+1) - (n3+1)^2,
+    cd = n(n+1) - n3^2 and cx = n(n+1) - n3(n3+1), all exact in floats.
+    The step's distance is (lam sqrt(n(n+1))/2) Num/sqrt(S).
+    """
+    n3 = t0 / 2.0 + np.arange(len(x) - 1)          # n3 of each step
+    nn1 = float(_nn1(n))
+    cu, cd, cx = nn1 - (n3 + 1.0) ** 2, nn1 - n3 ** 2, nn1 - n3 * (n3 + 1.0)
+    sq = (x[:, None, :] @ x[:, :, None])[:, 0, 0]             # |P|^2 per row, summed as np.dot
+    cross = (x[1:, None, :] @ x[:-1, :, None])[:, 0, 0]      # pu.pd per step
+    return sq[1:] + sq[:-1], cu * sq[1:] + cd * sq[:-1] + cx * cross, (cu, cd, cx)
 
 
-def _step_quadratics(n: HalfInteger, n3: HalfInteger, pu: np.ndarray, pd: np.ndarray):
-    """(Num, S) for one step n3 -> n3+1 with upper/lower probability rows."""
-    cu, cd, cx = _step_coefficients(n, n3)
-    num = float(np.dot(pu, pu) + np.dot(pd, pd))
-    s = float(np.dot(pu, pu) * cu + np.dot(pd, pd) * cd + np.dot(pu, pd) * cx)
-    return num, s
+def _path_labels(n: HalfInteger, n_i: HalfInteger, n_f: HalfInteger) -> range:
+    """2 n3 of every row on the path n_i -> n_f, checked to be unit steps within the spectrum."""
+    if not (-n.twice <= n_i.twice < n_f.twice <= n.twice):
+        raise SphereDomainError("need -n <= n_i < n_f <= n")
+    if (n_f.twice - n_i.twice) % 2 != 0:
+        raise SphereDomainError("n_f - n_i must be an integer number of unit steps")
+    return range(n_i.twice, n_f.twice + 1, 2)
 
 
 def trace_norm_distance(n, lam: float, n3, profile: ProbabilityProfile) -> float:
@@ -335,14 +288,8 @@ def trace_norm_distance(n, lam: float, n3, profile: ProbabilityProfile) -> float
     commutator norm with prefactor 2/(lam sqrt(n(n+1))). Equals
     (lam sqrt(n(n+1))/2) Num/sqrt(S).
     """
-    n, n3 = _step(n, n3)
-    pu = profile.at(n3 + HalfInteger(2))
-    pd = profile.at(n3)
-    num, s = _step_quadratics(n, n3, pu, pd)
-    if s <= 0:
-        raise SphereDomainError("degenerate profile at n3 = %s (zero quadratic form)" % n3)
-    nn1 = float(_nn1(n))
-    return (lam * math.sqrt(nn1) / 2.0) * num / math.sqrt(s)
+    n, n3 = _adjacent_step(n, n3)
+    return path_distance(n, lam, profile, n3, n3 + HalfInteger(2))
 
 
 def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> dict:
@@ -354,26 +301,24 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
     norms come from one SVD of the stacked right-sector blocks. Returned keys:
     display, frobenius, nuclear, operator, numerator, numerator_closed.
     """
-    n, n3 = _step(n, n3)
-    pu = profile.at(n3 + HalfInteger(2))
-    pd = profile.at(n3)
-    w, blocks = _step_blocks(FuzzySphere(n, lam), n3, pu, pd)
+    n, n3 = _adjacent_step(n, n3)
+    x = profile._path((n3.twice, n3.twice + 2))
+    w, blocks = _step_blocks(FuzzySphere(n, lam), n3, x[1], x[0])
     sv = np.linalg.svd(blocks, compute_uv=False)
-    num, s = _step_quadratics(n, n3, pu, pd)
-    nn1 = float(_nn1(n))
+    num, s, _ = _step_functional(n, x, n3.twice)
     return {
-        "display": 2.0 / (lam * math.sqrt(nn1)) * math.sqrt(s),
+        "display": 2.0 / (lam * math.sqrt(float(_nn1(n)))) * math.sqrt(s[0]),
         "frobenius": float(np.sqrt(np.sum(sv * sv))),
         "nuclear": float(sv.sum()),
         "operator": float(sv.max()),
         "numerator": float(np.sum(w * w)),
-        "numerator_closed": num,
+        "numerator_closed": float(num[0]),
     }
 
 
 def mixed_distance_oracle(n, lam: float, n3, profile: ProbabilityProfile) -> float:
     """Distance recomputed from the explicit commutator, no closed forms and no SVD."""
-    n, n3 = _step(n, n3)
+    n, n3 = _adjacent_step(n, n3)
     w, blocks = _step_blocks(FuzzySphere(n, lam), n3, profile.at(n3 + HalfInteger(2)),
                              profile.at(n3))
     return float(np.sum(w * w)) / float(np.linalg.norm(blocks))
@@ -401,53 +346,26 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
     n = _halfint(n)
     n_i = _halfint(n_i)
     n_f = _halfint(n_f)
-    if not (-n.twice <= n_i.twice < n_f.twice <= n.twice):
-        raise SphereDomainError("need -n <= n_i < n_f <= n")
-    if (n_f.twice - n_i.twice) % 2 != 0:
-        raise SphereDomainError("n_f - n_i must be an integer number of unit steps")
-    npts = (n_f.twice - n_i.twice) // 2 + 1
-    m = n.twice + 1
-    nn1 = _nn1(n)
-    lr = lam * math.sqrt(float(nn1))
+    labels = _path_labels(n, n_i, n_f)
+    x = profile._path(labels)
+    num, s, (_, _, cx) = _step_functional(n, x, n_i.twice)
+    if np.any(s <= 0):
+        raise SphereDomainError("degenerate profile on n3 = %s..%s (zero quadratic form)"
+                                % (n_i, n_f))
+    lr = lam * math.sqrt(float(_nn1(n)))
 
-    # per-step f and g, keyed by the lower label (twice value)
-    fs, gs = {}, {}
-    for t in range(n_i.twice, n_f.twice, 2):
-        n3 = HalfInteger(t)
-        pu = profile.at(HalfInteger(t + 2))
-        pd = profile.at(n3)
-        num, s = _step_quadratics(n, n3, pu, pd)
-        if s <= 0:
-            raise SphereDomainError("degenerate profile at n3 = %s (zero quadratic form)" % n3)
-        gs[t] = 1.0 / math.sqrt(s)
-        fs[t] = (num / 2.0) / s ** 1.5
-
-    def f_at(t):
-        return fs.get(t, 0.0)
-
-    def g_at(t):
-        return gs.get(t, 0.0)
-
-    labels = [HalfInteger(n_f.twice - 2 * r) for r in range(npts)]
-    D = np.zeros((npts, npts))
-    for r, n3 in enumerate(labels):
-        t = n3.twice
-        c0 = float(nn1 - Fraction(t * t, 4))          # n(n+1) - n3^2
-        D[r, r] = lr * (g_at(t) + g_at(t - 2) - c0 * (f_at(t) + f_at(t - 2)))
-        if t < n_f.twice:
-            # coupling for the step n3 -> n3+1 sits above this row
-            cx = float(nn1 - _nn1(n3))
-            b = -lr * cx * f_at(t)
-            D[r, r - 1] = b
-            D[r - 1, r] = b
-    # P_l3 vectors over the path rows, one per l3
-    P = np.zeros((npts, m))
-    for r, n3 in enumerate(labels):
-        P[r, :] = profile.at(n3)
-    prod = D @ P                       # column l3 holds delta P_l3
+    # per-step f and g, padded with a zero step below n_i and above n_f, so row
+    # r (ascending) sees the step above it at r + 1 and the one below at r
+    g = np.concatenate(([0.0], 1.0 / np.sqrt(s), [0.0]))
+    f = np.concatenate(([0.0], (num / 2.0) / s ** 1.5, [0.0]))
+    c0 = (n.twice * (n.twice + 2) - np.array(labels) ** 2) / 4.0   # n(n+1) - n3^2
+    b = -lr * cx * f[1:-1]          # coupling of the two rows of each step
+    D = np.diag(lr * (g[1:] + g[:-1] - c0 * (f[1:] + f[:-1]))) + np.diag(b, 1) + np.diag(b, -1)
+    D = D[::-1, ::-1]                  # rows n3 descending, like every basis in the package
+    prod = D @ x[::-1]                 # column l3 holds delta P_l3
     alpha = prod.mean(axis=1) / 2.0    # least-squares alpha is the l3 average
     residual = float(np.abs(prod - 2.0 * alpha[:, None]).max())
-    return MinimizationCertificate(D, alpha, residual, labels)
+    return MinimizationCertificate(D, alpha, residual, [HalfInteger(t) for t in labels[::-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +376,11 @@ def path_distance(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> float
     n = _halfint(n)
     n_i = _halfint(n_i)
     n_f = _halfint(n_f)
-    total = 0.0
-    for t in range(n_i.twice, n_f.twice, 2):
-        total += trace_norm_distance(n, lam, HalfInteger(t), profile)
-    return total
+    d = _raw_path(n, lam, profile._path(_path_labels(n, n_i, n_f)), n_i.twice)
+    if d == np.inf:
+        raise SphereDomainError("degenerate profile on n3 = %s..%s (zero quadratic form)"
+                                % (n_i, n_f))
+    return d
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -484,11 +403,9 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     n = _halfint(n)
     n_i = _halfint(n_i)
     n_f = _halfint(n_f)
-    if not n_i < n_f:
-        raise SphereDomainError("need n_i < n_f")
-    npts = (n_f.twice - n_i.twice) // 2 + 1
+    labels = _path_labels(n, n_i, n_f)
+    npts = len(labels)
     m = n.twice + 1
-    labels = [n_i.twice + 2 * r for r in range(npts)]
 
     rng = np.random.default_rng(seed)
     inits = [np.full((npts, m), 1.0 / m)]
@@ -497,16 +414,16 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
 
     best = None
     for x in inits:
-        fx = _raw_path(n, lam, x, labels)
+        fx = _raw_path(n, lam, x, n_i.twice)
         t = 1.0
         iters = 0
         converged = False
         for iters in range(1, max_iters + 1):
-            g = _raw_path_grad(n, lam, x, labels)
+            g = _raw_path_grad(n, lam, x, n_i.twice)
             moved = False
             for _bt in range(40):
                 cand = np.vstack([_project_simplex(x[r] - t * g[r]) for r in range(npts)])
-                fc = _raw_path(n, lam, cand, labels)
+                fc = _raw_path(n, lam, cand, n_i.twice)
                 gap = x - cand
                 if fc <= fx - 1e-4 * float(np.sum(gap * gap)) / max(t, 1e-16):
                     step_inf = float(np.abs(gap).max())
@@ -529,31 +446,26 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     return {"profile": profile, "distance": fx, "iterations": iters}
 
 
-def _raw_path(n, lam, x, labels) -> float:
-    """Path distance for raw (unvalidated) probability rows."""
-    total = 0.0
-    for r in range(len(labels) - 1):
-        n3 = HalfInteger(labels[r])
-        num, s = _step_quadratics(n, n3, x[r + 1], x[r])
-        if s <= 0:
-            return np.inf
-        total += (lam * math.sqrt(float(_nn1(n))) / 2.0) * num / math.sqrt(s)
-    return total
+def _raw_path(n, lam, x, t0) -> float:
+    """Path distance for raw (unvalidated) probability rows x, row r at n3 = t0/2 + r."""
+    num, s, _ = _step_functional(n, x, t0)
+    if np.any(s <= 0):
+        return np.inf
+    return float(np.sum(lam * math.sqrt(float(_nn1(n))) / 2.0 * num / np.sqrt(s)))
 
 
-def _raw_path_grad(n, lam, x, labels) -> np.ndarray:
+def _raw_path_grad(n, lam, x, t0) -> np.ndarray:
     """Gradient of _raw_path: each step adds d = c Num/sqrt(S) with c = lam r/2, so
     dd/dp = c (2p/sqrt(S) - Num (dS/dp)/(2 S^{3/2})) for its two rows p = pu, pd."""
+    num, s, (cu, cd, cx) = _step_functional(n, x, t0)
     c = lam * math.sqrt(float(_nn1(n))) / 2.0
+    k = (c / np.sqrt(s))[:, None]
+    h = (c * num / (2.0 * s ** 1.5))[:, None]
+    cu, cd, cx = cu[:, None], cd[:, None], cx[:, None]
+    pu, pd = x[1:], x[:-1]
     g = np.zeros_like(x)
-    for r in range(len(labels) - 1):
-        n3, pu, pd = HalfInteger(labels[r]), x[r + 1], x[r]
-        cu, cd, cx = _step_coefficients(n, n3)
-        num, s = _step_quadratics(n, n3, pu, pd)
-        k = c / math.sqrt(s)
-        h = c * num / (2.0 * s ** 1.5)
-        g[r + 1] += 2.0 * k * pu - h * (2.0 * cu * pu + cx * pd)
-        g[r] += 2.0 * k * pd - h * (2.0 * cd * pd + cx * pu)
+    g[1:] += 2.0 * k * pu - h * (2.0 * cu * pu + cx * pd)
+    g[:-1] += 2.0 * k * pd - h * (2.0 * cd * pd + cx * pu)
     return g
 
 
@@ -562,7 +474,7 @@ def uniform_minimized_distance(n, lam: float, n3) -> float:
 
     (1/sqrt(2n+1)) lam sqrt(n(n+1)) / sqrt(3[n(n+1) - n3(n3+1) - 1/3]).
     """
-    n, n3 = _step(n, n3)
+    n, n3 = _adjacent_step(n, n3)
     nn1 = _nn1(n)
     rad = 3 * (nn1 - _nn1(n3)) - 1   # 3[n(n+1) - n3(n3+1) - 1/3], exact
     if rad <= 0:
@@ -640,7 +552,7 @@ def thermal_distance(n, lam: float, n3, spectrum: EnergySpectrum, beta: float) -
 
     Identical to trace_norm_distance evaluated on the thermal profile.
     """
-    n, n3 = _step(n, n3)
+    n, n3 = _adjacent_step(n, n3)
     if spectrum.levels.size != n.twice + 1:
         raise SphereDomainError("spectrum has %d levels, sphere needs %d"
                                 % (spectrum.levels.size, n.twice + 1))

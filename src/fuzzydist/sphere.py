@@ -89,6 +89,15 @@ class FuzzySphere:
         return "FuzzySphere(n=%s, lam=%g)" % (self.n, self.lam)
 
 
+def _adjacent_step(n, n3):
+    """(n, n3) as half-integers, checked to label a step n3 -> n3+1 at spin n."""
+    n, n3 = _halfint(n), _halfint(n3)
+    if n3.twice < -n.twice or n3.twice > n.twice - 2:
+        raise SphereDomainError("need -n <= n3 <= n-1 for a step, got n3 = %s at n = %s"
+                                % (n3, n))
+    return n, n3
+
+
 def build_space(n, lam: float = 1.0) -> FuzzySphere:
     """Construct the spin-n space; raises SphereDomainError on bad input."""
     return FuzzySphere(n, lam)
@@ -133,11 +142,8 @@ def pure_state(sphere: FuzzySphere, n3) -> HSOperator:
 
 def adjacent_drho(sphere: FuzzySphere, n3) -> HSOperator:
     """|n3+1><n3+1| - |n3><n3|, the displacement between neighbouring pure states."""
-    n3 = _halfint(n3)
-    up = n3 + HalfInteger(2)
-    if up.twice > sphere.n.twice:
-        raise SphereDomainError("n3 + 1 exceeds +n (n3 = %s, n = %s)" % (n3, sphere.n))
-    m = pure_state(sphere, up).matrix - pure_state(sphere, n3).matrix
+    _, n3 = _adjacent_step(sphere.n, n3)
+    m = pure_state(sphere, n3 + HalfInteger(2)).matrix - pure_state(sphere, n3).matrix
     return HSOperator(sphere, m)
 
 

@@ -626,8 +626,10 @@ def _representation_choice(seed):
     n = HalfInteger(2)
     s = sphere.build_space(n, 1.0)
     left = triple.build_dirac(s, "quantum", 0)
-    drho = (quantum.quantum_projector(s, HalfInteger(2), HalfInteger(2))
-            - quantum.quantum_projector(s, HalfInteger(0), HalfInteger(2)))
+    w = np.zeros((s.dim, s.dim))   # |1, 1)(1, 1| - |0, 1)(0, 1| as a weight matrix
+    w[s.index_of(HalfInteger(2)), s.index_of(HalfInteger(2))] = 1.0
+    w[s.index_of(HalfInteger(0)), s.index_of(HalfInteger(2))] = -1.0
+    drho = np.diag(w.ravel())
     got = triple.lipschitz_seminorm(left, drho)
     expect = quantum.same_sector_seminorm(n, 1.0, HalfInteger(0))
     dev_left = abs(got - expect) / expect

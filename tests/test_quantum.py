@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzydist import cli, quantum, triple
 from fuzzydist.halfint import HalfInteger
@@ -18,11 +20,8 @@ from fuzzydist.quantum import (
     minimize_path_distance,
     mixed_commutator_norms,
     mixed_distance_oracle,
-    mixed_state,
     partition_function,
     path_distance,
-    quantum_basis_vector,
-    quantum_projector,
     quantum_pure_distance,
     quantum_pure_distance_symmetrized,
     quantum_seminorm_oracle,
@@ -37,17 +36,6 @@ from fuzzydist.sphere import SphereDomainError, build_space
 from fuzzydist.triple import build_dirac, dirac_commutator, lipschitz_seminorm
 
 H = HalfInteger
-
-
-def test_basis_vectors_orthonormal():
-    s = build_space(H(2), 1.0)
-    v1 = quantum_basis_vector(s, H(2), H(0))
-    v2 = quantum_basis_vector(s, H(0), H(0))
-    assert np.vdot(v1, v1) == pytest.approx(1.0)
-    assert np.vdot(v1, v2) == pytest.approx(0.0)
-    p = quantum_projector(s, H(2), H(0))
-    assert np.allclose(p @ p, p)
-    assert np.trace(p).real == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +129,23 @@ def test_block_route_matches_dense_quantum_triple(t):
     labels = s.n3_values()
     for t3 in range(-t, t - 1, 2):
         n3 = H(t3)
+        up, down = s.index_of(n3 + H(2)), s.index_of(n3)
         for n3p in labels:
             for l3p in labels:
-                drho = quantum_projector(s, n3 + H(2), l3p) - quantum_projector(s, n3, n3p)
-                dense = _dense_norms(tr, drho)
-                rows = drho.diagonal().real.reshape(s.dim, s.dim)
-                w, blocks = quantum._step_blocks(s, n3, rows[s.index_of(n3 + H(2))],
-                                                 -rows[s.index_of(n3)])
+                w = np.zeros((s.dim, s.dim))   # |n3+1, l3p)(n3+1, l3p| - |n3, n3p)(n3, n3p|
+                w[up, s.index_of(l3p)] += 1.0
+                w[down, s.index_of(n3p)] -= 1.0
+                dense = _dense_norms(tr, np.diag(w.ravel()))
+                w, blocks = quantum._step_blocks(s, n3, w[up], -w[down])
                 sv = np.linalg.svd(blocks, compute_uv=False)
                 block = (quantum_seminorm_oracle(n, 1.0, n3, n3p, l3p),
                          np.sqrt(np.sum(sv * sv)), sv.sum(), np.sum(w * w))
                 np.testing.assert_allclose(block, dense, rtol=1e-12, atol=0)
         for prof in _profiles(t, np.random.default_rng(t)):
-            drho = (mixed_state(s, n3 + H(2), prof).matrix - mixed_state(s, n3, prof).matrix)
-            op, frob, nuc, num = _dense_norms(tr, drho)
+            w = np.zeros((s.dim, s.dim))       # rho(n3+1) - rho(n3)
+            w[up] = prof.at(n3 + H(2))
+            w[down] = -prof.at(n3)
+            op, frob, nuc, num = _dense_norms(tr, np.diag(w.ravel()))
             norms = mixed_commutator_norms(n, 1.0, n3, prof)
             np.testing.assert_allclose(
                 [norms["operator"], norms["frobenius"], norms["nuclear"], norms["numerator"]],
@@ -171,12 +162,8 @@ def test_oracles_never_build_the_dense_quantum_triple(monkeypatch):
         built.append(representation)
         return build_dirac(sphere, representation, k)
 
-    def no_projector(*args):
-        raise AssertionError("dim^2 x dim^2 projector built")
-
     monkeypatch.setattr(quantum, "build_dirac", config_only)
     monkeypatch.setattr(triple, "build_dirac", config_only)
-    monkeypatch.setattr(quantum, "quantum_projector", no_projector)
     n = H(4)
     assert quantum_seminorm_oracle(n, 1.0, H(0), H(0), H(2)) == pytest.approx(
         distinct_sector_seminorm_symmetrized(n, 1.0, H(0)), rel=1e-12)
@@ -224,7 +211,6 @@ def test_profile_uniform_and_delta():
     assert np.allclose(u.at(H(0)), [1 / 3, 1 / 3, 1 / 3])
     d = ProbabilityProfile.delta(H(2), H(2))
     assert np.allclose(d.at(H(-2)), [1.0, 0.0, 0.0])
-    assert u.has(H(2)) and not u.has(H(4))
 
 
 def test_profile_from_text_roundtrip():
@@ -250,15 +236,6 @@ def test_profile_rejects_negative_and_bad_sum():
         ProbabilityProfile(H(2), {t: np.array([0.7, 0.6, -0.3]) for t in (-2, 0, 2)})
     with pytest.raises(SphereDomainError):
         ProbabilityProfile(H(2), {t: np.array([0.7, 0.6, 0.3]) for t in (-2, 0, 2)})
-
-
-def test_mixed_state_is_valid_density():
-    s = build_space(H(2), 1.0)
-    st = mixed_state(s, H(0), ProbabilityProfile.uniform(H(2)))
-    m = st.matrix
-    assert np.allclose(m, m.conj().T)
-    assert np.trace(m).real == pytest.approx(1.0)
-    assert np.linalg.eigvalsh(m).min() >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +309,15 @@ def test_minimizer_recovers_uniform():
 @pytest.mark.parametrize("twice_n", [1, 2, 3, 4])
 def test_path_gradient_matches_central_difference(twice_n):
     n = H(twice_n)
-    labels = list(range(-twice_n, twice_n + 1, 2))
-    x = np.random.default_rng(twice_n).dirichlet(np.ones(twice_n + 1), size=len(labels))
+    x = np.random.default_rng(twice_n).dirichlet(np.ones(twice_n + 1), size=twice_n + 1)
     h = 1e-6
     fd = np.zeros_like(x)
     for idx in np.ndindex(x.shape):
         e = np.zeros_like(x)
         e[idx] = h
-        fd[idx] = (quantum._raw_path(n, 1.3, x + e, labels)
-                   - quantum._raw_path(n, 1.3, x - e, labels)) / (2 * h)
-    assert np.abs(quantum._raw_path_grad(n, 1.3, x, labels) - fd).max() <= 1e-8
+        fd[idx] = (quantum._raw_path(n, 1.3, x + e, -twice_n)
+                   - quantum._raw_path(n, 1.3, x - e, -twice_n)) / (2 * h)
+    assert np.abs(quantum._raw_path_grad(n, 1.3, x, -twice_n) - fd).max() <= 1e-8
 
 
 def test_path_distance_adds_steps():
@@ -351,6 +327,27 @@ def test_path_distance_adds_steps():
     step1 = trace_norm_distance(H(2), 1.0, H(-2), u)
     step2 = trace_norm_distance(H(2), 1.0, H(0), u)
     assert total == pytest.approx(step1 + step2, rel=1e-12)
+
+
+@st.composite
+def _profile_and_step(draw):
+    """2n in 1..12, a Dirichlet profile over every n3, and one step n3 -> n3+1."""
+    t = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = rng.dirichlet(np.full(t + 1, draw(st.sampled_from([0.1, 1.0, 10.0]))), size=t + 1)
+    prof = ProbabilityProfile(H(t), {tt: raw[i] for i, tt in enumerate(range(t, -t - 1, -2))})
+    return H(t), prof, H(draw(st.sampled_from(range(-t, t - 1, 2))))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_profile_and_step(), st.sampled_from([1.0, 1.3]))
+def test_step_functional_matches_block_route(case, lam):
+    """The vectorized functional against the independent right-sector block route."""
+    n, prof, n3 = case
+    assert trace_norm_distance(n, lam, n3, prof) == pytest.approx(
+        mixed_distance_oracle(n, lam, n3, prof), rel=1e-10)
+    steps = [trace_norm_distance(n, lam, H(t3), prof) for t3 in range(-n.twice, n.twice - 1, 2)]
+    assert path_distance(n, lam, prof, H(-n.twice), n) == pytest.approx(sum(steps), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

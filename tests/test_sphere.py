@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from fuzzydist import cli
+from fuzzydist.distance import adjacent_distance_closed_form
 from fuzzydist.halfint import HalfInteger
+from fuzzydist.quantum import quantum_pure_distance
 from fuzzydist.sphere import (
     FockMonomial,
     FuzzySphere,
@@ -87,6 +90,26 @@ def test_pure_state_and_drho():
     assert np.trace(d.matrix) == pytest.approx(0.0)
     with pytest.raises(SphereDomainError):
         adjacent_drho(s, H(3))  # n3 + 1 would leave the spectrum
+
+
+_STEP_ENTRY_POINTS = {
+    "adjacent_drho": lambda n, n3: adjacent_drho(build_space(n, 1.0), n3),
+    "adjacent_distance_closed_form": lambda n, n3: adjacent_distance_closed_form(n, n3),
+    "quantum_pure_distance": lambda n, n3: quantum_pure_distance(n, 1.0, n3, True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_STEP_ENTRY_POINTS) + ["cli"])
+@pytest.mark.parametrize("t3", [3, -5])
+def test_step_range_rule(entry, t3, capsys):
+    """n3 = n and n3 = -n-1 label no step n3 -> n3+1 at n = 3/2, at every entry point."""
+    n = H(3)
+    if entry == "cli":
+        assert cli.main(["discrete", "--n", "3/2", "--n3=%s" % H(t3), "--no-timestamp"]) == 2
+        assert capsys.readouterr().err.startswith("fuzzydist: error: need -n <= n3 <= n-1")
+    else:
+        with pytest.raises(SphereDomainError, match="need -n <= n3 <= n-1"):
+            _STEP_ENTRY_POINTS[entry](n, H(t3))
 
 
 def test_density_validation():

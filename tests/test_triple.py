@@ -83,14 +83,17 @@ def test_quantum_dirac_acts_from_the_left():
     difference must reproduce the closed form 2*sqrt(rad)/(lam*sqrt(n(n+1)));
     the adjoint (left-minus-right) action would not.
     """
-    from fuzzydist.quantum import quantum_projector, same_sector_seminorm
+    from fuzzydist.quantum import same_sector_seminorm
 
     n = H(2)
     s = build_space(n, 1.0)
     tq = build_dirac(s, "quantum", 0)
     dim2 = s.dim * s.dim
     assert tq.dirac.shape == (2 * dim2, 2 * dim2)
-    drho = quantum_projector(s, H(2), H(2)) - quantum_projector(s, H(0), H(2))
+    w = np.zeros((s.dim, s.dim))   # |1, 1)(1, 1| - |0, 1)(0, 1|, left n3 by row
+    w[s.index_of(H(2)), s.index_of(H(2))] = 1.0
+    w[s.index_of(H(0)), s.index_of(H(2))] = -1.0
+    drho = np.diag(w.ravel())
     got = lipschitz_seminorm(tq, drho)
     assert got == pytest.approx(same_sector_seminorm(n, 1.0, H(0)), rel=1e-12)
 
