@@ -37,6 +37,8 @@ class DistanceResult:
     method: str  # closed_form | norm_pipeline | optimizer
     certificate: Optional[np.ndarray] = None
     ball_residual: Optional[float] = None
+    iterations: Optional[int] = None  # optimizer only: the best start's iterations
+    stop: Optional[str] = None  # optimizer only: "stalled" or "zero_gradient"
 
 
 def adjacent_distance_closed_form(n, n3, lam: float = 1.0) -> float:
@@ -106,20 +108,37 @@ def _normalize(a):
     return a / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
 
 
+def _commutator_batch(triple, a):
+    """[D, pi(a)] for each slice of a stack of Hermitian dim x dim matrices.
+
+    pi(a) = I_2 (x) a, so D pi(a) for the whole stack is one product with D
+    viewed as a (4 dim) x dim matrix, and [D, pi(a)] = D pi(a) - (D pi(a))^dag.
+    """
+    dim = triple.algebra_dim
+    da = (triple.dirac.reshape(4 * dim, dim) @ a).reshape(-1, 2 * dim, 2 * dim)
+    return da - da.conj().swapaxes(-1, -2)
+
+
+def _seminorm_batch(triple, a):
+    """h = ||[D, pi(a)]|| per slice, from eigenvalues alone.
+
+    [D, pi(a)] is anti-Hermitian, so i[D, pi(a)] is Hermitian and its
+    operator norm is the largest eigenvalue modulus.
+    """
+    lam = np.linalg.eigvalsh(1j * _commutator_batch(triple, a))
+    return np.maximum(-lam[:, 0], lam[:, -1])
+
+
 def _ratio_batch(triple, drho, a):
     """R = tr(drho a)/h, h = ||[D, pi(a)]|| and the subgradient G of h, per slice of a.
 
-    a is a stack of Hermitian dim x dim matrices. pi(a) = I_2 (x) a, so D pi(a)
-    for the whole stack is one product with D viewed as a (4 dim) x dim matrix,
-    and [D, pi(a)] = D pi(a) - (D pi(a))^dag. G averages the Hermitian
-    traceless direction of W_i = outer(u_i, conj(vh_i)) over the top singular
-    set; the map W -> G is linear, so the sum of the W_i^dag goes through it
-    once.
+    G averages the Hermitian traceless direction of W_i = outer(u_i, conj(vh_i))
+    over the top singular set of [D, pi(a)]; the map W -> G is linear, so the
+    sum of the W_i^dag goes through it once.
     """
     dim = triple.algebra_dim
     D = triple.dirac
-    da = (D.reshape(4 * dim, dim) @ a).reshape(-1, 2 * dim, 2 * dim)
-    u, s, vh = np.linalg.svd(da - da.conj().swapaxes(-1, -2))
+    u, s, vh = np.linalg.svd(_commutator_batch(triple, a))
     h = s[:, 0]
     top = s >= h[:, None] * (1.0 - 1e-8)  # the (near-)degenerate top set
     w = vh.swapaxes(-1, -2) @ (top[:, :, None] * u.conj().swapaxes(-1, -2))
@@ -128,6 +147,12 @@ def _ratio_batch(triple, drho, a):
     G = _hermitize_traceless(q) / top.sum(axis=1)[:, None, None]
     val = np.einsum("ij,bji->b", drho, a).real
     return val / h, G, h, val
+
+
+# the 30 rungs of one iteration's halving ladder, tried in rounds of these many
+_LADDER_CHUNKS = np.array([1, 2, 4, 8, 15])
+_LADDER_START = np.concatenate([[0], np.cumsum(_LADDER_CHUNKS)])  # first rung per chunk
+_HALF = 0.5 ** np.arange(_LADDER_START[-1] + 1)
 
 
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int = 20000,
@@ -140,13 +165,20 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
     traceless Hermitian matrices and rescale at the end. Starts from the
     displacement itself plus ``restarts`` seeded random directions.
 
-    The starts run in lockstep, one batched ratio evaluation per round over
-    those still active, and each keeps its own rule: a step of 0.1, times 1.3
-    on acceptance, up to 30 halvings per iteration, and a stop after 50
-    stalled iterations or at ``max_iters``. The best start's matrix is
-    rescaled with the dense ``lipschitz_seminorm``, which also gives the ball
-    residual. If that start stopped at ``max_iters``, OptimizerError is
-    raised with the rescaled value as ``best_value``.
+    Each start keeps its own rule: a step of 0.1, times 1.3 on acceptance,
+    up to 30 halvings per iteration, and a stop after 50 stalled iterations
+    or at ``max_iters``. Within an iteration the point and the gradient are
+    fixed, so the candidates normalize(a + step 0.5^j grad), j = 0..29, do
+    not depend on each other. The starts run in lockstep rounds; each round
+    tries the next chunk of every active start's ladder (chunks of 1, 2, 4,
+    8 and 15 rungs) in one stack and accepts the first j whose ratio beats
+    R. A rejected candidate needs only h, taken from the eigenvalues of the
+    Hermitian i[D, pi(a)]; the accepted ones then get their ratio and
+    subgradient from one stacked SVD. The best start's matrix is rescaled
+    with the dense ``lipschitz_seminorm``, which also gives the ball
+    residual; its iteration count and stop reason ("stalled" or
+    "zero_gradient") are reported. If that start stopped at ``max_iters``,
+    OptimizerError is raised with the rescaled value as ``best_value``.
     """
     a0 = rho.matrix if isinstance(rho, HSOperator) else np.asarray(rho, dtype=complex)
     b0 = rho2.matrix if isinstance(rho2, HSOperator) else np.asarray(rho2, dtype=complex)
@@ -161,7 +193,7 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
     R, G, h, val = _ratio_batch(triple, drho, a)
     n = len(a)
     step, R_prev, grad = np.full(n, 0.1), R.copy(), np.empty_like(a)
-    stall, iters, halvings = np.zeros((3, n), dtype=int)
+    stall, iters, chunk = np.zeros((3, n), dtype=int)
     stop = np.full(n, "" if max_iters > 0 else "max_iters", dtype=object)  # "" while active
     new = np.arange(n)  # starts beginning an iteration
     while True:
@@ -171,20 +203,32 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
         g = _hermitize_traceless((drho * hn - val[new, None, None] * G[new]) / (hn * hn))
         grad[new] = g - np.einsum("bij,bij->b", a[new].conj(), g).real[:, None, None] * a[new]
         stop[new[np.linalg.norm(grad[new], axis=(-2, -1)) == 0.0]] = "zero_gradient"
-        R_prev[new], halvings[new] = R[new], 0
+        R_prev[new], chunk[new] = R[new], 0
         act = np.flatnonzero(stop == "")
         if not act.size:
             break
-        cand = _normalize(a[act] + step[act, None, None] * grad[act])
-        Rc, Gc, hc, valc = _ratio_batch(triple, drho, cand)
-        up = Rc > R[act]
-        acc = act[up]
-        a[acc], R[acc], G[acc], h[acc], val[acc] = cand[up], Rc[up], Gc[up], hc[up], valc[up]
-        step[act] *= np.where(up, 1.3, 0.5)
-        halvings[act] += ~up
-        new = act[up | (halvings[act] >= 30)]  # iterations that ended this round
-        gain = (R[new] - R_prev[new]) / np.maximum(np.abs(R[new]), 1.0)
-        stall[new] = np.where((halvings[new] >= 30) | (gain < tol), stall[new] + 1, 0)
+        # the next chunk of rungs j of every active start's ladder, as one stack
+        sizes = _LADDER_CHUNKS[chunk[act]]
+        owner = np.repeat(act, sizes)
+        offset = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        j = _LADDER_START[chunk[owner]] + offset
+        cand = _normalize(a[owner] + (step[owner] * _HALF[j])[:, None, None] * grad[owner])
+        Rc = np.einsum("ij,bji->b", drho, cand).real / _seminorm_batch(triple, cand)
+        up = np.flatnonzero(Rc > R[owner])
+        acc, first = np.unique(owner[up], return_index=True)  # owner is sorted
+        win = up[first]
+        if acc.size:
+            R[acc], G[acc], h[acc], val[acc] = _ratio_batch(triple, drho, cand[win])
+            a[acc] = cand[win]
+            step[acc] = step[acc] * _HALF[j[win]] * 1.3
+        chunk[act] += 1
+        chunk[acc] = 0
+        out = act[chunk[act] == len(_LADDER_CHUNKS)]  # the whole ladder was rejected
+        step[out] *= _HALF[-1]
+        gain = (R[acc] - R_prev[acc]) / np.maximum(np.abs(R[acc]), 1.0)
+        stall[acc] = np.where(gain < tol, stall[acc] + 1, 0)
+        stall[out] += 1
+        new = np.concatenate([acc, out])  # iterations that ended this round
         iters[new] += 1
         stop[new[iters[new] >= max_iters]] = "max_iters"
         stop[new[stall[new] >= 50]] = "stalled"
@@ -198,4 +242,4 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
         raise OptimizerError("best start stopped at max_iters = %d without converging"
                              % max_iters, best_value=value)
     residual = abs(lipschitz_seminorm(triple, a_star) - 1.0)
-    return DistanceResult(value, "optimizer", a_star, residual)
+    return DistanceResult(value, "optimizer", a_star, residual, int(iters[best]), stop[best])

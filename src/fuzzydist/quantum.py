@@ -168,6 +168,7 @@ def distinct_branch_report(n, lam: float = 1.0, tol: float = 1e-10) -> List[dict
 class ProbabilityProfile:
     """P_{l3}(n3): one probability vector per left-sector label n3.
 
+    Rows are keyed by 2 n3, an integer in -2n..2n with the parity of 2n.
     Vectors run over l3 descending from +n to -n, matching the row order of
     every other basis in the package. Each vector is nonnegative and sums
     to one.
@@ -178,6 +179,9 @@ class ProbabilityProfile:
         m = self.n.twice + 1
         self.rows = {}
         for t, vec in rows.items():
+            if abs(t) > self.n.twice or (t - self.n.twice) % 2:
+                raise SphereDomainError("profile row at n3 = %s: no basis state at n = %s"
+                                        % (HalfInteger(t), self.n))
             v = np.asarray(vec, dtype=float)
             if v.shape != (m,):
                 raise SphereDomainError("profile row at n3 = %s has %d entries, need %d"

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from fuzzydist.coherent import coherent_state
 from fuzzydist.distance import (
     OptimizerError,
     _hermitize_traceless,
+    _normalize,
     _ratio_batch,
+    _seminorm_batch,
     adjacent_distance_closed_form,
     arc_length_step,
     connes_distance_optimized,
@@ -16,7 +19,7 @@ from fuzzydist.distance import (
     quantized_polar_angle,
 )
 from fuzzydist.halfint import HalfInteger
-from fuzzydist.sphere import build_space, pure_state
+from fuzzydist.sphere import HSOperator, build_space, pure_state
 from fuzzydist.triple import build_dirac, dirac_commutator, lipschitz_seminorm
 
 H = HalfInteger
@@ -59,6 +62,7 @@ def test_pipeline_matches_closed_form(twice_n):
         assert got.value == pytest.approx(want, rel=1e-10)
         assert got.method == "norm_pipeline"
         assert got.ball_residual <= 1e-8
+        assert got.iterations is None and got.stop is None
 
 
 def test_lower_bound_zero_displacement():
@@ -81,6 +85,8 @@ def test_optimizer_reaches_lower_bound():
             opt = connes_distance_optimized(tr, lo, hi, seed=42)
             assert lb - 1e-6 <= opt.value <= lb + 1e-3
             assert opt.ball_residual <= 1e-8
+            assert opt.stop in ("stalled", "zero_gradient")
+            assert opt.iterations >= (50 if opt.stop == "stalled" else 0)
 
 
 def test_optimizer_spin_half_exact_value():
@@ -110,9 +116,69 @@ def test_optimizer_max_iters_raises():
     assert 0.0 < err.value.best_value <= 4.4495
 
 
+def _one_candidate_ascent(tr, rho, rho2, seed, restarts=8, max_iters=20000, tol=1e-10):
+    """Reference: the ascent with one ladder rung per start per round, every
+    candidate through _ratio_batch (full SVD)."""
+    drho = (rho2.matrix - rho.matrix).astype(complex)
+    dim = tr.algebra_dim
+    z = np.random.default_rng(seed).standard_normal((restarts, 2, dim, dim))
+    a = _normalize(_hermitize_traceless(np.concatenate([drho[None], z[:, 0] + 1j * z[:, 1]])))
+    R, G, h, val = _ratio_batch(tr, drho, a)
+    n = len(a)
+    step, R_prev, grad = np.full(n, 0.1), R.copy(), np.empty_like(a)
+    stall, iters, halvings = np.zeros((3, n), dtype=int)
+    stop = np.full(n, "", dtype=object)
+    new = np.arange(n)
+    while True:
+        new = new[stop[new] == ""]
+        hn = h[new, None, None]
+        g = _hermitize_traceless((drho * hn - val[new, None, None] * G[new]) / (hn * hn))
+        grad[new] = g - np.einsum("bij,bij->b", a[new].conj(), g).real[:, None, None] * a[new]
+        stop[new[np.linalg.norm(grad[new], axis=(-2, -1)) == 0.0]] = "zero_gradient"
+        R_prev[new], halvings[new] = R[new], 0
+        act = np.flatnonzero(stop == "")
+        if not act.size:
+            break
+        cand = _normalize(a[act] + step[act, None, None] * grad[act])
+        Rc, Gc, hc, valc = _ratio_batch(tr, drho, cand)
+        up = Rc > R[act]
+        acc = act[up]
+        a[acc], R[acc], G[acc], h[acc], val[acc] = cand[up], Rc[up], Gc[up], hc[up], valc[up]
+        step[act] *= np.where(up, 1.3, 0.5)
+        halvings[act] += ~up
+        new = act[up | (halvings[act] >= 30)]
+        gain = (R[new] - R_prev[new]) / np.maximum(np.abs(R[new]), 1.0)
+        stall[new] = np.where((halvings[new] >= 30) | (gain < tol), stall[new] + 1, 0)
+        iters[new] += 1
+        stop[new[iters[new] >= max_iters]] = "max_iters"
+        stop[new[stall[new] >= 50]] = "stalled"
+    best = int(np.argmax(R))
+    return float(np.trace(drho @ a[best]).real) / lipschitz_seminorm(tr, a[best])
+
+
+def _reference_pairs():
+    for twice_n in (1, 2, 3):
+        s = build_space(H(twice_n), 1.0)
+        tr = build_dirac(s, "config", 0)
+        coh = [HSOperator(s, coherent_state(s, z).projector()) for z in (0j, 1e-4 + 0j)]
+        yield "adjacent", tr, pure_state(s, H(twice_n - 2)), pure_state(s, H(twice_n))
+        if twice_n > 1:  # at 2n = 1 the poles are the adjacent pair
+            yield "poles", tr, pure_state(s, H(-twice_n)), pure_state(s, H(twice_n))
+        yield "coherent", tr, coh[0], coh[1]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_chunked_ladder_matches_one_candidate_loop(seed):
+    """Batching the halving ladder and rejecting from eigenvalues moves no value."""
+    for kind, tr, rho, rho2 in _reference_pairs():
+        got = connes_distance_optimized(tr, rho, rho2, seed=seed).value
+        want = _one_candidate_ascent(tr, rho, rho2, seed)
+        assert abs(got - want) <= 1e-12 * abs(want), (kind, tr, got, want)
+
+
 @pytest.mark.parametrize("twice_n", [1, 2, 3, 4])
 def test_ratio_batch_matches_dense_seminorm(twice_n):
-    """The stacked kernel against the dense seminorm and the per-vector subgradient."""
+    """The stacked kernels against the dense seminorm and the per-vector subgradient."""
     s = build_space(H(twice_n), 1.0)
     tr = build_dirac(s, "config", 0)
     dim = tr.algebra_dim
@@ -121,9 +187,11 @@ def test_ratio_batch_matches_dense_seminorm(twice_n):
     a = _hermitize_traceless(z)
     drho = _hermitize_traceless(rng.standard_normal((dim, dim)))
     R, G, h, val = _ratio_batch(tr, drho, a)
+    h_eig = _seminorm_batch(tr, a)
     for i in range(len(a)):
         want_h = lipschitz_seminorm(tr, a[i])
         assert abs(h[i] - want_h) <= 1e-12 * want_h
+        assert abs(h_eig[i] - want_h) <= 1e-12 * want_h
         assert abs(val[i] - np.trace(drho @ a[i]).real) <= 1e-12 * np.abs(drho).sum()
         assert R[i] == val[i] / h[i]
         # reference: average over the top singular set of W = outer(u, conj(vh))

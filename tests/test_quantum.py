@@ -238,6 +238,15 @@ def test_profile_rejects_negative_and_bad_sum():
         ProbabilityProfile(H(2), {t: np.array([0.7, 0.6, 0.3]) for t in (-2, 0, 2)})
 
 
+@pytest.mark.parametrize("bad", [4, -4, 1, -3])
+def test_profile_rejects_rows_with_no_basis_state(bad):
+    # at n = 1 the row keys 2 n3 are -2, 0 and 2: 4 and -4 lie outside
+    # -2n..2n, 1 and -3 have the wrong parity (n3 = 1/2, -3/2)
+    rows = {t: np.full(3, 1.0 / 3.0) for t in (-2, 0, 2, bad)}
+    with pytest.raises(SphereDomainError, match="no basis state at n = 1"):
+        ProbabilityProfile(H(2), rows)
+
+
 # ---------------------------------------------------------------------------
 # mixed-state distance functional
 
