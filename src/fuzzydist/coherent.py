@@ -34,8 +34,7 @@ class CoherentState:
         self.sphere = sphere
         self.z = complex(z)
         self.amplitudes = amplitudes
-        if abs(np.linalg.norm(amplitudes) - 1.0) > 1e-12:
-            raise SphereDomainError("coherent state lost normalization")
+        _check_normalized(amplitudes)
 
     def projector(self) -> np.ndarray:
         v = self.amplitudes
@@ -59,23 +58,38 @@ def _jy_eigh(two_n: int):
     return mu, v
 
 
+def _check_normalized(amplitudes):
+    """Raise unless every state (the last axis) has unit norm within 1e-12."""
+    if np.abs(np.linalg.norm(amplitudes, axis=-1) - 1.0).max() > 1e-12:
+        raise SphereDomainError("coherent state lost normalization")
+
+
+def _rotated_amplitudes(two_n: int, theta, phi) -> np.ndarray:
+    """|n,n> rotated to polar angle theta and azimuth phi, for arrays of angles.
+
+    exp((theta/2)(e^{i phi} J- - e^{-i phi} J+)) = e^{-i phi J3} e^{-i theta J_y} e^{i phi J3}.
+    With J_y = V diag(mu) V^dag the state is diag(e^{i phi (n - n3)}) V diag(e^{-i theta mu}) V^dag e_0.
+    theta and phi broadcast against each other; the last axis holds n - n3.
+    """
+    mu, v = _jy_eigh(two_n)
+    theta = np.asarray(theta, dtype=float)[..., None]
+    rotated = (v @ (np.exp(-1j * theta * mu) * v[0].conj())[..., None])[..., 0]
+    return np.exp(1j * np.asarray(phi, dtype=float)[..., None] * np.arange(two_n + 1)) * rotated
+
+
 def coherent_state(sphere: FuzzySphere, z: complex) -> CoherentState:
     """Perelomov's rotation of |n,n> to the point with stereographic label z.
 
-    exp((theta/2)(e^{i phi} J- - e^{-i phi} J+)) = e^{-i phi J3} e^{-i theta J_y} e^{i phi J3}
-    with tan(theta/2) = |z| and phi = arg z. With J_y = V diag(mu) V^dag the state is
-    diag(e^{i phi (n - n3)}) V diag(e^{-i theta mu}) V^dag e_0; z = 0 gives e_0 exactly.
+    The rotation is _rotated_amplitudes with tan(theta/2) = |z| and phi = arg z;
+    z = 0 gives e_0 exactly.
     """
     z = complex(z)
     if z == 0:
         e0 = np.zeros(sphere.dim, dtype=complex)
         e0[0] = 1.0
         return CoherentState(sphere, z, e0)
-    mu, v = _jy_eigh(sphere.n.twice)
     theta = 2.0 * math.atan(abs(z))
-    rotated = v @ (np.exp(-1j * theta * mu) * v[0].conj())
-    phases = np.exp(1j * cmath.phase(z) * np.arange(sphere.dim))  # row i holds n - n3 = i
-    return CoherentState(sphere, z, phases * rotated)
+    return CoherentState(sphere, z, _rotated_amplitudes(sphere.n.twice, theta, cmath.phase(z)))
 
 
 def coherent_drho(sphere: FuzzySphere, dz: complex) -> HSOperator:
@@ -185,11 +199,10 @@ def resolution_of_identity_residual(n, grid: int = 200) -> float:
     dph = 2.0 * math.pi / grid
     for i in range(grid):
         th = (i + 0.5) * dth
-        zmag = math.tan(th / 2.0)
         w = math.sin(th) * dth * dph
         # the ring's states as rows of A; sum_j |z_j><z_j| = A^T conj(A)
-        ring = np.array([coherent_state(sphere, zmag * cmath.exp(1j * (j + 0.5) * dph)).amplitudes
-                         for j in range(grid)])
+        ring = _rotated_amplitudes(sphere.n.twice, th, (np.arange(grid) + 0.5) * dph)
+        _check_normalized(ring)
         acc += w * (ring.T @ ring.conj())
     acc *= (sphere.n.twice + 1) / (4.0 * math.pi)
     return float(np.abs(acc - np.eye(dim)).max())

@@ -153,6 +153,7 @@ def _ratio_batch(triple, drho, a):
 _LADDER_CHUNKS = np.array([1, 2, 4, 8, 15])
 _LADDER_START = np.concatenate([[0], np.cumsum(_LADDER_CHUNKS)])  # first rung per chunk
 _HALF = 0.5 ** np.arange(_LADDER_START[-1] + 1)
+_PATIENCE = 50  # stalled iterations before a start stops
 
 
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int = 20000,
@@ -174,8 +175,19 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
     8 and 15 rungs) in one stack and accepts the first j whose ratio beats
     R. A rejected candidate needs only h, taken from the eigenvalues of the
     Hermitian i[D, pi(a)]; the accepted ones then get their ratio and
-    subgradient from one stacked SVD. The best start's matrix is rescaled
-    with the dense ``lipschitz_seminorm``, which also gives the ball
+    subgradient from one stacked SVD.
+
+    A start with no accepted rung in a round, one of whose rungs left a
+    bitwise unchanged (a + step 0.5^j grad == a), is retired in that round.
+    Rounding is monotone and later steps are smaller by powers of two, and
+    a, grad and R stay fixed after a whole rejection, so every later rung is
+    that same rejected candidate. Its remaining whole rejections are counted
+    without being run, up to 50 stalls or ``max_iters``, whichever comes
+    first ("stalled" on a tie), so every reported number is the one the
+    rung-by-rung loop gives.
+
+    The best start's matrix is rescaled with the dense
+    ``lipschitz_seminorm``, which also gives the ball
     residual; its iteration count and stop reason ("stalled" or
     "zero_gradient") are reported. If that start stopped at ``max_iters``,
     OptimizerError is raised with the rescaled value as ``best_value``.
@@ -212,7 +224,9 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
         owner = np.repeat(act, sizes)
         offset = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         j = _LADDER_START[chunk[owner]] + offset
-        cand = _normalize(a[owner] + (step[owner] * _HALF[j])[:, None, None] * grad[owner])
+        base = a[owner]
+        moved = base + (step[owner] * _HALF[j])[:, None, None] * grad[owner]
+        cand = _normalize(moved)
         Rc = np.einsum("ij,bji->b", drho, cand).real / _seminorm_batch(triple, cand)
         up = np.flatnonzero(Rc > R[owner])
         acc, first = np.unique(owner[up], return_index=True)  # owner is sorted
@@ -221,6 +235,18 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
             R[acc], G[acc], h[acc], val[acc] = _ratio_batch(triple, drho, cand[win])
             a[acc] = cand[win]
             step[acc] = step[acc] * _HALF[j[win]] * 1.3
+        # a start with no accepted rung, one of which left `a` bitwise unchanged,
+        # would repeat that rejected candidate on every later rung and ladder:
+        # its remaining whole rejections are counted here instead of run
+        frozen = np.zeros(n, dtype=bool)
+        frozen[owner[(moved == base).all(axis=(-2, -1))]] = True
+        frozen[acc] = False
+        act = act[~frozen[act]]
+        dead = np.flatnonzero(frozen)
+        k = np.minimum(_PATIENCE - stall[dead], max_iters - iters[dead])
+        iters[dead] += k
+        stall[dead] += k
+        stop[dead] = np.where(stall[dead] >= _PATIENCE, "stalled", "max_iters")
         chunk[act] += 1
         chunk[acc] = 0
         out = act[chunk[act] == len(_LADDER_CHUNKS)]  # the whole ladder was rejected
@@ -231,7 +257,7 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
         new = np.concatenate([acc, out])  # iterations that ended this round
         iters[new] += 1
         stop[new[iters[new] >= max_iters]] = "max_iters"
-        stop[new[stall[new] >= 50]] = "stalled"
+        stop[new[stall[new] >= _PATIENCE]] = "stalled"
 
     best = int(np.argmax(R))
     if not np.isfinite(R[best]):

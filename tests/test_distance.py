@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fuzzydist import distance
 from fuzzydist.coherent import coherent_state
 from fuzzydist.distance import (
     OptimizerError,
@@ -116,9 +117,13 @@ def test_optimizer_max_iters_raises():
     assert 0.0 < err.value.best_value <= 4.4495
 
 
-def _one_candidate_ascent(tr, rho, rho2, seed, restarts=8, max_iters=20000, tol=1e-10):
+def _one_candidate_ascent(tr, rho, rho2, seed, eig_screen, restarts=8, max_iters=20000,
+                          tol=1e-10):
     """Reference: the ascent with one ladder rung per start per round, every
-    candidate through _ratio_batch (full SVD)."""
+    candidate through _ratio_batch (full SVD), the stall tail run rung by rung.
+    A candidate is accepted on its SVD ratio, or with ``eig_screen`` on the
+    ratio from the eigenvalue seminorm, as the optimized ascent screens.
+    Returns the best start's value, iterations and stop reason."""
     drho = (rho2.matrix - rho.matrix).astype(complex)
     dim = tr.algebra_dim
     z = np.random.default_rng(seed).standard_normal((restarts, 2, dim, dim))
@@ -141,7 +146,7 @@ def _one_candidate_ascent(tr, rho, rho2, seed, restarts=8, max_iters=20000, tol=
             break
         cand = _normalize(a[act] + step[act, None, None] * grad[act])
         Rc, Gc, hc, valc = _ratio_batch(tr, drho, cand)
-        up = Rc > R[act]
+        up = (valc / _seminorm_batch(tr, cand) if eig_screen else Rc) > R[act]
         acc = act[up]
         a[acc], R[acc], G[acc], h[acc], val[acc] = cand[up], Rc[up], Gc[up], hc[up], valc[up]
         step[act] *= np.where(up, 1.3, 0.5)
@@ -153,7 +158,8 @@ def _one_candidate_ascent(tr, rho, rho2, seed, restarts=8, max_iters=20000, tol=
         stop[new[iters[new] >= max_iters]] = "max_iters"
         stop[new[stall[new] >= 50]] = "stalled"
     best = int(np.argmax(R))
-    return float(np.trace(drho @ a[best]).real) / lipschitz_seminorm(tr, a[best])
+    value = float(np.trace(drho @ a[best]).real) / lipschitz_seminorm(tr, a[best])
+    return value, int(iters[best]), stop[best]
 
 
 def _reference_pairs():
@@ -169,11 +175,42 @@ def _reference_pairs():
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_chunked_ladder_matches_one_candidate_loop(seed):
-    """Batching the halving ladder and rejecting from eigenvalues moves no value."""
+    """Batching the halving ladder, rejecting from eigenvalues and retiring
+    bit-frozen starts move no value, iteration count or stop reason."""
     for kind, tr, rho, rho2 in _reference_pairs():
-        got = connes_distance_optimized(tr, rho, rho2, seed=seed).value
-        want = _one_candidate_ascent(tr, rho, rho2, seed)
-        assert abs(got - want) <= 1e-12 * abs(want), (kind, tr, got, want)
+        got = connes_distance_optimized(tr, rho, rho2, seed=seed)
+        for eig_screen in (False, True):
+            want, iters, stop = _one_candidate_ascent(tr, rho, rho2, seed, eig_screen)
+            assert abs(got.value - want) <= 1e-12 * abs(want), (kind, tr, eig_screen, got.value)
+        # screened as the ascent screens, the reference takes the same decisions
+        assert (got.iterations, got.stop) == (iters, stop), (kind, tr)
+
+
+def test_frozen_starts_retire_exactly(monkeypatch):
+    """A start whose step no longer moves a is retired with the iterations and
+    stop reason it would have run to; max_iters still binds over the tail."""
+    s = build_space(H(4), 1.0)
+    tr = build_dirac(s, "config", 0)
+    lo, hi = pure_state(s, H(-4)), pure_state(s, H(4))
+    with pytest.raises(OptimizerError) as err:
+        connes_distance_optimized(tr, lo, hi, seed=42, max_iters=65)
+    assert err.value.best_value == 4.449489740606218
+    opt = connes_distance_optimized(tr, lo, hi, seed=42, max_iters=66)
+    assert (opt.iterations, opt.stop) == (66, "stalled")
+    # at n = 1/2 the displacement is already optimal: its first rung leaves it
+    # unchanged, so all 50 stalled iterations are settled in one round
+    calls = []
+
+    def counted(triple, a):
+        calls.append(len(a))
+        return _seminorm_batch(triple, a)
+
+    monkeypatch.setattr(distance, "_seminorm_batch", counted)
+    s = build_space(H(1), 1.0)
+    tr = build_dirac(s, "config", 0)
+    opt = connes_distance_optimized(tr, pure_state(s, H(-1)), pure_state(s, H(1)), restarts=0)
+    assert (opt.iterations, opt.stop) == (50, "stalled")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("twice_n", [1, 2, 3, 4])
