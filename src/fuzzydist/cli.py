@@ -6,6 +6,11 @@ or CSV with floats printed to 17 significant digits, so repeated runs with
 the same arguments and seed are byte-identical once timestamps are
 suppressed.
 
+Every step subcommand emits one row per step n3 -> n3+1 through _sweep,
+which fills the n and n3 columns. _config_row builds a config pair's row
+(closed form, norm pipeline, ascent and its OptimizerError fallback) once:
+discrete emits it, table projects it.
+
 The compute modules are imported lazily inside the handlers: FUZZYDIST_THREADS
 must be translated into the BLAS thread-count variables before numpy loads.
 """
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -69,19 +75,34 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError("not a complex number: %r" % text) from None
 
 
+def _lambda_arg(text: str) -> float:
+    try:
+        lam = float(text)
+    except ValueError:
+        lam = math.nan
+    if not 0 < lam < math.inf:
+        raise argparse.ArgumentTypeError("not a positive finite number: %r" % text)
+    return lam
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzydist",
         description="Spectral distances on fuzzy spheres, with oracle cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p, with_n=True):
-        if with_n:
-            p.add_argument("--n", type=_halfint_arg, required=True,
-                           help="spin label (half-integer, e.g. 1 or 3/2)")
-        p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                       help="noncommutativity scale (default 1)")
+    def common(p, steps=True):
+        p.add_argument("--n", type=_halfint_arg, required=True,
+                       help="spin label (half-integer, e.g. 1 or 3/2)")
+        if steps:
+            p.add_argument("--n3", type=_halfint_arg, default=None,
+                           help="lower state label; default: all adjacent pairs")
+        lam(p)
         output(p)
+
+    def lam(p):
+        p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=1.0,
+                       help="noncommutativity scale, positive (default 1)")
 
     def output(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -92,13 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discrete", help="adjacent pure-state distances on the sphere")
     common(p)
-    p.add_argument("--n3", type=_halfint_arg, default=None,
-                   help="lower state label; default: all adjacent pairs")
     p.add_argument("--oracle", action="store_true",
                    help="also run the constrained-ascent optimizer")
 
     p = sub.add_parser("coherent", help="infinitesimal coherent-state distances")
-    common(p)
+    common(p, steps=False)
     p.add_argument("--z", type=_complex_arg, default=0j,
                    help="base point, stereographic label 'a+bi' (default 0)")
     p.add_argument("--dz", type=float, default=1e-4,
@@ -108,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum-pure", help="operator-space pure-state distances")
     common(p)
-    p.add_argument("--n3", type=_halfint_arg, default=None)
     p.add_argument("--right-sector", choices=("same", "distinct"), default="same",
                    dest="right_sector")
     p.add_argument("--oracle", action="store_true",
@@ -116,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum-mixed", help="mixed-state distances for a probability profile")
     common(p)
-    p.add_argument("--n3", type=_halfint_arg, default=None)
     p.add_argument("--profile", default="uniform",
                    help="'uniform' or a path to a profile table (default uniform)")
     p.add_argument("--oracle", action="store_true",
@@ -124,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thermal", help="thermal-profile distances")
     common(p)
-    p.add_argument("--n3", type=_halfint_arg, default=None)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--energies", default="default",
                    help="'default' (linear spectrum) or a path to a one-row table")
@@ -137,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="sweep n and emit the distance table")
     p.add_argument("--n-min", dest="n_min", type=_halfint_arg, required=True)
     p.add_argument("--n-max", dest="n_max", type=_halfint_arg, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    lam(p)
     p.add_argument("--oracle", action="store_true",
                    help="include the optimizer column")
     output(p)
@@ -172,34 +188,24 @@ def _json_scalar(v) -> str:
 
 
 def _emit_json(meta: dict, rows: list) -> str:
-    lines = ["{", '  "meta": {']
-    items = list(meta.items())
-    for i, (k, v) in enumerate(items):
-        comma = "," if i < len(items) - 1 else ""
-        lines.append('    %s: %s%s' % (json.dumps(k), _json_scalar(v), comma))
-    lines.append("  },")
-    lines.append('  "results": [')
-    for r, row in enumerate(rows):
-        cells = ", ".join("%s: %s" % (json.dumps(k), _json_scalar(v))
-                          for k, v in row.items())
-        comma = "," if r < len(rows) - 1 else ""
-        lines.append("    {%s}%s" % (cells, comma))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    def cells(d):
+        return ["%s: %s" % (json.dumps(k), _json_scalar(v)) for k, v in d.items()]
+
+    lines = ["{", '  "meta": {', ",\n".join("    " + c for c in cells(meta)), "  },",
+             '  "results": [']
+    if rows:
+        lines.append(",\n".join("    {%s}" % ", ".join(cells(row)) for row in rows))
+    return "\n".join(lines + ["  ]", "}"]) + "\n"
 
 
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt(v)
-    s = str(v)
-    if any(c in s for c in ",\"\n"):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
+    if not isinstance(v, str):
+        return _json_scalar(v)
+    if any(c in v for c in ",\"\n"):
+        return '"' + v.replace('"', '""') + '"'
+    return v
 
 
 def _emit_csv(meta: dict, rows: list) -> str:
@@ -222,36 +228,50 @@ def _adjacent_labels(n: HalfInteger, n3):
     return [HalfInteger(t) for t in range(-n.twice, n.twice - 1, 2)]
 
 
-def _cmd_discrete(args):
-    from . import distance, sphere, triple
-    n, lam = args.n, args.lam
-    labels = _adjacent_labels(n, args.n3)
-    s = sphere.build_space(n, lam)
-    tr = triple.build_dirac(s, "config", 0)
+def _sweep(args, step_row, **meta):
+    """Rows n, n3, then step_row(n3)'s cells for the --n3 step or every step at --n.
+
+    step_row returns (cells, exit_code); the command exits with the largest code.
+    """
     rows, code = [], 0
-    for n3 in labels:
-        cf = distance.adjacent_distance_closed_form(n, n3, lam)
-        lb = distance.distance_lower_bound(
-            tr, sphere.pure_state(s, n3), sphere.pure_state(s, n3 + HalfInteger(2)))
-        row = {"n": str(n), "n3": str(n3), "distance": cf, "value": cf,
-               "method": "closed_form", "norm_pipeline": lb.value,
-               "ratio": lb.value / cf, "ball_residual": lb.ball_residual}
-        if args.oracle:
-            try:
-                opt = distance.connes_distance_optimized(
-                    tr, sphere.pure_state(s, n3), sphere.pure_state(s, n3 + HalfInteger(2)),
-                    seed=args.seed)
-                row["optimizer"] = opt.value
-                row["optimizer_ball_residual"] = opt.ball_residual
-            except distance.OptimizerError as exc:
-                print("fuzzydist: optimizer failed at n3 = %s: %s" % (n3, exc),
-                      file=sys.stderr)
-                row["optimizer"] = exc.best_value
-                row["optimizer_ball_residual"] = None
-                code = 1
-        rows.append(row)
-    extra = {"n3": str(args.n3) if args.n3 is not None else None, "oracle": args.oracle}
+    for n3 in _adjacent_labels(args.n, args.n3):
+        cells, step_code = step_row(n3)
+        rows.append({"n": str(args.n), "n3": str(n3), **cells})
+        code = max(code, step_code)
+    extra = {"n3": str(args.n3) if args.n3 is not None else None, **meta,
+             "oracle": args.oracle}
     return extra, rows, code
+
+
+def _config_row(s, tr, n3, oracle: bool, seed: int):
+    """(cells, exit_code) of the config pair |n3> -> |n3+1> on sphere s with triple tr.
+
+    An OptimizerError keeps its best_value as the optimizer cell and gives exit code 1.
+    """
+    from . import distance, sphere
+    rho, rho2 = sphere.pure_state(s, n3), sphere.pure_state(s, n3 + HalfInteger(2))
+    cf = distance.adjacent_distance_closed_form(s.n, n3, s.lam)
+    lb = distance.distance_lower_bound(tr, rho, rho2)
+    cells = {"distance": cf, "value": cf, "method": "closed_form", "norm_pipeline": lb.value,
+             "ratio": lb.value / cf, "ball_residual": lb.ball_residual}
+    if not oracle:
+        return cells, 0
+    try:
+        opt = distance.connes_distance_optimized(tr, rho, rho2, seed=seed)
+    except distance.OptimizerError as exc:
+        print("fuzzydist: optimizer failed at n = %s, n3 = %s: %s" % (s.n, n3, exc),
+              file=sys.stderr)
+        cells.update(optimizer=exc.best_value, optimizer_ball_residual=None)
+        return cells, 1
+    cells.update(optimizer=opt.value, optimizer_ball_residual=opt.ball_residual)
+    return cells, 0
+
+
+def _cmd_discrete(args):
+    from . import sphere, triple
+    s = sphere.build_space(args.n, args.lam)
+    tr = triple.build_dirac(s, "config", 0)
+    return _sweep(args, lambda n3: _config_row(s, tr, n3, args.oracle, args.seed))
 
 
 def _cmd_coherent(args):
@@ -282,12 +302,10 @@ def _cmd_quantum_pure(args):
     n, lam = args.n, args.lam
     same = args.right_sector == "same"
     method = "closed_form" if same else "lower_bound_formula"  # distinct: Connes distance is +inf
-    labels = _adjacent_labels(n, args.n3)
-    rows = []
-    for n3 in labels:
+
+    def step_row(n3):
         d = quantum.quantum_pure_distance(n, lam, n3, same)
-        row = {"n": str(n), "n3": str(n3), "right_sector": args.right_sector,
-               "distance": d, "value": d, "method": method}
+        row = {"right_sector": args.right_sector, "distance": d, "value": d, "method": method}
         if args.oracle:
             rights = (n, n) if same else (n3, n3 + HalfInteger(2))
             sem = quantum.quantum_seminorm_oracle(n, lam, n3, *rights)
@@ -295,37 +313,36 @@ def _cmd_quantum_pure(args):
             row["ratio"] = row["oracle"] / d
             if not same:
                 row["symmetrized"] = quantum.quantum_pure_distance_symmetrized(n, lam, n3)
-        rows.append(row)
-    extra = {"n3": str(args.n3) if args.n3 is not None else None,
-             "right_sector": args.right_sector, "oracle": args.oracle}
-    return extra, rows, 0
+        return row, 0
+
+    return _sweep(args, step_row, right_sector=args.right_sector)
 
 
-def _load_profile(source: str, n: HalfInteger):
-    from . import quantum
-    if source == "uniform":
-        return quantum.ProbabilityProfile.uniform(n), "uniform"
+def _read_file(path: str, what: str, parse):
+    """parse(text) of the --profile or --energies file at path, as a usage error if that fails."""
     try:
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise UsageError("cannot read profile file: %s" % exc) from None
+        raise UsageError("cannot read %s file: %s" % (what, exc)) from None
     try:
-        return quantum.ProbabilityProfile.from_text(text, n), source
+        return parse(text)
     except ValueError as exc:
-        raise UsageError("bad profile file %s: %s" % (source, exc)) from None
+        raise UsageError("bad %s file %s: %s" % (what, path, exc)) from None
 
 
 def _cmd_quantum_mixed(args):
     from . import quantum
     n, lam = args.n, args.lam
-    profile, label = _load_profile(args.profile, n)
-    labels = _adjacent_labels(n, args.n3)
-    rows = []
-    for n3 in labels:
+    if args.profile == "uniform":
+        profile = quantum.ProbabilityProfile.uniform(n)
+    else:
+        profile = _read_file(args.profile, "profile",
+                             lambda text: quantum.ProbabilityProfile.from_text(text, n))
+
+    def step_row(n3):
         d = quantum.trace_norm_distance(n, lam, n3, profile)
-        row = {"n": str(n), "n3": str(n3), "profile": label,
-               "distance": d, "value": d, "method": "closed_form"}
+        row = {"profile": args.profile, "distance": d, "value": d, "method": "closed_form"}
         if args.oracle:
             norms = quantum.mixed_commutator_norms(n, lam, n3, profile)
             row["oracle"] = norms["numerator"] / norms["frobenius"]
@@ -335,29 +352,9 @@ def _cmd_quantum_mixed(args):
             row["operator"] = norms["operator"]
             cert = quantum.delta_matrix(n, lam, profile, n3, n3 + HalfInteger(2))
             row["stationarity_residual"] = cert.residual
-        rows.append(row)
-    extra = {"n3": str(args.n3) if args.n3 is not None else None,
-             "profile": label, "oracle": args.oracle}
-    return extra, rows, 0
+        return row, 0
 
-
-def _load_spectrum(source: str, n: HalfInteger, lam: float):
-    from . import quantum
-    if source == "default":
-        return quantum.EnergySpectrum.default(n, lam), "default"
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError("cannot read energies file: %s" % exc) from None
-    try:
-        spectrum = quantum.EnergySpectrum.from_text(text)
-    except ValueError as exc:
-        raise UsageError("bad energies file %s: %s" % (source, exc)) from None
-    if spectrum.levels.size != n.twice + 1:
-        raise UsageError("energies file has %d levels, n = %s needs %d"
-                         % (spectrum.levels.size, n, n.twice + 1))
-    return spectrum, source
+    return _sweep(args, step_row, profile=args.profile)
 
 
 def _cmd_thermal(args):
@@ -365,56 +362,52 @@ def _cmd_thermal(args):
     n, lam = args.n, args.lam
     if not (args.beta >= 0):
         raise UsageError("--beta must be >= 0")
-    spectrum, label = _load_spectrum(args.energies, n, lam)
-    labels = _adjacent_labels(n, args.n3)
+    if args.energies == "default":
+        spectrum = quantum.EnergySpectrum.default(n, lam)
+    else:
+        spectrum = _read_file(args.energies, "energies", quantum.EnergySpectrum.from_text)
+        if spectrum.levels.size != n.twice + 1:
+            raise UsageError("energies file has %d levels, n = %s needs %d"
+                             % (spectrum.levels.size, n, n.twice + 1))
     pf = quantum.thermal_prefactor(spectrum, args.beta)
-    rows = []
-    for n3 in labels:
+
+    def step_row(n3):
         d = quantum.thermal_distance(n, lam, n3, spectrum, args.beta)
-        row = {"n": str(n), "n3": str(n3), "beta": args.beta,
-               "distance": d, "value": d, "method": "closed_form", "prefactor": pf}
+        row = {"beta": args.beta, "distance": d, "value": d, "method": "closed_form",
+               "prefactor": pf}
         if args.oracle:
             weights = quantum.thermal_profile(spectrum, args.beta)
             prof = quantum.ProbabilityProfile(
                 n, {t: weights for t in range(-n.twice, n.twice + 1, 2)})
             row["profile_functional"] = quantum.trace_norm_distance(n, lam, n3, prof)
             row["ratio"] = row["profile_functional"] / d
-        rows.append(row)
-    extra = {"n3": str(args.n3) if args.n3 is not None else None, "beta": args.beta,
-             "energies": label, "oracle": args.oracle}
-    return extra, rows, 0
+        return row, 0
+
+    return _sweep(args, step_row, beta=args.beta, energies=args.energies)
 
 
-def _check_rows(results):
-    rows = []
-    code = 0
-    for r in results:
+def _cmd_checks(args, prefix=""):
+    """validate runs every registry check, continuum-check those named continuum-*."""
+    from . import validate
+    names = [name for name in validate.check_names() if name.startswith(prefix)]
+    rows, code = [], 0
+    for r in validate.run_checks(names=names, seed=args.seed):
         rows.append({"check": r.name, "passed": r.passed,
                      "max_deviation": r.max_deviation, "note": r.note})
         if not r.passed:
             print("fuzzydist: check failed: %s (max deviation %s)"
                   % (r.name, _fmt(r.max_deviation)), file=sys.stderr)
             code = 1
-    return rows, code
-
-
-def _cmd_continuum_check(args):
-    from . import validate
-    names = [name for name in validate.check_names() if name.startswith("continuum-")]
-    results = validate.run_checks(names=names, seed=args.seed)
-    rows, code = _check_rows(results)
     return {}, rows, code
 
 
-def _cmd_validate(args):
-    from . import validate
-    results = validate.run_checks(seed=args.seed)
-    rows, code = _check_rows(results)
-    return {}, rows, code
+# table columns and the discrete cells they show; optimizer only with --oracle
+_TABLE_COLUMNS = (("closed_form", "distance"), ("norm_pipeline", "norm_pipeline"),
+                  ("optimizer", "optimizer"), ("ratio", "ratio"))
 
 
 def _cmd_table(args):
-    from . import distance, sphere, triple
+    from . import sphere, triple
     n_min, n_max, lam = args.n_min, args.n_max, args.lam
     if n_min.twice < 1:
         raise UsageError("--n-min must be at least 1/2")
@@ -425,26 +418,12 @@ def _cmd_table(args):
         n = HalfInteger(t)
         s = sphere.build_space(n, lam)
         tr = triple.build_dirac(s, "config", 0)
-        for t3 in range(-t, t - 1, 2):
-            n3 = HalfInteger(t3)
-            cf = distance.adjacent_distance_closed_form(n, n3, lam)
-            lb = distance.distance_lower_bound(
-                tr, sphere.pure_state(s, n3), sphere.pure_state(s, n3 + HalfInteger(2)))
-            row = {"n": str(n), "n3": str(n3), "closed_form": cf,
-                   "norm_pipeline": lb.value}
-            if args.oracle:
-                try:
-                    opt = distance.connes_distance_optimized(
-                        tr, sphere.pure_state(s, n3),
-                        sphere.pure_state(s, n3 + HalfInteger(2)), seed=args.seed)
-                    row["optimizer"] = opt.value
-                except distance.OptimizerError as exc:
-                    print("fuzzydist: optimizer failed at n = %s, n3 = %s: %s"
-                          % (n, n3, exc), file=sys.stderr)
-                    row["optimizer"] = exc.best_value
-                    code = 1
-            row["ratio"] = lb.value / cf
+        for n3 in _adjacent_labels(n, None):
+            cells, step_code = _config_row(s, tr, n3, args.oracle, args.seed)
+            row = {"n": str(n), "n3": str(n3)}
+            row.update((col, cells[key]) for col, key in _TABLE_COLUMNS if key in cells)
             rows.append(row)
+            code = max(code, step_code)
     extra = {"n_min": str(n_min), "n_max": str(n_max), "oracle": args.oracle}
     return extra, rows, code
 
@@ -455,9 +434,9 @@ _HANDLERS = {
     "quantum-pure": _cmd_quantum_pure,
     "quantum-mixed": _cmd_quantum_mixed,
     "thermal": _cmd_thermal,
-    "continuum-check": _cmd_continuum_check,
+    "continuum-check": lambda args: _cmd_checks(args, "continuum-"),
     "table": _cmd_table,
-    "validate": _cmd_validate,
+    "validate": _cmd_checks,
 }
 
 
@@ -473,11 +452,8 @@ def main(argv=None) -> int:
 
     try:
         extra, rows, code = _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print("fuzzydist: error: %s" % exc, file=sys.stderr)
-        return 2
     except ValueError as exc:
-        # domain errors raised by the library for inputs the grammar accepts
+        # UsageError, and domain errors raised by the library for inputs the grammar accepts
         print("fuzzydist: error: %s" % exc, file=sys.stderr)
         return 2
     except ArithmeticError as exc:

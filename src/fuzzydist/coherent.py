@@ -26,7 +26,7 @@ import numpy as np
 
 from .halfint import HalfInteger
 from .linalg import DECOMP_TOL, LinalgDomainError, hermitian_eigh, operator_norm
-from .sphere import FuzzySphere, HSOperator, SphereDomainError, _halfint
+from .sphere import FuzzySphere, HSOperator, SphereDomainError, _halfint, _matrix_of
 
 
 class CoherentState:
@@ -127,10 +127,15 @@ def ladder_commutator_norm(sphere: FuzzySphere, op) -> float:
     three coordinates against the Pauli matrices and comes out strictly
     larger for the same displacement.
     """
-    if isinstance(op, HSOperator):
-        op = op.matrix
+    op = _matrix_of(op)
     j = sphere.xplus / sphere.lam
     return operator_norm(j @ op - op @ j)
+
+
+def _ladder_functional(sphere: FuzzySphere, d: np.ndarray) -> float:
+    """tr(d^2) r / ||[x_plus/lam, d]||, the distance both coherent routes evaluate."""
+    num = float(np.real(np.trace(d @ d)))
+    return num * sphere.radius / ladder_commutator_norm(sphere, d)
 
 
 def coherent_distance_numeric(n, lam: float = 1.0, dz: complex = 1e-4, z: complex = 0j) -> float:
@@ -146,10 +151,7 @@ def coherent_distance_numeric(n, lam: float = 1.0, dz: complex = 1e-4, z: comple
     if abs(dz) > 1e-3:
         raise SphereDomainError("numeric route is first order; need |dz| <= 1e-3")
     sphere = FuzzySphere(n, lam)
-    drho = coherent_drho(sphere, dz)
-    num = float(np.real(np.trace(drho.matrix @ drho.matrix)))
-    den = ladder_commutator_norm(sphere, drho)
-    return (num * sphere.radius / den) / (1.0 + abs(z) ** 2)
+    return _ladder_functional(sphere, coherent_drho(sphere, dz).matrix) / (1.0 + abs(z) ** 2)
 
 
 def coherent_distance_fd(n, lam: float = 1.0, dz: complex = 1e-4) -> float:
@@ -165,24 +167,21 @@ def coherent_distance_fd(n, lam: float = 1.0, dz: complex = 1e-4) -> float:
     sphere = FuzzySphere(n, lam)
     rho0 = coherent_state(sphere, 0j).projector()
     rho1 = coherent_state(sphere, dz).projector()
-    d = rho1 - rho0
-    num = float(np.real(np.trace(d @ d)))
-    den = ladder_commutator_norm(sphere, d)
-    return num * sphere.radius / den
+    return _ladder_functional(sphere, rho1 - rho0)
 
 
-def richardson_distance_coefficient(n, lam: float = 1.0, steps=(1e-3, 1e-4, 1e-5)) -> float:
+def richardson_distance_coefficient(n, lam: float = 1.0) -> float:
     """First-order coefficient d/|dz| extrapolated from the FD oracle.
 
-    Fits the two smallest steps assuming the leading error power observed
-    for the given n (linear at n = 1/2, quadratic above).
+    Fits the steps |dz| = 1e-4 and 1e-5 assuming the leading error power
+    observed for the given n (linear at n = 1/2, quadratic above).
     """
     n = _halfint(n)
-    vals = [coherent_distance_fd(n, lam, s) / s for s in sorted(steps, reverse=True)]
+    h1, h0 = 1e-4, 1e-5
+    v1, v0 = (coherent_distance_fd(n, lam, h) / h for h in (h1, h0))
     p = 1.0 if n.twice == 1 else 2.0
-    h1, h0 = sorted(steps)[1], sorted(steps)[0]
     r = (h1 / h0) ** p
-    return (r * vals[-1] - vals[-2]) / (r - 1.0)
+    return (r * v0 - v1) / (r - 1.0)
 
 
 def resolution_of_identity_residual(n, grid: int = 200) -> float:

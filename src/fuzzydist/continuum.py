@@ -102,9 +102,9 @@ def s3_metric(theta: float) -> np.ndarray:
     return g
 
 
-def s3_metric_fd(theta: float, phi: float, psi: float, h: float = 1e-5) -> np.ndarray:
-    """ds^2 = dchi^dag dchi reconstructed by central differences plus one
-    Richardson refinement."""
+def s3_metric_fd(theta: float, phi: float, psi: float) -> np.ndarray:
+    """ds^2 = dchi^dag dchi reconstructed by central differences at steps 1e-5
+    and 5e-6 plus one Richardson refinement."""
     def jac(step):
         cols = []
         base = np.array([theta, phi, psi])
@@ -120,8 +120,8 @@ def s3_metric_fd(theta: float, phi: float, psi: float, h: float = 1e-5) -> np.nd
                 g[mu, nu] = float(np.real(np.vdot(cols[mu], cols[nu])))
         return g
 
-    g1 = jac(h)
-    g2 = jac(h / 2.0)
+    g1 = jac(1e-5)
+    g2 = jac(1e-5 / 2.0)
     return (4.0 * g2 - g1) / 3.0
 
 
@@ -205,14 +205,14 @@ def monopole_connection(k: int, theta: float, chart: str) -> float:
     raise GeometryDomainError("chart must be 'plus' or 'minus'")
 
 
-def monopole_section_residual(k: int, theta: float, h: float = 1e-6) -> float:
+def monopole_section_residual(k: int, theta: float) -> float:
     """Rebuild both A_phi components from explicit unit-spinor sections.
 
     Gauge-fixed sections (first/second component real) are differentiated in
-    phi; the worst deviation from the closed forms and from the -k gauge
-    difference is returned.
+    phi by central differences of step 1e-6; the worst deviation from the
+    closed forms and from the -k gauge difference is returned.
     """
-    phi, psi = 0.7, 1.3
+    phi, psi, h = 0.7, 1.3, 1e-6
 
     def section(which, ph):
         chi = euler_to_spinor(EulerPoint(1.0, theta, ph, psi))

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .halfint import ladder_radicand
-from .sphere import HSOperator, SphereDomainError, _adjacent_step, _halfint
+from .sphere import SphereDomainError, _adjacent_step, _halfint, _matrix_of
 from .triple import SpectralTriple, lipschitz_seminorm
 
 
@@ -55,9 +55,7 @@ def distance_lower_bound(triple: SpectralTriple, rho, rho2) -> DistanceResult:
     Also returns the scaled displacement as a certificate sitting exactly on
     the Lipschitz ball boundary.
     """
-    a = rho.matrix if isinstance(rho, HSOperator) else np.asarray(rho, dtype=complex)
-    b = rho2.matrix if isinstance(rho2, HSOperator) else np.asarray(rho2, dtype=complex)
-    drho = b - a
+    drho = _matrix_of(rho2) - _matrix_of(rho)
     num = float(np.real(np.trace(drho @ drho)))
     if num == 0.0 and np.abs(drho).max() == 0.0:
         return DistanceResult(0.0, "norm_pipeline", None, None)
@@ -192,9 +190,7 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
     "zero_gradient") are reported. If that start stopped at ``max_iters``,
     OptimizerError is raised with the rescaled value as ``best_value``.
     """
-    a0 = rho.matrix if isinstance(rho, HSOperator) else np.asarray(rho, dtype=complex)
-    b0 = rho2.matrix if isinstance(rho2, HSOperator) else np.asarray(rho2, dtype=complex)
-    drho = (b0 - a0).astype(complex)
+    drho = _matrix_of(rho2) - _matrix_of(rho)
     if np.abs(drho).max() == 0.0:
         return DistanceResult(0.0, "optimizer", None, None)
     dim = triple.algebra_dim

@@ -28,12 +28,12 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = SYMMETRY_TOL) -> bool:
+def is_hermitian(m) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
     scale = max(np.abs(a).max(), 1.0)
-    return np.abs(a - a.conj().T).max() <= tol * scale
+    return np.abs(a - a.conj().T).max() <= SYMMETRY_TOL * scale
 
 
 def commutator(a, b) -> np.ndarray:

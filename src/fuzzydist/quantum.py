@@ -32,7 +32,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from .halfint import HalfInteger
+from .distance import adjacent_distance_closed_form
+from .halfint import HalfInteger, ladder_radicand
 from .sphere import FuzzySphere, SphereDomainError, _adjacent_step, _halfint
 from .triple import build_dirac
 
@@ -46,16 +47,17 @@ class MinimizationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # pure-state two-branch distance
 
-def _nn1(n: HalfInteger) -> Fraction:
-    return n.times_self_plus_one()
-
-
 def same_sector_seminorm(n, lam: float, n3) -> float:
     """||[D, pi(drho_q)]|| when both states share the right sector."""
     n = _halfint(n)
     n3 = _halfint(n3)
-    rad = _nn1(n) - _nn1(n3)
-    return 2.0 * math.sqrt(float(rad)) / (lam * math.sqrt(float(_nn1(n))))
+    rad = ladder_radicand(n, n3)
+    return 2.0 * math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
+
+
+def _distinct_radicand(n: HalfInteger, n3: HalfInteger) -> Fraction:
+    """n(n+1) - n3^2 + |n3| exactly, the literal distinct-sector radicand."""
+    return n.times_self_plus_one() - Fraction(n3.twice * n3.twice, 4) + Fraction(abs(n3.twice), 2)
 
 
 def distinct_sector_seminorm_literal(n, lam: float, n3) -> float:
@@ -65,9 +67,8 @@ def distinct_sector_seminorm_literal(n, lam: float, n3) -> float:
     distinct_branch_report for the measured domain of validity.
     """
     n = _halfint(n)
-    n3 = _halfint(n3)
-    rad = _nn1(n) - Fraction(n3.twice * n3.twice, 4) + Fraction(abs(n3.twice), 2)
-    return math.sqrt(float(rad)) / (lam * math.sqrt(float(_nn1(n))))
+    rad = _distinct_radicand(n, _halfint(n3))
+    return math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
 
 
 def distinct_sector_seminorm_symmetrized(n, lam: float, n3) -> float:
@@ -80,25 +81,23 @@ def distinct_sector_seminorm_symmetrized(n, lam: float, n3) -> float:
     n = _halfint(n)
     n3 = _halfint(n3)
     one = HalfInteger(2)
-    cands = (_nn1(n3 - one), _nn1(n3), _nn1(n3 + one))
-    rad = _nn1(n) - min(cands)
-    return math.sqrt(float(rad)) / (lam * math.sqrt(float(_nn1(n))))
+    rad = n.times_self_plus_one() - min(v.times_self_plus_one() for v in (n3 - one, n3, n3 + one))
+    return math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
 
 
 def quantum_pure_distance(n, lam: float, n3, right_same: bool) -> float:
     """Closed-form value for the pure states |n3+1, r)(n3+1, r| and |n3, r')(n3, r'|.
 
     right_same selects the branch: r = r' gives the configuration-space Connes
-    distance (compressing to sector r loses nothing); r != r' the lower-bound
-    formula 2/seminorm with the literal radicand, not a Connes distance.
+    distance adjacent_distance_closed_form (compressing to sector r loses
+    nothing); r != r' the lower-bound formula 2/seminorm with the literal
+    radicand, not a Connes distance.
     """
-    n, n3 = _adjacent_step(n, n3)
-    nn1 = float(_nn1(n))
     if right_same:
-        rad = float(_nn1(n) - _nn1(n3))
-        return lam * math.sqrt(nn1) / math.sqrt(rad)
-    rad = float(_nn1(n) - Fraction(n3.twice * n3.twice, 4) + Fraction(abs(n3.twice), 2))
-    return 2.0 * lam * math.sqrt(nn1) / math.sqrt(rad)
+        return adjacent_distance_closed_form(n, n3, lam)
+    n, n3 = _adjacent_step(n, n3)
+    rad = float(_distinct_radicand(n, n3))
+    return 2.0 * lam * math.sqrt(float(n.times_self_plus_one())) / math.sqrt(rad)
 
 
 def quantum_pure_distance_symmetrized(n, lam: float, n3) -> float:
@@ -135,14 +134,16 @@ def _step_blocks(sphere: FuzzySphere, n3: HalfInteger, pu: np.ndarray, pd: np.nd
     return w, build_dirac(sphere, "config", 0).dirac * (v[:, None, :] - v[:, :, None])
 
 
-def distinct_branch_report(n, lam: float = 1.0, tol: float = 1e-10) -> List[dict]:
+def distinct_branch_report(n, lam: float = 1.0) -> List[dict]:
     """Measured comparison of the distinct-sector closed form with the oracle.
 
     One entry per n3; literal_matches goes False exactly on n3 <= -3/2 where
     the literal radicand disagrees, while the symmetrized form tracks the
-    oracle everywhere.
+    oracle everywhere. Both match when within 1e-10 of the oracle, relative
+    to max(oracle, 1).
     """
     n = _halfint(n)
+    tol = 1e-10
     out = []
     for t in range(-n.twice, n.twice - 1, 2):
         n3 = HalfInteger(t)
@@ -164,6 +165,17 @@ def distinct_branch_report(n, lam: float = 1.0, tol: float = 1e-10) -> List[dict
 
 # ---------------------------------------------------------------------------
 # probability profiles
+
+def _data_rows(text: str):
+    """Yield (1-based line number, floats) per data line; blank lines and '#' comments skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                yield lineno, [float(tok) for tok in line.split()]
+            except ValueError as exc:
+                raise SphereDomainError("line %d: %s" % (lineno, exc)) from None
+
 
 class ProbabilityProfile:
     """P_{l3}(n3): one probability vector per left-sector label n3.
@@ -222,14 +234,7 @@ class ProbabilityProfile:
         n = _halfint(n)
         m = n.twice + 1
         vectors = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                vals = [float(tok) for tok in line.split()]
-            except ValueError as exc:
-                raise SphereDomainError("line %d: %s" % (lineno, exc)) from None
+        for lineno, vals in _data_rows(text):
             if len(vals) != m:
                 raise SphereDomainError("line %d: expected %d entries, got %d"
                                         % (lineno, m, len(vals)))
@@ -269,7 +274,7 @@ def _step_functional(n: HalfInteger, x: np.ndarray, t0: int):
     The step's distance is (lam sqrt(n(n+1))/2) Num/sqrt(S).
     """
     n3 = t0 / 2.0 + np.arange(len(x) - 1)          # n3 of each step
-    nn1 = float(_nn1(n))
+    nn1 = float(n.times_self_plus_one())
     cu, cd, cx = nn1 - (n3 + 1.0) ** 2, nn1 - n3 ** 2, nn1 - n3 * (n3 + 1.0)
     sq = (x[:, None, :] @ x[:, :, None])[:, 0, 0]             # |P|^2 per row, summed as np.dot
     cross = (x[1:, None, :] @ x[:-1, :, None])[:, 0, 0]      # pu.pd per step
@@ -311,7 +316,7 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
     sv = np.linalg.svd(blocks, compute_uv=False)
     num, s, _ = _step_functional(n, x, n3.twice)
     return {
-        "display": 2.0 / (lam * math.sqrt(float(_nn1(n)))) * math.sqrt(s[0]),
+        "display": 2.0 / (lam * math.sqrt(float(n.times_self_plus_one()))) * math.sqrt(s[0]),
         "frobenius": float(np.sqrt(np.sum(sv * sv))),
         "nuclear": float(sv.sum()),
         "operator": float(sv.max()),
@@ -356,7 +361,7 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
     if np.any(s <= 0):
         raise SphereDomainError("degenerate profile on n3 = %s..%s (zero quadratic form)"
                                 % (n_i, n_f))
-    lr = lam * math.sqrt(float(_nn1(n)))
+    lr = lam * math.sqrt(float(n.times_self_plus_one()))
 
     # per-step f and g, padded with a zero step below n_i and above n_f, so row
     # r (ascending) sees the step above it at r + 1 and the one below at r
@@ -455,14 +460,14 @@ def _raw_path(n, lam, x, t0) -> float:
     num, s, _ = _step_functional(n, x, t0)
     if np.any(s <= 0):
         return np.inf
-    return float(np.sum(lam * math.sqrt(float(_nn1(n))) / 2.0 * num / np.sqrt(s)))
+    return float(np.sum(lam * math.sqrt(float(n.times_self_plus_one())) / 2.0 * num / np.sqrt(s)))
 
 
 def _raw_path_grad(n, lam, x, t0) -> np.ndarray:
     """Gradient of _raw_path: each step adds d = c Num/sqrt(S) with c = lam r/2, so
     dd/dp = c (2p/sqrt(S) - Num (dS/dp)/(2 S^{3/2})) for its two rows p = pu, pd."""
     num, s, (cu, cd, cx) = _step_functional(n, x, t0)
-    c = lam * math.sqrt(float(_nn1(n))) / 2.0
+    c = lam * math.sqrt(float(n.times_self_plus_one())) / 2.0
     k = (c / np.sqrt(s))[:, None]
     h = (c * num / (2.0 * s ** 1.5))[:, None]
     cu, cd, cx = cu[:, None], cd[:, None], cx[:, None]
@@ -479,8 +484,8 @@ def uniform_minimized_distance(n, lam: float, n3) -> float:
     (1/sqrt(2n+1)) lam sqrt(n(n+1)) / sqrt(3[n(n+1) - n3(n3+1) - 1/3]).
     """
     n, n3 = _adjacent_step(n, n3)
-    nn1 = _nn1(n)
-    rad = 3 * (nn1 - _nn1(n3)) - 1   # 3[n(n+1) - n3(n3+1) - 1/3], exact
+    nn1 = n.times_self_plus_one()
+    rad = 3 * ladder_radicand(n, n3) - 1   # 3[n(n+1) - n3(n3+1) - 1/3], exact
     if rad <= 0:
         raise SphereDomainError("degenerate radicand at n3 = %s" % n3)
     m = n.twice + 1
@@ -510,15 +515,7 @@ class EnergySpectrum:
 
     @classmethod
     def from_text(cls, text: str) -> "EnergySpectrum":
-        rows = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                rows.append((lineno, [float(tok) for tok in line.split()]))
-            except ValueError as exc:
-                raise SphereDomainError("line %d: %s" % (lineno, exc)) from None
+        rows = list(_data_rows(text))
         if len(rows) != 1:
             raise SphereDomainError("spectrum file must contain exactly one data row, got %d"
                                     % len(rows))
@@ -560,6 +557,6 @@ def thermal_distance(n, lam: float, n3, spectrum: EnergySpectrum, beta: float) -
     if spectrum.levels.size != n.twice + 1:
         raise SphereDomainError("spectrum has %d levels, sphere needs %d"
                                 % (spectrum.levels.size, n.twice + 1))
-    nn1 = _nn1(n)
-    rad = 3 * (nn1 - _nn1(n3)) - 1
+    nn1 = n.times_self_plus_one()
+    rad = 3 * ladder_radicand(n, n3) - 1
     return thermal_prefactor(spectrum, beta) * lam * math.sqrt(float(nn1)) / math.sqrt(float(rad))

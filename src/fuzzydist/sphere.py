@@ -117,19 +117,24 @@ class HSOperator:
                 "operator shape %r does not match sphere dim %d" % (m.shape, self.sphere.dim))
         self.matrix = m
 
-    def check_density(self, tol: float = SYMMETRY_TOL):
+    def check_density(self):
         m = self.matrix
-        if np.abs(m - m.conj().T).max() > tol:
+        if np.abs(m - m.conj().T).max() > SYMMETRY_TOL:
             raise SphereDomainError("density matrix is not Hermitian")
-        if abs(m.trace() - 1.0) > tol:
+        if abs(m.trace() - 1.0) > SYMMETRY_TOL:
             raise SphereDomainError("density matrix trace != 1")
-        if np.linalg.eigvalsh(m).min() < -tol:
+        if np.linalg.eigvalsh(m).min() < -SYMMETRY_TOL:
             raise SphereDomainError("density matrix has a negative eigenvalue")
         return self
 
-    def is_pure(self, tol: float = SYMMETRY_TOL) -> bool:
+    def is_pure(self) -> bool:
         m = self.matrix
-        return bool(np.abs(m @ m - m).max() <= tol)
+        return bool(np.abs(m @ m - m).max() <= SYMMETRY_TOL)
+
+
+def _matrix_of(op) -> np.ndarray:
+    """The matrix of an HSOperator, or any matrix-like as a complex array."""
+    return op.matrix if isinstance(op, HSOperator) else np.asarray(op, dtype=complex)
 
 
 def pure_state(sphere: FuzzySphere, n3) -> HSOperator:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import as_matrix, commutator, is_hermitian, operator_norm
-from .sphere import FuzzySphere, HSOperator, SphereDomainError, _pauli
+from .sphere import FuzzySphere, SphereDomainError, _matrix_of, _pauli
 
 
 class UnsupportedFeatureError(ValueError):
@@ -89,9 +89,7 @@ def build_dirac(sphere: FuzzySphere, representation: str = "config", k: int = 0)
 
 def dirac_commutator(triple: SpectralTriple, a) -> np.ndarray:
     """[D, pi(a)]."""
-    if isinstance(a, HSOperator):
-        a = a.matrix
-    return commutator(triple.dirac, triple.represent(a))
+    return commutator(triple.dirac, triple.represent(_matrix_of(a)))
 
 
 def lipschitz_seminorm(triple: SpectralTriple, a) -> float:

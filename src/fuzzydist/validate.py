@@ -1,6 +1,8 @@
 """Named validation checks aggregating every module's invariants.
 
-Each check is a pure function returning a CheckResult; the CLI `validate`
+Each check is a pure function of the seed returning (passed, max_deviation,
+note) or (passed, max_deviation, note, details); its name is stated once, in
+@_check, and run_checks wraps the result in a CheckResult. The CLI `validate`
 command runs the registry in a fixed order and fails on the first
 regression. Checks that exist to surface a measured discrepancy (branch
 validity domains, norm identification, connection normalization) pass when
@@ -47,7 +49,7 @@ def run_checks(names=None, seed: int = 42):
     for name, fn in _REGISTRY:
         if wanted and name not in wanted:
             continue
-        out.append(fn(seed))
+        out.append(CheckResult(name, *fn(seed)))
     if wanted:
         missing = wanted - {r.name for r in out}
         if missing:
@@ -75,8 +77,7 @@ def _sphere_algebra(seed):
             # ladder annihilation at the poles is exact
             worst = max(worst, float(np.abs(s.xplus[:, 0]).max()),
                         float(np.abs(s.xminus[:, -1]).max()))
-    return CheckResult("sphere-algebra", worst <= 1e-12, worst,
-                       "su(2) closure, Casimir, pole annihilation for n <= 25/2")
+    return worst <= 1e-12, worst, "su(2) closure, Casimir, pole annihilation for n <= 25/2"
 
 
 @_check("sphere-winding")
@@ -103,8 +104,8 @@ def _sphere_winding(seed):
         worst = max(worst, float(dev))
     mono = sphere.winding_number(sphere.FockMonomial(2, 1, 0, 0))
     passed = worst <= 1e-12 and mono == 3
-    return CheckResult("sphere-winding", passed, worst,
-                       "interior [N, op] vanishes for algebra elements, (lam/2)-shifts monomials")
+    return (passed, worst,
+            "interior [N, op] vanishes for algebra elements, (lam/2)-shifts monomials")
 
 
 @_check("jordan-schwinger")
@@ -114,9 +115,9 @@ def _jordan_schwinger(seed):
         rep = sphere.jordan_schwinger_check(HalfInteger(t), lam, cutoff=10)
         worst = max(worst, rep["max_deviation"] / lam)
         if rep["block_dim"] != t + 1:
-            return CheckResult("jordan-schwinger", False, worst, "wrong block dimension")
-    return CheckResult("jordan-schwinger", worst <= 1e-12, worst,
-                       "oscillator bilinears reproduce the direct matrices, n <= 2, cutoff 10")
+            return False, worst, "wrong block dimension"
+    return (worst <= 1e-12, worst,
+            "oscillator bilinears reproduce the direct matrices, n <= 2, cutoff 10")
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +133,7 @@ def _dirac_spectrum(seed):
         (pos, mpos), (neg, mneg) = triple.dirac_eigenvalue_pattern(HalfInteger(t), 1.0)
         expect = np.sort(np.concatenate([np.full(mpos, pos), np.full(mneg, neg)]))
         worst = max(worst, float(np.abs(vals - expect).max()))
-    return CheckResult("dirac-spectrum", worst <= 1e-10, worst,
-                       "k=0 spectrum is (1/r){n, -(n+1)} with multiplicities 2n+2, 2n")
+    return worst <= 1e-10, worst, "k=0 spectrum is (1/r){n, -(n+1)} with multiplicities 2n+2, 2n"
 
 
 @_check("distance-closed-vs-pipeline")
@@ -151,8 +151,8 @@ def _distance_pipeline(seed):
                 tr, sphere.pure_state(s, n3), sphere.pure_state(s, n3 + HalfInteger(2)))
             worst = max(worst, abs(lb.value - closed) / closed)
             pairs += 1
-    return CheckResult("distance-closed-vs-pipeline", worst <= 1e-10, worst,
-                       "closed form vs norm pipeline, %d adjacent pairs, n <= 8" % pairs)
+    return (worst <= 1e-10, worst,
+            "closed form vs norm pipeline, %d adjacent pairs, n <= 8" % pairs)
 
 
 @_check("distance-symmetries")
@@ -174,8 +174,7 @@ def _distance_symmetries(seed):
         lb2 = distance.distance_lower_bound(
             tr2, sphere.pure_state(s2, n3), sphere.pure_state(s2, n3 + HalfInteger(2)))
         worst = max(worst, abs(lb2.value - 2.0 * lb1.value) / lb2.value)
-    return CheckResult("distance-symmetries", worst <= 1e-10, worst,
-                       "lambda linearity and n3 reflection, closed form and pipeline")
+    return worst <= 1e-10, worst, "lambda linearity and n3 reflection, closed form and pipeline"
 
 
 @_check("distance-optimizer")
@@ -194,9 +193,8 @@ def _distance_optimizer(seed):
             lb = distance.distance_lower_bound(tr, rho, rho2)
             opt = distance.connes_distance_optimized(tr, rho, rho2, seed=seed)
             if not (lb.value - 1e-6 <= opt.value <= lb.value + 1e-3):
-                return CheckResult("distance-optimizer", False,
-                                   abs(opt.value - lb.value),
-                                   "optimizer left the certified bracket at n=%s n3=%s" % (n, n3))
+                return (False, abs(opt.value - lb.value),
+                        "optimizer left the certified bracket at n=%s n3=%s" % (n, n3))
             worst_gap = max(worst_gap, abs(opt.value - lb.value))
             worst_ball = max(worst_ball, opt.ball_residual)
             if t == 1:
@@ -204,9 +202,9 @@ def _distance_optimizer(seed):
     target = math.sqrt(3.0) / 2.0
     passed = (worst_ball <= 1e-8 and spin_half_value is not None
               and abs(spin_half_value - target) <= 1e-6)
-    return CheckResult("distance-optimizer", passed, worst_gap,
-                       "supremum matches lower bound, ball residual %.1e; spin-1/2 value %.9f"
-                       % (worst_ball, spin_half_value))
+    return (passed, worst_gap,
+            "supremum matches lower bound, ball residual %.1e; spin-1/2 value %.9f"
+            % (worst_ball, spin_half_value))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +222,7 @@ def _coherent_overlap(seed):
                 st = coherent.coherent_state(s, z)
                 expect = (1.0 + abs(z) ** 2) ** (-t)  # (1+|z|^2)^(-2n)
                 worst = max(worst, abs(st.overlap_with_top() - expect))
-    return CheckResult("coherent-overlap", worst <= 1e-10, worst,
-                       "|<n,n|z>|^2 = (1+|z|^2)^(-2n) on a 5x5 grid, n <= 2")
+    return worst <= 1e-10, worst, "|<n,n|z>|^2 = (1+|z|^2)^(-2n) on a 5x5 grid, n <= 2"
 
 
 @_check("coherent-block-norm")
@@ -239,8 +236,7 @@ def _coherent_block_norm(seed):
         nf = t / 2.0
         expect = math.sqrt(4.0 * nf * (3.0 * nf - 1.0)) * dz
         worst = max(worst, abs(got - expect) / expect)
-    return CheckResult("coherent-block-norm", worst <= 1e-10, worst,
-                       "ladder commutator norm sqrt(4n(3n-1))|dz| at the north pole")
+    return worst <= 1e-10, worst, "ladder commutator norm sqrt(4n(3n-1))|dz| at the north pole"
 
 
 @_check("coherent-distance")
@@ -260,8 +256,8 @@ def _coherent_distance(seed):
     rich = coherent.richardson_distance_coefficient(HalfInteger(1), 1.0)
     rich_dev = abs(rich - c_half) / c_half
     passed = worst <= 1e-4 and fd_bias <= 2e-4 and rich_dev <= 1e-6
-    return CheckResult("coherent-distance", passed, worst,
-                       "numeric route exact; raw FD bias %.2e, Richardson %.2e" % (fd_bias, rich_dev))
+    return (passed, worst,
+            "numeric route exact; raw FD bias %.2e, Richardson %.2e" % (fd_bias, rich_dev))
 
 
 @_check("coherent-sup-gap")
@@ -276,16 +272,14 @@ def _coherent_sup_gap(seed):
     dev_half = abs(ratios[1] - 0.5)
     dev_one = abs(ratios[2] - 1.0)
     passed = dev_half <= 1e-5 and dev_one <= 1e-5 and 1.10 < ratios[3] < 1.20
-    return CheckResult("coherent-sup-gap", passed, max(dev_half, dev_one),
-                       "sup/closed = %.6f, %.6f, %.6f at n = 1/2, 1, 3/2"
-                       % (ratios[1], ratios[2], ratios[3]))
+    return (passed, max(dev_half, dev_one),
+            "sup/closed = %.6f, %.6f, %.6f at n = 1/2, 1, 3/2" % (ratios[1], ratios[2], ratios[3]))
 
 
 @_check("coherent-resolution-identity")
 def _coherent_resolution(seed):
     res = coherent.resolution_of_identity_residual(HalfInteger(2), grid=200)
-    return CheckResult("coherent-resolution-identity", res <= 1e-3, res,
-                       "completeness integral on a 200x200 grid at n=1")
+    return res <= 1e-3, res, "completeness integral on a 200x200 grid at n=1"
 
 
 @_check("coherent-large-n-scaling")
@@ -300,9 +294,8 @@ def _coherent_large_n(seed):
         dev = coherent.large_n_scaling_deviation(HalfInteger(t))
         law = max(law, abs(dev * 3.0 * nf / 2.0 - 1.0))
     passed = dev50 > 1e-2 and dev67 < 1e-2 and law < 0.02
-    return CheckResult("coherent-large-n-scaling", passed, dev50,
-                       "deviation 2/(3n): %.4f%% at n=50, %.4f%% at n=67"
-                       % (100 * dev50, 100 * dev67))
+    return (passed, dev50,
+            "deviation 2/(3n): %.4f%% at n=50, %.4f%% at n=67" % (100 * dev50, 100 * dev67))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +312,8 @@ def _quantum_same_branch(seed):
             oracle = quantum.quantum_seminorm_oracle(n, 1.0, n3, r3, r3)
             closed = quantum.same_sector_seminorm(n, 1.0, n3)
             worst = max(worst, abs(oracle - closed) / closed)
-    return CheckResult("quantum-same-branch", worst <= 1e-10, worst,
-                       "shared right sector reproduces the configuration-space norm, n <= 4")
+    return (worst <= 1e-10, worst,
+            "shared right sector reproduces the configuration-space norm, n <= 4")
 
 
 @_check("quantum-distinct-branch")
@@ -332,10 +325,8 @@ def _quantum_distinct_branch(seed):
         n = HalfInteger(t)
         for row in quantum.distinct_branch_report(n, 1.0):
             if not row["symmetrized_matches"]:
-                return CheckResult("quantum-distinct-branch", False,
-                                   abs(row["symmetrized"] - row["oracle"]),
-                                   "symmetrized form missed the oracle at n=%s n3=%s"
-                                   % (n, row["n3"]))
+                return (False, abs(row["symmetrized"] - row["oracle"]),
+                        "symmetrized form missed the oracle at n=%s n3=%s" % (n, row["n3"]))
             worst_sym = max(worst_sym, abs(row["symmetrized"] - row["oracle"]))
             n3 = HalfInteger.parse(row["n3"])
             if not row["literal_matches"]:
@@ -343,10 +334,10 @@ def _quantum_distinct_branch(seed):
             if n3.twice <= -3:
                 expected_mismatch.append((str(n), row["n3"]))
     passed = mismatch == expected_mismatch
-    return CheckResult("quantum-distinct-branch", passed, worst_sym,
-                       "literal form valid for n3 >= -1 only (%d known exceptions below); "
-                       "symmetrized form exact everywhere" % len(mismatch),
-                       details={"literal_mismatches": mismatch})
+    return (passed, worst_sym,
+            "literal form valid for n3 >= -1 only (%d known exceptions below); "
+            "symmetrized form exact everywhere" % len(mismatch),
+            {"literal_mismatches": mismatch})
 
 
 @_check("quantum-monotonicity")
@@ -362,8 +353,8 @@ def _quantum_monotonicity(seed):
             sym = quantum.quantum_pure_distance_symmetrized(n, 1.0, n3)
             ok = ok and (lit >= same - 1e-12) and (sym >= same - 1e-12)
             worst = max(worst, same - min(lit, sym))
-    return CheckResult("quantum-monotonicity", ok, max(worst, 0.0),
-                       "distinct-sector distance dominates the shared-sector one, n <= 8")
+    return (ok, max(worst, 0.0),
+            "distinct-sector distance dominates the shared-sector one, n <= 8")
 
 
 @_check("mixed-norm-identification")
@@ -391,10 +382,10 @@ def _mixed_norms(seed):
                 d_oracle = quantum.mixed_distance_oracle(n, 1.0, n3, prof)
                 worst = max(worst, abs(d_closed - d_oracle) / d_oracle)
     passed = worst <= 1e-10 and nuclear_gap > 0.1
-    return CheckResult("mixed-norm-identification", passed, worst,
-                       "display equals the Frobenius norm of the commutator; "
-                       "nuclear norm differs by >= %.0f%% and is profile-independent"
-                       % (100 * nuclear_gap))
+    return (passed, worst,
+            "display equals the Frobenius norm of the commutator; "
+            "nuclear norm differs by >= %.0f%% and is profile-independent"
+            % (100 * nuclear_gap))
 
 
 @_check("mixed-worked-values")
@@ -405,8 +396,7 @@ def _mixed_worked(seed):
     v1 = quantum.trace_norm_distance(n, 1.0, HalfInteger(0), delta)
     v2 = quantum.trace_norm_distance(n, 1.0, HalfInteger(0), uni)
     dev = max(abs(v1 - math.sqrt(2.0 / 5.0)), abs(v2 - math.sqrt(2.0 / 15.0)))
-    return CheckResult("mixed-worked-values", dev <= 1e-12, dev,
-                       "delta profile 0.632456, uniform 0.365148 at n=1, n3=0")
+    return dev <= 1e-12, dev, "delta profile 0.632456, uniform 0.365148 at n=1, n3=0"
 
 
 @_check("stationarity-residual")
@@ -419,8 +409,7 @@ def _stationarity(seed):
         cert = quantum.delta_matrix(n, 1.0, uni, HalfInteger(-t), HalfInteger(t))
         worst_uniform = max(worst_uniform, cert.residual)
         if np.abs(cert.delta - cert.delta.T).max() > 1e-14:
-            return CheckResult("stationarity-residual", False, worst_uniform,
-                               "certificate matrix lost symmetry")
+            return False, worst_uniform, "certificate matrix lost symmetry"
     n = HalfInteger(2)
     m = 3
     raw = rng.dirichlet(np.ones(m), size=m)
@@ -428,9 +417,9 @@ def _stationarity(seed):
                                           for i, tt in enumerate(range(2, -3, -2))})
     cert_p = quantum.delta_matrix(n, 1.0, pert, HalfInteger(-2), HalfInteger(2))
     passed = worst_uniform <= 1e-10 and cert_p.residual > 1e-4
-    return CheckResult("stationarity-residual", passed, worst_uniform,
-                       "uniform profile stationary (residual %.1e); perturbed profile not (%.3f)"
-                       % (worst_uniform, cert_p.residual))
+    return (passed, worst_uniform,
+            "uniform profile stationary (residual %.1e); perturbed profile not (%.3f)"
+            % (worst_uniform, cert_p.residual))
 
 
 @_check("minimizer-recovers-uniform")
@@ -447,9 +436,8 @@ def _minimizer(seed):
                                           starts=5, seed=seed)
     dev_half = float(np.abs(half["profile"].at(HalfInteger(-1)) - 0.5).max())
     passed = dev <= 1e-4 and gap <= 1e-8 and dev_half <= 1e-4
-    return CheckResult("minimizer-recovers-uniform", passed, dev,
-                       "20-start descent lands on P = 1/(2n+1) (dev %.1e), distance gap %.1e"
-                       % (dev, gap))
+    return (passed, dev,
+            "20-start descent lands on P = 1/(2n+1) (dev %.1e), distance gap %.1e" % (dev, gap))
 
 
 @_check("uniform-closed-form")
@@ -463,8 +451,8 @@ def _uniform_closed(seed):
             a = quantum.uniform_minimized_distance(n, 1.0, n3)
             b = quantum.trace_norm_distance(n, 1.0, n3, uni)
             worst = max(worst, abs(a - b) / b)
-    return CheckResult("uniform-closed-form", worst <= 1e-10, worst,
-                       "uniform-profile closed form equals the distance functional, n <= 3")
+    return (worst <= 1e-10, worst,
+            "uniform-profile closed form equals the distance functional, n <= 3")
 
 
 @_check("thermal-prefactor")
@@ -492,8 +480,7 @@ def _thermal_prefactor(seed):
                                           math.log(2.0))
     worst = abs(two_level - math.sqrt(1.25) / 1.5)
     passed = ok and worst <= 1e-12
-    return CheckResult("thermal-prefactor", passed, worst,
-                       "bounds [1/sqrt(M), 1], monotone in beta, ln2 example %.9f" % two_level)
+    return passed, worst, "bounds [1/sqrt(M), 1], monotone in beta, ln2 example %.9f" % two_level
 
 
 @_check("thermal-distance")
@@ -514,8 +501,8 @@ def _thermal_distance(seed):
     t0 = quantum.thermal_distance(HalfInteger(2), 1.0, HalfInteger(0),
                                   quantum.EnergySpectrum.default(HalfInteger(2), 1.0), 0.0)
     worst = max(worst, abs(t0 - u))
-    return CheckResult("thermal-distance", worst <= 1e-10, worst,
-                       "partition-function form equals the profile functional; beta=0 is uniform")
+    return (worst <= 1e-10, worst,
+            "partition-function form equals the profile functional; beta=0 is uniform")
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +520,9 @@ def _continuum_hopf(seed):
         worst = max(worst, abs(float(np.real(np.vdot(chi, chi))) - p.r))
     rep = continuum.spinor_convention_report(samples=20, seed=seed)
     passed = worst <= 1e-12 and rep["conjugated"] > 0.1
-    return CheckResult("continuum-hopf", passed, worst,
-                       "projection lands on spherical coordinates; conjugated phases would not "
-                       "(deviation %.2f)" % rep["conjugated"])
+    return (passed, worst,
+            "projection lands on spherical coordinates; conjugated phases would not "
+            "(deviation %.2f)" % rep["conjugated"])
 
 
 @_check("continuum-metric")
@@ -551,8 +538,8 @@ def _continuum_metric(seed):
         det = np.linalg.det(continuum.s3_metric(th))
         worst_det = abs(det - math.sin(th) ** 2 / 64.0)
         worst = max(worst, worst_det)
-    return CheckResult("continuum-metric", worst <= 1e-8, worst,
-                       "finite-difference reconstruction of the round metric, 100 points")
+    return (worst <= 1e-8, worst,
+            "finite-difference reconstruction of the round metric, 100 points")
 
 
 @_check("continuum-killing")
@@ -566,8 +553,7 @@ def _continuum_killing(seed):
         g = continuum.s3_metric(th)
         k = continuum.killing_fields(th, ph)[3]
         worst = max(worst, abs(complex(np.einsum("mn,m,n->", g, k, k.conj())) - 0.25))
-    return CheckResult("continuum-killing", worst <= 1e-12, worst,
-                       "g(J_i, J_j) = delta_ij/4 and g(K, K) = 1/4 at 100 points")
+    return worst <= 1e-12, worst, "g(J_i, J_j) = delta_ij/4 and g(K, K) = 1/4 at 100 points"
 
 
 @_check("continuum-clifford")
@@ -579,8 +565,8 @@ def _continuum_clifford(seed):
         ph = rng.uniform(0, 2 * math.pi)
         devs = continuum.clifford_algebra_deviations(th, ph)
         worst = max(worst, max(devs.values()))
-    return CheckResult("continuum-clifford", worst <= 1e-12, worst,
-                       "hermiticity, anticommutation, squares (csc^2 sits with sigma^theta)")
+    return (worst <= 1e-12, worst,
+            "hermiticity, anticommutation, squares (csc^2 sits with sigma^theta)")
 
 
 @_check("continuum-monopole")
@@ -594,8 +580,8 @@ def _continuum_monopole(seed):
                     - continuum.monopole_connection(k, th, "minus"))
             worst = max(worst, abs(diff + k))
             worst = max(worst, continuum.monopole_section_residual(k, th))
-    return CheckResult("continuum-monopole", worst <= 1e-8, worst,
-                       "chart difference is the pure gauge -k; sections rebuild both components")
+    return (worst <= 1e-8, worst,
+            "chart difference is the pure gauge -k; sections rebuild both components")
 
 
 @_check("continuum-connection")
@@ -610,9 +596,9 @@ def _continuum_connection(seed):
         worst = max(worst, abs(a - b) / max(abs(a), 1e-12))
     rep = continuum.connection_mismatch_report(seed=seed)
     passed = worst <= 1e-6 and abs(rep["mean_ratio"] + 2.0) <= 1e-9 and rep["spread"] <= 1e-9
-    return CheckResult("continuum-connection", passed, worst,
-                       "closed form matches FD; the alternative normalization is exactly -2x "
-                       "(ratio %.6f)" % rep["mean_ratio"])
+    return (passed, worst,
+            "closed form matches FD; the alternative normalization is exactly -2x "
+            "(ratio %.6f)" % rep["mean_ratio"])
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +628,6 @@ def _representation_choice(seed):
     m = triple.SpectralTriple(s, "quantum", 0, adj, s.dim ** 2)
     dev_adj = abs(triple.lipschitz_seminorm(m, drho) - expect) / expect
     passed = dev_left <= 1e-10 and dev_adj > 0.1
-    return CheckResult("quantum-representation-choice", passed, dev_left,
-                       "left action matches closed forms; adjoint action misses by %.0f%%"
-                       % (100 * dev_adj))
+    return (passed, dev_left,
+            "left action matches closed forms; adjoint action misses by %.0f%%"
+            % (100 * dev_adj))

@@ -1,8 +1,10 @@
 """Command-line behavior: output schema, determinism, exit codes, file IO."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +134,64 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["results"]
 
 
+# golden files, written by the CLI as
+#   python -m fuzzydist.cli ARGS --format FORMAT --no-timestamp > tests/data/cli_golden/NAME.FORMAT
+# with no ascent column, whose last digits depend on the platform
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+GOLDEN_ARGS = {
+    "discrete": ["discrete", "--n", "3/2"],
+    "coherent": ["coherent", "--n", "1", "--z", "0.3+0.4i", "--oracle"],
+    "quantum-pure-same": ["quantum-pure", "--n", "3/2", "--oracle"],
+    "quantum-pure-distinct": ["quantum-pure", "--n", "3/2", "--right-sector", "distinct",
+                              "--oracle"],
+    "quantum-mixed": ["quantum-mixed", "--n", "1", "--oracle"],
+    "thermal": ["thermal", "--n", "1", "--beta", "0.7", "--oracle"],
+    "table": ["table", "--n-min", "1/2", "--n-max", "3/2"],
+}
+FLOAT_TEXT = re.compile(r"^-?(\d+\.\d*|\d+(\.\d*)?e[-+]\d+|nan|inf)$")
+
+
+def _close(got: float, want: float) -> bool:
+    """Within 1e-12 relative; a golden 0.0 (a roundoff residual) within 1e-12 of zero."""
+    return got == pytest.approx(want, rel=1e-12, abs=1e-12 if want == 0.0 else 0.0)
+
+
+def _assert_cells_match(got, want):
+    """Same keys in the same order; floats close, everything else exact."""
+    assert list(got) == list(want)
+    for key in want:
+        if isinstance(want[key], float):
+            assert isinstance(got[key], float) and _close(got[key], want[key]), key
+        else:
+            assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))
+def test_output_matches_golden(name, capsys):
+    code, out, _ = run_cli(GOLDEN_ARGS[name] + ["--format", "json", "--no-timestamp"], capsys)
+    assert code == 0
+    got, want = json.loads(out), json.loads((GOLDEN / (name + ".json")).read_text())
+    assert list(got) == ["meta", "results"]
+    assert got["meta"] == want["meta"] and list(got["meta"]) == list(want["meta"])
+    assert len(got["results"]) == len(want["results"])
+    for row, golden_row in zip(got["results"], want["results"]):
+        _assert_cells_match(row, golden_row)
+
+    code, out, _ = run_cli(GOLDEN_ARGS[name] + ["--format", "csv", "--no-timestamp"], capsys)
+    assert code == 0
+    got = out.splitlines()
+    want = (GOLDEN / (name + ".csv")).read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for line, golden_line in zip(got[1:], want[1:]):
+        cells, golden_cells = line.split(","), golden_line.split(",")
+        assert len(cells) == len(golden_cells)
+        for cell, golden_cell in zip(cells, golden_cells):
+            if FLOAT_TEXT.match(golden_cell):
+                assert _close(float(cell), float(golden_cell)), (cell, golden_cell)
+            else:
+                assert cell == golden_cell
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -185,20 +245,38 @@ def test_bad_threads_env_exit_2(monkeypatch, capsys):
     assert "FUZZYDIST_THREADS" in err
 
 
-def test_optimizer_failure_exit_1_with_partial_results(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["discrete", "coherent", "quantum-pure", "quantum-mixed",
+                                     "thermal", "table"])
+@pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])
+def test_non_positive_or_non_finite_lambda_exit_2(command, lam, capsys):
+    argv = ["--n-min", "1", "--n-max", "1"] if command == "table" else ["--n", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command] + argv + ["--lambda", lam, "--no-timestamp"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "error: argument --lambda: not a positive finite number" in err
+
+
+@pytest.mark.parametrize("argv, closed_form", [
+    (["discrete", "--n", "1"], "distance"),
+    (["table", "--n-min", "1", "--n-max", "1"], "closed_form"),
+], ids=["discrete", "table"])
+def test_optimizer_failure_exit_1_with_partial_results(argv, closed_form, monkeypatch, capsys):
     from fuzzydist import distance
 
     def boom(*args, **kwargs):
         raise distance.OptimizerError("stalled", best_value=0.9)
 
     monkeypatch.setattr(distance, "connes_distance_optimized", boom)
-    code, out, err = run_cli(
-        ["discrete", "--n", "1", "--n3", "0", "--oracle", "--no-timestamp"], capsys)
+    code, out, err = run_cli(argv + ["--oracle", "--no-timestamp"], capsys)
     assert code == 1
-    assert "optimizer failed" in err
-    row = json.loads(out)["results"][0]  # partial results still emitted
-    assert row["optimizer"] == 0.9
-    assert row["distance"] == 1.0
+    rows = json.loads(out)["results"]  # partial results still emitted
+    assert [row["n3"] for row in rows] == ["-1", "0"]
+    for row in rows:
+        assert "optimizer failed at n = 1, n3 = %s: stalled" % row["n3"] in err
+        assert row["optimizer"] == 0.9
+        assert row[closed_form] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,3 +32,10 @@ def test_seed_is_honored():
     a = run_checks(names=["continuum-metric"], seed=3)[0]
     b = run_checks(names=["continuum-metric"], seed=3)[0]
     assert a.max_deviation == b.max_deviation
+
+
+@pytest.mark.parametrize("name", check_names())
+def test_registry_check_passes(name):
+    (result,) = run_checks(names=[name])
+    assert result.name == name
+    assert result.passed, "%s: %s (max deviation %r)" % (name, result.note, result.max_deviation)
