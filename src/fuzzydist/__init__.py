@@ -14,120 +14,47 @@ Submodules:
 * validate: the named-check registry behind `fuzzydist validate`
 * cli: command-line front end
 
-Submodules load lazily: importing the bare package pulls no numpy, so the
-CLI can translate FUZZYDIST_THREADS into BLAS thread caps first.
+Every public class and function defined in a submodule other than cli is also
+a package attribute: fuzzydist.<name> imports the submodules in the order above
+until one defines <name>, so each name is stated once, in its module. Importing
+the bare package pulls no numpy, so the CLI can translate FUZZYDIST_THREADS into
+BLAS thread caps first. A name that starts with "_" is never looked up, except
+__all__, which imports every submodule but cli to list their names.
 """
 
 from importlib import import_module
+from types import FunctionType
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("halfint", "linalg", "sphere", "triple", "distance", "coherent",
-               "quantum", "continuum", "validate", "cli")
+_LIBRARY = ("halfint", "linalg", "sphere", "triple", "distance", "coherent", "quantum",
+            "continuum", "validate")
+_SUBMODULES = _LIBRARY + ("cli",)
 
-_EXPORTS = {
-    "HalfInteger": "halfint",
-    "casimir_fraction": "halfint",
-    "ladder_radicand": "halfint",
-    "LinalgDomainError": "linalg",
-    "operator_norm": "linalg",
-    "trace_norm": "linalg",
-    "frobenius_norm": "linalg",
-    "hermitian_eigvals": "linalg",
-    "SphereDomainError": "sphere",
-    "FuzzySphere": "sphere",
-    "build_space": "sphere",
-    "HSOperator": "sphere",
-    "pure_state": "sphere",
-    "adjacent_drho": "sphere",
-    "FockMonomial": "sphere",
-    "winding_number": "sphere",
-    "TwoModeFock": "sphere",
-    "k_adjoint_action": "sphere",
-    "jordan_schwinger_check": "sphere",
-    "UnsupportedFeatureError": "triple",
-    "SpectralTriple": "triple",
-    "build_dirac": "triple",
-    "dirac_commutator": "triple",
-    "lipschitz_seminorm": "triple",
-    "dirac_eigenvalue_pattern": "triple",
-    "OptimizerError": "distance",
-    "DistanceResult": "distance",
-    "adjacent_distance_closed_form": "distance",
-    "distance_lower_bound": "distance",
-    "connes_distance_optimized": "distance",
-    "quantized_polar_angle": "distance",
-    "arc_length_step": "distance",
-    "CoherentState": "coherent",
-    "coherent_state": "coherent",
-    "coherent_drho": "coherent",
-    "coherent_metric_coefficient": "coherent",
-    "ladder_commutator_norm": "coherent",
-    "coherent_distance_numeric": "coherent",
-    "coherent_distance_fd": "coherent",
-    "coherent_route_report": "coherent",
-    "richardson_distance_coefficient": "coherent",
-    "resolution_of_identity_residual": "coherent",
-    "large_n_scaling_deviation": "coherent",
-    "MinimizationError": "quantum",
-    "same_sector_seminorm": "quantum",
-    "distinct_sector_seminorm_literal": "quantum",
-    "distinct_sector_seminorm_symmetrized": "quantum",
-    "quantum_pure_distance": "quantum",
-    "quantum_pure_distance_symmetrized": "quantum",
-    "quantum_seminorm_oracle": "quantum",
-    "distinct_branch_report": "quantum",
-    "ProbabilityProfile": "quantum",
-    "trace_norm_distance": "quantum",
-    "mixed_commutator_norms": "quantum",
-    "mixed_distance_oracle": "quantum",
-    "MinimizationCertificate": "quantum",
-    "delta_matrix": "quantum",
-    "path_distance": "quantum",
-    "minimize_path_distance": "quantum",
-    "uniform_minimized_distance": "quantum",
-    "EnergySpectrum": "quantum",
-    "partition_function": "quantum",
-    "thermal_profile": "quantum",
-    "thermal_prefactor": "quantum",
-    "thermal_distance": "quantum",
-    "GeometryDomainError": "continuum",
-    "EulerPoint": "continuum",
-    "euler_to_spinor": "continuum",
-    "hopf_projection": "continuum",
-    "hopf_deviation": "continuum",
-    "spinor_convention_report": "continuum",
-    "s3_metric": "continuum",
-    "s3_metric_fd": "continuum",
-    "killing_fields": "continuum",
-    "killing_orthonormality_deviation": "continuum",
-    "clifford_sigmas": "continuum",
-    "clifford_algebra_deviations": "continuum",
-    "monopole_connection": "continuum",
-    "monopole_section_residual": "continuum",
-    "tautological_connection": "continuum",
-    "doubled_connection_form": "continuum",
-    "connection_mismatch_report": "continuum",
-    "CheckResult": "validate",
-    "run_checks": "validate",
-    "check_names": "validate",
-}
 
-__all__ = ["__version__"] + list(_SUBMODULES) + list(_EXPORTS)
+def _exports():
+    """(name, object) of each public class and function defined in a library submodule."""
+    for sub in _LIBRARY:
+        mod = import_module("." + sub, __name__)
+        for name, obj in vars(mod).items():
+            if (not name.startswith("_") and isinstance(obj, (type, FunctionType))
+                    and obj.__module__ == mod.__name__):
+                yield name, obj
 
 
 def __getattr__(name):
-    if name in _SUBMODULES:
-        mod = import_module("." + name, __name__)
-        globals()[name] = mod
-        return mod
-    if name in _EXPORTS:
-        mod = import_module("." + _EXPORTS[name], __name__)
-        value = getattr(mod, name)
-        globals()[name] = value
-        return value
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    if name == "__all__":
+        value = ["__version__", *_SUBMODULES, *(key for key, _ in _exports())]
+    elif name in _SUBMODULES:
+        value = import_module("." + name, __name__)
+    else:
+        value = None if name.startswith("_") else next(
+            (obj for key, obj in _exports() if key == name), None)
+        if value is None:
+            raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = value
+    return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

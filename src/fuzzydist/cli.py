@@ -23,9 +23,8 @@ import math
 import os
 import sys
 
+from . import __version__
 from .halfint import HalfInteger
-
-VERSION = "0.1.0"
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
@@ -222,10 +221,8 @@ def _emit_csv(meta: dict, rows: list) -> str:
 # per-command handlers; each returns (extra_meta, rows, exit_code)
 
 def _adjacent_labels(n: HalfInteger, n3):
-    if n3 is not None:
-        from .sphere import _adjacent_step
-        return [_adjacent_step(n, n3)[1]]
-    return [HalfInteger(t) for t in range(-n.twice, n.twice - 1, 2)]
+    from .sphere import _adjacent_step, _steps
+    return _steps(n) if n3 is None else [_adjacent_step(n, n3)[1]]
 
 
 def _sweep(args, step_row, **meta):
@@ -359,16 +356,18 @@ def _cmd_quantum_mixed(args):
 
 def _cmd_thermal(args):
     from . import quantum
+    from .sphere import _labels
     n, lam = args.n, args.lam
     if not (args.beta >= 0):
         raise UsageError("--beta must be >= 0")
+    labels = _labels(n)
     if args.energies == "default":
         spectrum = quantum.EnergySpectrum.default(n, lam)
     else:
         spectrum = _read_file(args.energies, "energies", quantum.EnergySpectrum.from_text)
-        if spectrum.levels.size != n.twice + 1:
+        if spectrum.levels.size != len(labels):
             raise UsageError("energies file has %d levels, n = %s needs %d"
-                             % (spectrum.levels.size, n, n.twice + 1))
+                             % (spectrum.levels.size, n, len(labels)))
     pf = quantum.thermal_prefactor(spectrum, args.beta)
 
     def step_row(n3):
@@ -377,8 +376,7 @@ def _cmd_thermal(args):
                "prefactor": pf}
         if args.oracle:
             weights = quantum.thermal_profile(spectrum, args.beta)
-            prof = quantum.ProbabilityProfile(
-                n, {t: weights for t in range(-n.twice, n.twice + 1, 2)})
+            prof = quantum.ProbabilityProfile(n, dict.fromkeys(labels, weights))
             row["profile_functional"] = quantum.trace_norm_distance(n, lam, n3, prof)
             row["ratio"] = row["profile_functional"] / d
         return row, 0
@@ -464,7 +462,7 @@ def main(argv=None) -> int:
             "n": str(args.n) if hasattr(args, "n") else None,
             "lambda": args.lam if hasattr(args, "lam") else None,
             "seed": args.seed,
-            "version": VERSION}
+            "version": __version__}
     meta.update(extra)
     meta["format"] = args.format
     if not args.no_timestamp:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .halfint import HalfInteger
 from .linalg import DECOMP_TOL, LinalgDomainError, hermitian_eigh, operator_norm
-from .sphere import FuzzySphere, HSOperator, SphereDomainError, _halfint, _matrix_of
+from .sphere import FuzzySphere, HSOperator, SphereDomainError, _halfint, _labels, _matrix_of
 
 
 class CoherentState:
@@ -112,9 +112,8 @@ def coherent_drho(sphere: FuzzySphere, dz: complex) -> HSOperator:
 def coherent_metric_coefficient(n, lam: float = 1.0, z: complex = 0j) -> float:
     """Closed-form distance per unit |dz|: lam sqrt(4 n^2 (n+1)/(3n-1)) / (1+|z|^2)."""
     n = _halfint(n)
+    _labels(n)  # raises unless n >= 1/2, which keeps 3n - 1 > 0
     nf = n.twice / 2.0
-    if 3 * nf - 1 <= 0:
-        raise SphereDomainError("metric coefficient needs n >= 1/2")
     return lam * math.sqrt(4.0 * nf * nf * (nf + 1.0) / (3.0 * nf - 1.0)) / (1.0 + abs(z) ** 2)
 
 

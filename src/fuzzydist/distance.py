@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .halfint import ladder_radicand
-from .sphere import SphereDomainError, _adjacent_step, _halfint, _matrix_of
+from .sphere import SphereDomainError, _adjacent_step, _halfint, _matrix_of, _row
 from .triple import SpectralTriple, lipschitz_seminorm
 
 
@@ -76,8 +76,7 @@ def quantized_polar_angle(n, n3) -> float:
     """
     n = _halfint(n)
     n3 = _halfint(n3)
-    if abs(n3.twice) > n.twice:
-        raise SphereDomainError("n3 = %s out of range at n = %s" % (n3, n))
+    _row(n, n3)
     return math.asin(float(n3) / math.sqrt(float(n.times_self_plus_one())))
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .distance import adjacent_distance_closed_form
 from .halfint import HalfInteger, ladder_radicand
-from .sphere import FuzzySphere, SphereDomainError, _adjacent_step, _halfint
+from .sphere import FuzzySphere, SphereDomainError, _adjacent_step, _halfint, _labels, _row, _steps
 from .triple import build_dirac
 
 
@@ -142,11 +142,9 @@ def distinct_branch_report(n, lam: float = 1.0) -> List[dict]:
     oracle everywhere. Both match when within 1e-10 of the oracle, relative
     to max(oracle, 1).
     """
-    n = _halfint(n)
     tol = 1e-10
     out = []
-    for t in range(-n.twice, n.twice - 1, 2):
-        n3 = HalfInteger(t)
+    for n3 in _steps(n):
         # any right-sector pair with l3p != n3p exercises the distinct branch;
         # use (n3p, l3p) = (n3, n3+1) which exists for every valid step
         oracle = quantum_seminorm_oracle(n, lam, n3, n3, n3 + HalfInteger(2))
@@ -188,12 +186,10 @@ class ProbabilityProfile:
 
     def __init__(self, n, rows: Dict[int, np.ndarray]):
         self.n = _halfint(n)
-        m = self.n.twice + 1
+        m = len(_labels(self.n))
         self.rows = {}
         for t, vec in rows.items():
-            if abs(t) > self.n.twice or (t - self.n.twice) % 2:
-                raise SphereDomainError("profile row at n3 = %s: no basis state at n = %s"
-                                        % (HalfInteger(t), self.n))
+            _row(self.n, HalfInteger(t), "profile row at n3")
             v = np.asarray(vec, dtype=float)
             if v.shape != (m,):
                 raise SphereDomainError("profile row at n3 = %s has %d entries, need %d"
@@ -208,21 +204,15 @@ class ProbabilityProfile:
 
     @classmethod
     def uniform(cls, n) -> "ProbabilityProfile":
-        n = _halfint(n)
-        m = n.twice + 1
-        return cls(n, {t: np.full(m, 1.0 / m) for t in range(-n.twice, n.twice + 1, 2)})
+        labels = _labels(n)
+        return cls(n, dict.fromkeys(labels, np.full(len(labels), 1.0 / len(labels))))
 
     @classmethod
     def delta(cls, n, peak_l3) -> "ProbabilityProfile":
-        n = _halfint(n)
-        m = n.twice + 1
-        peak = _halfint(peak_l3)
-        idx = (n.twice - peak.twice) // 2
-        if idx < 0 or idx >= m:
-            raise SphereDomainError("peak l3 = %s out of range" % peak)
-        row = np.zeros(m)
-        row[idx] = 1.0
-        return cls(n, {t: row.copy() for t in range(-n.twice, n.twice + 1, 2)})
+        labels = _labels(n)
+        row = np.zeros(len(labels))
+        row[_row(n, peak_l3, "peak l3")] = 1.0
+        return cls(n, dict.fromkeys(labels, row))
 
     @classmethod
     def from_text(cls, text: str, n) -> "ProbabilityProfile":
@@ -231,8 +221,8 @@ class ProbabilityProfile:
         Whitespace-separated reals, 2n+1 per row, 2n+1 rows; blank lines and
         '#' comments are skipped. Errors carry 1-based line numbers.
         """
-        n = _halfint(n)
-        m = n.twice + 1
+        labels = _labels(n)
+        m = len(labels)
         vectors = []
         for lineno, vals in _data_rows(text):
             if len(vals) != m:
@@ -242,7 +232,7 @@ class ProbabilityProfile:
         if len(vectors) != m:
             raise SphereDomainError("expected %d profile rows, got %d" % (m, len(vectors)))
         rows = {}
-        for (lineno, vec), t in zip(vectors, range(n.twice, -n.twice - 1, -2)):
+        for (lineno, vec), t in zip(vectors, labels):
             if vec.min() < 0:
                 raise SphereDomainError("line %d: negative probability" % lineno)
             if abs(vec.sum() - 1.0) > 1e-9:
@@ -282,12 +272,11 @@ def _step_functional(n: HalfInteger, x: np.ndarray, t0: int):
 
 
 def _path_labels(n: HalfInteger, n_i: HalfInteger, n_f: HalfInteger) -> range:
-    """2 n3 of every row on the path n_i -> n_f, checked to be unit steps within the spectrum."""
-    if not (-n.twice <= n_i.twice < n_f.twice <= n.twice):
+    """2 n3 of every row on the path n_i -> n_f, ascending; both ends must be basis states."""
+    i, f = _row(n, n_i, "n_i"), _row(n, n_f, "n_f")
+    if f >= i:
         raise SphereDomainError("need -n <= n_i < n_f <= n")
-    if (n_f.twice - n_i.twice) % 2 != 0:
-        raise SphereDomainError("n_f - n_i must be an integer number of unit steps")
-    return range(n_i.twice, n_f.twice + 1, 2)
+    return _labels(n)[f:i + 1][::-1]
 
 
 def trace_norm_distance(n, lam: float, n3, profile: ProbabilityProfile) -> float:
@@ -510,8 +499,7 @@ class EnergySpectrum:
     @classmethod
     def default(cls, n, lam: float = 1.0) -> "EnergySpectrum":
         """Zeeman-like linear spectrum E_{l3} = lam * l3."""
-        n = _halfint(n)
-        return cls(np.array([lam * (n.twice - 2 * i) / 2.0 for i in range(n.twice + 1)]))
+        return cls(np.array([lam * t / 2.0 for t in _labels(n)]))
 
     @classmethod
     def from_text(cls, text: str) -> "EnergySpectrum":

@@ -3,7 +3,9 @@
 The space at spin label n is the (2n+1)-dimensional irrep of su(2) with
 position operators x1, x2, x3 obeying [xi, xj] = i lam eps_ijk xk and fixed
 Casimir lam^2 n(n+1). Basis vectors are ordered by n3 descending, row 0
-holding n3 = +n, which is the standard angular momentum convention.
+holding n3 = +n, which is the standard angular momentum convention. That
+label ladder is stated once, in _labels; every module checks or enumerates
+labels and steps through it.
 
 Also provides the truncated two-oscillator (Jordan-Schwinger) construction
 used as an independent cross-check of the matrices, and winding-number
@@ -38,23 +40,20 @@ class FuzzySphere:
 
     def __init__(self, n, lam: float = 1.0):
         n = _halfint(n)
-        if n.twice < 1:
-            raise SphereDomainError("need n >= 1/2, got n = %s" % n)
+        labels = _labels(n)
         if not lam > 0:
             raise SphereDomainError("lambda must be positive, got %r" % lam)
         self.n = n
         self.lam = float(lam)
-        self.dim = n.twice + 1
+        self.dim = len(labels)
         self.casimir = float(n.times_self_plus_one())  # n(n+1)
         self.radius = self.lam * math.sqrt(self.casimir)
 
-        two_n = n.twice
-        # x3 diagonal: n3 = n - row index
-        self.x3 = self.lam * np.diag([(two_n - 2 * i) / 2.0 for i in range(self.dim)]).astype(complex)
+        # x3 diagonal: n3 of each row
+        self.x3 = self.lam * np.diag([t / 2.0 for t in labels]).astype(complex)
         xp = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(1, self.dim):
-            low = HalfInteger(two_n - 2 * i)  # n3 of the column state
-            rad = ladder_radicand(n, low)     # n(n+1) - n3(n3+1), exact
+        for i, t in enumerate(labels[1:], start=1):
+            rad = ladder_radicand(n, HalfInteger(t))  # n(n+1) - n3(n3+1), n3 of column i, exact
             xp[i - 1, i] = self.lam * math.sqrt(float(rad))
         self.xplus = xp
         self.xminus = xp.conj().T.copy()
@@ -76,25 +75,50 @@ class FuzzySphere:
 
     def n3_values(self):
         """All n3 labels, descending, matching row order."""
-        return [HalfInteger(self.n.twice - 2 * i) for i in range(self.dim)]
+        return [HalfInteger(t) for t in _labels(self.n)]
 
     def index_of(self, n3) -> int:
-        n3 = _halfint(n3)
-        t = self.n.twice - n3.twice
-        if t < 0 or t % 2 != 0 or t // 2 >= self.dim:
-            raise SphereDomainError("n3 = %s out of range for n = %s" % (n3, self.n))
-        return t // 2
+        return _row(self.n, n3)
 
     def __repr__(self):
         return "FuzzySphere(n=%s, lam=%g)" % (self.n, self.lam)
 
 
+def _labels(n) -> range:
+    """2 n3 of every basis state at spin n, in row order (n3 = +n first).
+
+    The one statement of the spin-n ladder: n in Z/2 with n >= 1/2 and
+    n3 = n, n-1, ..., -n. The row of n3 is labels.index(2 n3); the steps
+    n3 -> n3+1 start at labels[1:].
+    """
+    n = _halfint(n)
+    if n.twice < 1:
+        raise SphereDomainError("need n >= 1/2, got n = %s" % n)
+    return range(n.twice, -n.twice - 1, -2)
+
+
+def _row(n, n3, what: str = "n3") -> int:
+    """Row of the basis state n3 at spin n; `what` names n3 in the error."""
+    n, n3 = _halfint(n), _halfint(n3)
+    labels = _labels(n)
+    if n3.twice not in labels:
+        raise SphereDomainError("%s = %s: no basis state at n = %s" % (what, n3, n))
+    return labels.index(n3.twice)
+
+
+def _steps(n) -> list:
+    """The lower labels n3 of every step n3 -> n3+1 at spin n, ascending from -n."""
+    return [HalfInteger(t) for t in reversed(_labels(n)[1:])]
+
+
 def _adjacent_step(n, n3):
     """(n, n3) as half-integers, checked to label a step n3 -> n3+1 at spin n."""
     n, n3 = _halfint(n), _halfint(n3)
-    if n3.twice < -n.twice or n3.twice > n.twice - 2:
+    steps = _labels(n)[1:]
+    if not steps[-1] <= n3.twice <= steps[0]:
         raise SphereDomainError("need -n <= n3 <= n-1 for a step, got n3 = %s at n = %s"
                                 % (n3, n))
+    _row(n, n3)  # in range but of the wrong parity, like n3 = 0 at n = 3/2
     return n, n3
 
 

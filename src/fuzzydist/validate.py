@@ -144,8 +144,7 @@ def _distance_pipeline(seed):
         n = HalfInteger(t)
         s = sphere.build_space(n, 1.0)
         tr = triple.build_dirac(s, "config", 0)
-        for t3 in range(-t, t - 1, 2):
-            n3 = HalfInteger(t3)
+        for n3 in sphere._steps(n):
             closed = distance.adjacent_distance_closed_form(n, n3, 1.0)
             lb = distance.distance_lower_bound(
                 tr, sphere.pure_state(s, n3), sphere.pure_state(s, n3 + HalfInteger(2)))
@@ -186,8 +185,7 @@ def _distance_optimizer(seed):
         n = HalfInteger(t)
         s = sphere.build_space(n, 1.0)
         tr = triple.build_dirac(s, "config", 0)
-        for t3 in range(-t, t - 1, 2):
-            n3 = HalfInteger(t3)
+        for n3 in sphere._steps(n):
             rho = sphere.pure_state(s, n3)
             rho2 = sphere.pure_state(s, n3 + HalfInteger(2))
             lb = distance.distance_lower_bound(tr, rho, rho2)
@@ -306,9 +304,8 @@ def _quantum_same_branch(seed):
     worst = 0.0
     for t in (1, 2, 3, 5, 8):  # n up to 4
         n = HalfInteger(t)
-        for t3 in range(-t, t - 1, 2):
-            n3 = HalfInteger(t3)
-            r3 = HalfInteger(min(t3 + 2, t))  # any shared right sector
+        for n3 in sphere._steps(n):
+            r3 = min(n3 + HalfInteger(2), n)  # any shared right sector
             oracle = quantum.quantum_seminorm_oracle(n, 1.0, n3, r3, r3)
             closed = quantum.same_sector_seminorm(n, 1.0, n3)
             worst = max(worst, abs(oracle - closed) / closed)
@@ -346,8 +343,7 @@ def _quantum_monotonicity(seed):
     ok = True
     for t in range(1, 17):
         n = HalfInteger(t)
-        for t3 in range(-t, t - 1, 2):
-            n3 = HalfInteger(t3)
+        for n3 in sphere._steps(n):
             same = quantum.quantum_pure_distance(n, 1.0, n3, True)
             lit = quantum.quantum_pure_distance(n, 1.0, n3, False)
             sym = quantum.quantum_pure_distance_symmetrized(n, 1.0, n3)
@@ -368,11 +364,9 @@ def _mixed_norms(seed):
         profs = [quantum.ProbabilityProfile.uniform(n),
                  quantum.ProbabilityProfile.delta(n, HalfInteger(t))]
         raw = rng.dirichlet(np.ones(m), size=m)
-        profs.append(quantum.ProbabilityProfile(
-            n, {tt: raw[i] for i, tt in enumerate(range(t, -t - 1, -2))}))
+        profs.append(quantum.ProbabilityProfile(n, dict(zip(sphere._labels(n), raw))))
         for prof in profs:
-            for t3 in range(-t, t - 1, 2):
-                n3 = HalfInteger(t3)
+            for n3 in sphere._steps(n):
                 norms = quantum.mixed_commutator_norms(n, 1.0, n3, prof)
                 worst = max(worst, abs(norms["display"] - norms["frobenius"])
                             / norms["frobenius"])
@@ -413,8 +407,7 @@ def _stationarity(seed):
     n = HalfInteger(2)
     m = 3
     raw = rng.dirichlet(np.ones(m), size=m)
-    pert = quantum.ProbabilityProfile(n, {tt: raw[i]
-                                          for i, tt in enumerate(range(2, -3, -2))})
+    pert = quantum.ProbabilityProfile(n, dict(zip(sphere._labels(n), raw)))
     cert_p = quantum.delta_matrix(n, 1.0, pert, HalfInteger(-2), HalfInteger(2))
     passed = worst_uniform <= 1e-10 and cert_p.residual > 1e-4
     return (passed, worst_uniform,
@@ -426,9 +419,7 @@ def _stationarity(seed):
 def _minimizer(seed):
     res = quantum.minimize_path_distance(HalfInteger(2), 1.0, HalfInteger(-2), HalfInteger(2),
                                          starts=20, seed=seed)
-    dev = 0.0
-    for t3 in (-2, 0, 2):
-        dev = max(dev, float(np.abs(res["profile"].at(HalfInteger(t3)) - 1.0 / 3.0).max()))
+    dev = max(float(np.abs(row - 1.0 / 3.0).max()) for row in res["profile"].rows.values())
     expect = 2.0 * quantum.uniform_minimized_distance(HalfInteger(2), 1.0, HalfInteger(0))
     # the path -1 -> 1 has steps at n3 = -1 and n3 = 0, same radicand by symmetry
     gap = abs(res["distance"] - expect)
@@ -446,8 +437,7 @@ def _uniform_closed(seed):
     for t in (1, 2, 3, 4, 6):
         n = HalfInteger(t)
         uni = quantum.ProbabilityProfile.uniform(n)
-        for t3 in range(-t, t - 1, 2):
-            n3 = HalfInteger(t3)
+        for n3 in sphere._steps(n):
             a = quantum.uniform_minimized_distance(n, 1.0, n3)
             b = quantum.trace_norm_distance(n, 1.0, n3, uni)
             worst = max(worst, abs(a - b) / b)
@@ -491,9 +481,8 @@ def _thermal_distance(seed):
         sp = quantum.EnergySpectrum.default(n, 1.0)
         for b in (0.0, 0.3, 1.0, 2.5):
             prof = quantum.ProbabilityProfile(
-                n, {tt: quantum.thermal_profile(sp, b) for tt in range(-t, t + 1, 2)})
-            for t3 in range(-t, t - 1, 2):
-                n3 = HalfInteger(t3)
+                n, dict.fromkeys(sphere._labels(n), quantum.thermal_profile(sp, b)))
+            for n3 in sphere._steps(n):
                 a = quantum.thermal_distance(n, 1.0, n3, sp, b)
                 c = quantum.trace_norm_distance(n, 1.0, n3, prof)
                 worst = max(worst, abs(a - c) / c)

@@ -213,6 +213,15 @@ def test_usage_errors_exit_2(argv, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["discrete", "quantum-pure", "quantum-mixed", "thermal"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_spin_below_one_half_exit_2(command, n, capsys):
+    """Every step subcommand rejects n < 1/2 the way discrete always has."""
+    code, out, err = run_cli([command, "--n=" + n, "--no-timestamp"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "fuzzydist: error: need n >= 1/2, got n = %s\n" % n
+
+
 def test_bad_profile_contents_exit_2(tmp_path, capsys):
     prof = tmp_path / "bad.txt"
     prof.write_text("0.5 0.5\n")

@@ -1,0 +1,73 @@
+"""The package surface: lazy imports, exports derived from the submodules, the version."""
+
+import importlib
+import inspect
+import json
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fuzzydist
+from fuzzydist import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _public_objects():
+    """(module name, name, object) of each public class and function a library module defines."""
+    for info in pkgutil.iter_modules(fuzzydist.__path__):
+        if info.name == "cli":
+            continue
+        mod = importlib.import_module("fuzzydist." + info.name)
+        for name, obj in vars(mod).items():
+            if (not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
+                    and obj.__module__ == mod.__name__):
+                yield mod.__name__, name, obj
+
+
+def test_bare_import_loads_no_numpy():
+    """FUZZYDIST_THREADS must reach the BLAS variables before numpy loads."""
+    code = ("import sys, fuzzydist, fuzzydist.cli\n"
+            "print(hasattr(fuzzydist, '__wrapped__'), hasattr(fuzzydist, '_labels'),\n"
+            "      'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(fuzzydist.__file__).resolve().parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "False", "False"]
+
+
+def test_every_public_class_and_function_is_a_package_attribute():
+    owners = {}
+    for modname, name, obj in _public_objects():
+        assert name not in owners, "%s is defined in %s and %s" % (name, owners[name], modname)
+        owners[name] = modname
+        assert getattr(fuzzydist, name) is obj, name
+    submodules = {info.name for info in pkgutil.iter_modules(fuzzydist.__path__)}
+    assert set(fuzzydist.__all__) == {"__version__"} | submodules | set(owners)
+    assert len(fuzzydist.__all__) == len(set(fuzzydist.__all__))
+    # helpers the hand-kept export table used to leave out
+    for name in ("as_matrix", "is_hermitian", "commutator", "hermitian_eigh",
+                 "tautological_connection_fd"):
+        assert owners.get(name) in ("fuzzydist.linalg", "fuzzydist.continuum"), name
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_labels", "UsageError", "main"])
+def test_unknown_private_and_cli_names_are_not_exported(name):
+    with pytest.raises(AttributeError):
+        getattr(fuzzydist, name)
+
+
+def test_version_is_stated_once(capsys):
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None and match.group(1) == fuzzydist.__version__
+    assert cli.main(["quantum-pure", "--n", "1/2", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["version"] == fuzzydist.__version__

@@ -1,14 +1,21 @@
 """Coordinate matrices, state helpers, and the two-mode oscillator cross-check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fuzzydist import cli
-from fuzzydist.distance import adjacent_distance_closed_form
+from fuzzydist.distance import adjacent_distance_closed_form, quantized_polar_angle
 from fuzzydist.halfint import HalfInteger
-from fuzzydist.quantum import quantum_pure_distance
+from fuzzydist.quantum import (
+    EnergySpectrum,
+    ProbabilityProfile,
+    quantum_pure_distance,
+    thermal_distance,
+    trace_norm_distance,
+)
 from fuzzydist.sphere import (
     FockMonomial,
     FuzzySphere,
@@ -96,20 +103,45 @@ _STEP_ENTRY_POINTS = {
     "adjacent_drho": lambda n, n3: adjacent_drho(build_space(n, 1.0), n3),
     "adjacent_distance_closed_form": lambda n, n3: adjacent_distance_closed_form(n, n3),
     "quantum_pure_distance": lambda n, n3: quantum_pure_distance(n, 1.0, n3, True),
+    "quantum_pure_distance_distinct": lambda n, n3: quantum_pure_distance(n, 1.0, n3, False),
+    "thermal_distance": lambda n, n3: thermal_distance(n, 1.0, n3, EnergySpectrum.default(n),
+                                                       0.5),
+    "trace_norm_distance": lambda n, n3: trace_norm_distance(n, 1.0, n3,
+                                                             ProbabilityProfile.uniform(n)),
 }
+# entry point -> subcommand whose --n3 takes the step label
+_STEP_COMMANDS = {"cli": "discrete", "cli-quantum-pure": "quantum-pure",
+                  "cli-thermal": "thermal"}
 
 
-@pytest.mark.parametrize("entry", sorted(_STEP_ENTRY_POINTS) + ["cli"])
-@pytest.mark.parametrize("t3", [3, -5])
+@pytest.mark.parametrize("entry", sorted(_STEP_ENTRY_POINTS) + sorted(_STEP_COMMANDS))
+@pytest.mark.parametrize("t3", [3, -5, 0])
 def test_step_range_rule(entry, t3, capsys):
-    """n3 = n and n3 = -n-1 label no step n3 -> n3+1 at n = 3/2, at every entry point."""
+    """n3 = n, n3 = -n-1 and n3 = 0 label no step n3 -> n3+1 at n = 3/2, at every entry point.
+
+    n3 = 0 lies inside -n..n-1 but has the wrong parity, so its error names
+    the missing basis state instead of the range.
+    """
     n = H(3)
-    if entry == "cli":
-        assert cli.main(["discrete", "--n", "3/2", "--n3=%s" % H(t3), "--no-timestamp"]) == 2
-        assert capsys.readouterr().err.startswith("fuzzydist: error: need -n <= n3 <= n-1")
+    expect = "need -n <= n3 <= n-1" if t3 else "n3 = 0: no basis state at n = 3/2"
+    if entry in _STEP_COMMANDS:
+        argv = [_STEP_COMMANDS[entry], "--n", "3/2", "--n3=%s" % H(t3), "--no-timestamp"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("fuzzydist: error: " + expect)
     else:
-        with pytest.raises(SphereDomainError, match="need -n <= n3 <= n-1"):
+        with pytest.raises(SphereDomainError, match=re.escape(expect)):
             _STEP_ENTRY_POINTS[entry](n, H(t3))
+
+
+@pytest.mark.parametrize("entry", ["index_of", "quantized_polar_angle", "profile_delta"])
+def test_wrong_parity_label_has_no_basis_state(entry):
+    """n3 = 1/2 is no basis state at n = 1, wherever a single label is taken."""
+    call = {"index_of": lambda: build_space(H(2), 1.0).index_of(H(1)),
+            "quantized_polar_angle": lambda: quantized_polar_angle(H(2), H(1)),
+            "profile_delta": lambda: ProbabilityProfile.delta(H(2), H(1))}[entry]
+    with pytest.raises(SphereDomainError, match="no basis state at n = 1"):
+        call()
 
 
 def test_density_validation():
