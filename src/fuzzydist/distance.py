@@ -20,7 +20,7 @@ import numpy as np
 
 from .halfint import ladder_radicand
 from .sphere import SphereDomainError, _adjacent_step, _halfint, _matrix_of, _row
-from .triple import SpectralTriple, lipschitz_seminorm
+from .triple import SpectralTriple, _commutator, lipschitz_seminorm
 
 
 class OptimizerError(RuntimeError):
@@ -61,7 +61,7 @@ def distance_lower_bound(triple: SpectralTriple, rho, rho2) -> DistanceResult:
         return DistanceResult(0.0, "norm_pipeline", None, None)
     h = lipschitz_seminorm(triple, drho)
     if h == 0.0:
-        # cannot happen for the irreducible k=0 config triple; for the quantum triple,
+        # cannot happen for the irreducible config triple; for the quantum triple,
         # whose commutant is I (x) M_dim (the right action), the distance is +infinity
         raise ArithmeticError("nonzero displacement with zero seminorm: infinite distance")
     cert = drho / h
@@ -105,24 +105,13 @@ def _normalize(a):
     return a / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
 
 
-def _commutator_batch(triple, a):
-    """[D, pi(a)] for each slice of a stack of Hermitian dim x dim matrices.
-
-    pi(a) = I_2 (x) a, so D pi(a) for the whole stack is one product with D
-    viewed as a (4 dim) x dim matrix, and [D, pi(a)] = D pi(a) - (D pi(a))^dag.
-    """
-    dim = triple.algebra_dim
-    da = (triple.dirac.reshape(4 * dim, dim) @ a).reshape(-1, 2 * dim, 2 * dim)
-    return da - da.conj().swapaxes(-1, -2)
-
-
 def _seminorm_batch(triple, a):
     """h = ||[D, pi(a)]|| per slice, from eigenvalues alone.
 
     [D, pi(a)] is anti-Hermitian, so i[D, pi(a)] is Hermitian and its
     operator norm is the largest eigenvalue modulus.
     """
-    lam = np.linalg.eigvalsh(1j * _commutator_batch(triple, a))
+    lam = np.linalg.eigvalsh(1j * _commutator(triple, a))
     return np.maximum(-lam[:, 0], lam[:, -1])
 
 
@@ -135,7 +124,7 @@ def _ratio_batch(triple, drho, a):
     """
     dim = triple.algebra_dim
     D = triple.dirac
-    u, s, vh = np.linalg.svd(_commutator_batch(triple, a))
+    u, s, vh = np.linalg.svd(_commutator(triple, a))
     h = s[:, 0]
     top = s >= h[:, None] * (1.0 - 1e-8)  # the (near-)degenerate top set
     w = vh.swapaxes(-1, -2) @ (top[:, :, None] * u.conj().swapaxes(-1, -2))

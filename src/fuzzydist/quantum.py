@@ -35,7 +35,7 @@ import numpy as np
 from .distance import adjacent_distance_closed_form
 from .halfint import HalfInteger, ladder_radicand
 from .sphere import FuzzySphere, SphereDomainError, _adjacent_step, _halfint, _labels, _row, _steps
-from .triple import build_dirac
+from .triple import _commutator, build_dirac
 
 
 class MinimizationError(RuntimeError):
@@ -49,8 +49,7 @@ class MinimizationError(RuntimeError):
 
 def same_sector_seminorm(n, lam: float, n3) -> float:
     """||[D, pi(drho_q)]|| when both states share the right sector."""
-    n = _halfint(n)
-    n3 = _halfint(n3)
+    n, n3 = _adjacent_step(n, n3)
     rad = ladder_radicand(n, n3)
     return 2.0 * math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
 
@@ -66,8 +65,8 @@ def distinct_sector_seminorm_literal(n, lam: float, n3) -> float:
     Matches the eigensolver oracle only for n3 >= -1; see
     distinct_branch_report for the measured domain of validity.
     """
-    n = _halfint(n)
-    rad = _distinct_radicand(n, _halfint(n3))
+    n, n3 = _adjacent_step(n, n3)
+    rad = _distinct_radicand(n, n3)
     return math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
 
 
@@ -78,8 +77,7 @@ def distinct_sector_seminorm_symmetrized(n, lam: float, n3) -> float:
     Agrees with the eigensolver oracle at every (n, n3) tested, including the
     n3 < -1 region where the literal form does not.
     """
-    n = _halfint(n)
-    n3 = _halfint(n3)
+    n, n3 = _adjacent_step(n, n3)
     one = HalfInteger(2)
     rad = n.times_self_plus_one() - min(v.times_self_plus_one() for v in (n3 - one, n3, n3 + one))
     return math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
@@ -102,7 +100,6 @@ def quantum_pure_distance(n, lam: float, n3, right_same: bool) -> float:
 
 def quantum_pure_distance_symmetrized(n, lam: float, n3) -> float:
     """Distinct-sector lower-bound formula 2/seminorm, symmetrized; not a Connes distance."""
-    n, n3 = _adjacent_step(n, n3)
     return 2.0 / distinct_sector_seminorm_symmetrized(n, lam, n3)
 
 
@@ -123,15 +120,15 @@ def _step_blocks(sphere: FuzzySphere, n3: HalfInteger, pu: np.ndarray, pd: np.nd
     """Weights w and right-sector blocks of [D_q, pi(drho)] for one step n3 -> n3+1.
 
     drho = sum_l pu[l] |n3+1, l)(n3+1, l| - pd[l] |n3, l)(n3, l| = sum w[i, j] |i, j)(i, j|.
-    Right sector j contributes the block [D_c, pi_c(diag w[:, j])]; the zero
-    ones are skipped. Its entry (r, c) is D_c[r, c] (v[c] - v[r]) with
-    v = (w[:, j], w[:, j]), so the stack is one broadcast product with D_c.
+    D_q = D_c (x) I_right acts on the left index only, so right sector j
+    contributes the config block [D_c, pi_c(diag w[:, j])]. The zero sectors
+    are skipped and the rest go through the commutator kernel as one stack.
     """
     w = np.zeros((sphere.dim, sphere.dim))
     w[sphere.index_of(n3 + HalfInteger(2))] = pu
     w[sphere.index_of(n3)] = -pd
-    v = np.tile(w[:, np.any(w != 0.0, axis=0)].T, 2)
-    return w, build_dirac(sphere, "config", 0).dirac * (v[:, None, :] - v[:, :, None])
+    diags = w[:, np.any(w != 0.0, axis=0)].T[:, :, None] * np.eye(sphere.dim)
+    return w, _commutator(build_dirac(sphere, "config", 0), diags)
 
 
 def distinct_branch_report(n, lam: float = 1.0) -> List[dict]:

@@ -1,95 +1,82 @@
 """Spectral triples on the fuzzy sphere.
 
-Two representations are supported:
+Both representations use D = sigma.x/(lam r), with sigma.x = [[x3, x-], [x+, -x3]]
+written from the ladder bands of the coordinates:
 
-* config: the algebra of dim x dim matrices acting by left multiplication
-  on the configuration space tensored with a C^2 spinor factor. The Dirac
-  operator is (1/r) sigma_j (x_j/lam - (k/2) x_j/r); k is the monopole index.
+* config: dim x dim matrices acting by left multiplication on the
+  configuration space tensored with a C^2 spinor factor; D_c = sigma.x/(lam r).
 
-* quantum: the same matrix coordinates acting on the space of dim x dim
-  matrices (vectorized row-major, dimension dim^2), again with a spinor
-  factor. Algebra elements are dim^2 x dim^2 matrices on that space.
+* quantum: the same coordinates acting by left multiplication on the space of
+  dim x dim matrices (vectorized row-major, dimension dim^2), again with a
+  spinor factor; D_q = D_c (x) I_dim. An adjoint (left-minus-right) action was
+  tried and rejected: unlike the left action, it does not reproduce the known
+  closed-form commutator norms between vectorized basis states.
 
-The quantum-side coordinate action is materialized as left multiplication,
-J_j = kron(x_j, I)/lam. An adjoint (left-minus-right) materialization was
-tried and rejected: it does not reproduce the known closed-form commutator
-norms for displacements between vectorized basis states, while the left
-action does, sector by sector. See the distance modules for those checks.
+Every [D, pi(a)], with pi(a) = I_2 (x) a, is formed by _commutator as
+D pi(a) - (D pi(a))^dag, which holds for Hermitian a (D is Hermitian by
+construction): dirac_commutator checks a, internal callers pass Hermitian stacks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, commutator, is_hermitian, operator_norm
-from .sphere import FuzzySphere, SphereDomainError, _matrix_of, _pauli
-
-
-class UnsupportedFeatureError(ValueError):
-    pass
+from .linalg import SYMMETRY_TOL, is_hermitian, operator_norm
+from .sphere import FuzzySphere, SphereDomainError, _matrix_of
 
 
 class SpectralTriple:
     """Bundle of (representation, Dirac operator) for one fuzzy sphere."""
 
-    def __init__(self, sphere: FuzzySphere, representation: str, k: int, dirac: np.ndarray,
+    def __init__(self, sphere: FuzzySphere, representation: str, dirac: np.ndarray,
                  algebra_dim: int):
         self.sphere = sphere
         self.representation = representation
-        self.k = k
         self.dirac = dirac
         self.algebra_dim = algebra_dim  # matrix size of algebra elements
 
-    def represent(self, a) -> np.ndarray:
-        """pi(a) = diag(a, a) on the doubled (spinor) space."""
-        m = as_matrix(a)
-        if m.shape != (self.algebra_dim, self.algebra_dim):
-            raise SphereDomainError(
-                "algebra element shape %r does not match representation dim %d"
-                % (m.shape, self.algebra_dim))
-        return np.kron(np.eye(2), m)
-
     def __repr__(self):
-        return "SpectralTriple(n=%s, rep=%s, k=%d)" % (self.sphere.n, self.representation, self.k)
+        return "SpectralTriple(n=%s, rep=%s)" % (self.sphere.n, self.representation)
 
 
 def build_dirac(sphere: FuzzySphere, representation: str = "config", k: int = 0) -> SpectralTriple:
-    """Assemble the Dirac operator for the requested representation."""
+    """Assemble D_c = sigma.x/(lam r), or D_q = D_c (x) I for the quantum representation.
+
+    k must be 0: the triple has no monopole sector, and any other k raises.
+    """
     if representation not in ("config", "quantum"):
         raise SphereDomainError("representation must be 'config' or 'quantum'")
-    if k != int(k):
-        raise SphereDomainError("monopole index k must be an integer")
-    k = int(k)
-    paulis = _pauli()
-    r = sphere.radius
-    lam = sphere.lam
-    coords = (sphere.x1, sphere.x2, sphere.x3)
-
-    if representation == "config":
-        dim = sphere.dim
-        D = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        for s, x in zip(paulis, coords):
-            J = x / lam - (k / 2.0) * x / r
-            D += np.kron(s, J)
-        D /= r
-    else:
-        if k != 0:
-            raise UnsupportedFeatureError("quantum representation supports k = 0 only")
-        dim = sphere.dim ** 2
-        eye = np.eye(sphere.dim)
-        D = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        for s, x in zip(paulis, coords):
-            D += np.kron(s, np.kron(x, eye)) / lam
-        D /= r
-
+    if k != 0:
+        raise SphereDomainError("monopole index k = %r is not supported, only k = 0" % (k,))
+    sigma_x = np.block([[sphere.x3, sphere.xminus], [sphere.xplus, -sphere.x3]])
+    D = sigma_x / sphere.lam / sphere.radius
     if not is_hermitian(D):
         raise SphereDomainError("Dirac operator failed the Hermiticity check")
-    return SpectralTriple(sphere, representation, k, D, dim)
+    if representation == "config":
+        return SpectralTriple(sphere, representation, D, sphere.dim)
+    return SpectralTriple(sphere, representation, np.kron(D, np.eye(sphere.dim)), sphere.dim ** 2)
+
+
+def _commutator(triple: SpectralTriple, a: np.ndarray) -> np.ndarray:
+    """[D, pi(a)] for Hermitian a or each slice of a stack: D pi(a) is one product
+    with D viewed as a (4 dim) x dim matrix, and [D, pi(a)] = D pi(a) - (D pi(a))^dag."""
+    dim = triple.algebra_dim
+    da = (triple.dirac.reshape(4 * dim, dim) @ a).reshape(a.shape[:-2] + (2 * dim, 2 * dim))
+    return da - da.conj().swapaxes(-1, -2)
 
 
 def dirac_commutator(triple: SpectralTriple, a) -> np.ndarray:
-    """[D, pi(a)]."""
-    return commutator(triple.dirac, triple.represent(_matrix_of(a)))
+    """[D, pi(a)] for a Hermitian algebra element or a stack of them; SphereDomainError
+    unless a is dim x dim and Hermitian within SYMMETRY_TOL of its largest entry."""
+    m = _matrix_of(a)
+    dim = triple.algebra_dim
+    if m.shape[-2:] != (dim, dim):
+        raise SphereDomainError("algebra element shape %r does not match representation dim %d"
+                                % (m.shape, dim))
+    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if dev > SYMMETRY_TOL * max(np.abs(m).max(initial=0.0), 1.0):
+        raise SphereDomainError("algebra element is not Hermitian (max |a - a^dag| = %.3e)" % dev)
+    return _commutator(triple, m)
 
 
 def lipschitz_seminorm(triple: SpectralTriple, a) -> float:
@@ -98,7 +85,7 @@ def lipschitz_seminorm(triple: SpectralTriple, a) -> float:
 
 
 def dirac_eigenvalue_pattern(n, lam: float = 1.0):
-    """Expected k=0 config Dirac spectrum: (1/r) n and (1/r)(-(n+1)).
+    """Expected config Dirac spectrum: (1/r) n and (1/r)(-(n+1)).
 
     Returns ((value, multiplicity), (value, multiplicity)) with the positive
     branch first. The pattern follows from the total-spin decomposition of

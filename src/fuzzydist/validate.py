@@ -614,7 +614,7 @@ def _representation_choice(seed):
     for sig, x in zip(sphere._pauli(), (s.x1, s.x2, s.x3)):
         adj += np.kron(sig, np.kron(x, eye) - np.kron(eye, x.T))
     adj /= s.radius
-    m = triple.SpectralTriple(s, "quantum", 0, adj, s.dim ** 2)
+    m = triple.SpectralTriple(s, "quantum", adj, s.dim ** 2)
     dev_adj = abs(triple.lipschitz_seminorm(m, drho) - expect) / expect
     passed = dev_left <= 1e-10 and dev_adj > 0.1
     return (passed, dev_left,

@@ -12,7 +12,10 @@ from fuzzydist.halfint import HalfInteger
 from fuzzydist.quantum import (
     EnergySpectrum,
     ProbabilityProfile,
+    distinct_sector_seminorm_literal,
+    distinct_sector_seminorm_symmetrized,
     quantum_pure_distance,
+    same_sector_seminorm,
     thermal_distance,
     trace_norm_distance,
 )
@@ -108,6 +111,10 @@ _STEP_ENTRY_POINTS = {
                                                        0.5),
     "trace_norm_distance": lambda n, n3: trace_norm_distance(n, 1.0, n3,
                                                              ProbabilityProfile.uniform(n)),
+    "same_sector_seminorm": lambda n, n3: same_sector_seminorm(n, 1.0, n3),
+    "distinct_sector_seminorm_literal": lambda n, n3: distinct_sector_seminorm_literal(n, 1.0, n3),
+    "distinct_sector_seminorm_symmetrized":
+        lambda n, n3: distinct_sector_seminorm_symmetrized(n, 1.0, n3),
 }
 # entry point -> subcommand whose --n3 takes the step label
 _STEP_COMMANDS = {"cli": "discrete", "cli-quantum-pure": "quantum-pure",
