@@ -41,7 +41,7 @@ def main():
     # away from 1 on either side. Both numbers are reported, not reconciled.
     print("\n%6s  %14s  %14s  %12s" % ("n", "closed/|dz|", "sup/|dz|", "ratio"))
     for t in (1, 2, 3, 4):
-        rep = coherent_route_report(HalfInteger(t), lam, 1e-4, seed=3)
+        rep = coherent_route_report(HalfInteger(t), lam, seed=3)
         print("%6s  %14.8f  %14.8f  %12.8f"
               % (HalfInteger(t), rep["pipeline"],
                  rep["optimizer_sup_per_dz"], rep["sup_to_closed_ratio"]))

@@ -358,17 +358,11 @@ def _cmd_thermal(args):
     from . import quantum
     from .sphere import _labels
     n, lam = args.n, args.lam
-    if not (args.beta >= 0):
-        raise UsageError("--beta must be >= 0")
-    labels = _labels(n)
     if args.energies == "default":
         spectrum = quantum.EnergySpectrum.default(n, lam)
     else:
         spectrum = _read_file(args.energies, "energies", quantum.EnergySpectrum.from_text)
-        if spectrum.levels.size != len(labels):
-            raise UsageError("energies file has %d levels, n = %s needs %d"
-                             % (spectrum.levels.size, n, len(labels)))
-    pf = quantum.thermal_prefactor(spectrum, args.beta)
+    pf = quantum.thermal_prefactor(spectrum, args.beta)  # raises unless beta is finite and >= 0
 
     def step_row(n3):
         d = quantum.thermal_distance(n, lam, n3, spectrum, args.beta)
@@ -376,7 +370,7 @@ def _cmd_thermal(args):
                "prefactor": pf}
         if args.oracle:
             weights = quantum.thermal_profile(spectrum, args.beta)
-            prof = quantum.ProbabilityProfile(n, dict.fromkeys(labels, weights))
+            prof = quantum.ProbabilityProfile(n, dict.fromkeys(_labels(n), weights))
             row["profile_functional"] = quantum.trace_norm_distance(n, lam, n3, prof)
             row["ratio"] = row["profile_functional"] / d
         return row, 0

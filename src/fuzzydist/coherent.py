@@ -206,24 +206,22 @@ def resolution_of_identity_residual(n, grid: int = 200) -> float:
     return float(np.abs(acc - np.eye(dim)).max())
 
 
-def coherent_route_report(n, lam: float = 1.0, dz: float = 1e-4, seed: int = 42) -> dict:
+def coherent_route_report(n, lam: float = 1.0, seed: int = 42) -> dict:
     """Reconcile the closed-form route against the constrained-supremum oracle.
 
     The closed-form derivation divides tr(drho^2) by the ladder commutator
     norm and multiplies by the radius. The Connes distance is instead the
     supremum of tr((rho' - rho) a) over the Lipschitz ball of the config
-    triple. Both are computed here per unit |dz|, together with the two
-    commutator norms involved, and the ratio is reported as-is: the routes
-    agree at n = 1, the supremum is half the closed form at n = 1/2, and
-    strictly larger for n >= 3/2.
+    triple. Both are computed here per unit |dz| at dz = 1e-4, together with
+    the two commutator norms involved, and the ratio is reported as-is: the
+    routes agree at n = 1, the supremum is half the closed form at n = 1/2,
+    and strictly larger for n >= 3/2.
     """
     from .distance import connes_distance_optimized
     from .triple import build_dirac, lipschitz_seminorm
 
     n = _halfint(n)
-    dz = float(dz)
-    if dz <= 0 or dz > 1e-3:
-        raise SphereDomainError("need 0 < dz <= 1e-3")
+    dz = 1e-4
     nf = n.twice / 2.0
     sphere = FuzzySphere(n, lam)
     drho = coherent_drho(sphere, complex(dz))
@@ -243,14 +241,13 @@ def coherent_route_report(n, lam: float = 1.0, dz: float = 1e-4, seed: int = 42)
     }
 
 
-def large_n_scaling_deviation(n, lam: float = 1.0) -> float:
-    """Relative deviation of coefficient/n from its asymptote 2 lam/sqrt(3).
+def large_n_scaling_deviation(n) -> float:
+    """Relative deviation of coefficient/n from its asymptote 2 lam/sqrt(3); lam cancels.
 
     Analytically the deviation is 2/(3n) + O(1/n^2); it crosses below 1%
     only at n = 67, not before.
     """
     n = _halfint(n)
     nf = n.twice / 2.0
-    ratio = coherent_metric_coefficient(n, lam, 0j) / nf
-    target = 2.0 * lam / math.sqrt(3.0)
-    return abs(ratio / target - 1.0)
+    ratio = coherent_metric_coefficient(n, 1.0, 0j) / nf
+    return abs(ratio / (2.0 / math.sqrt(3.0)) - 1.0)

@@ -52,15 +52,6 @@ def euler_to_spinor(p: EulerPoint) -> np.ndarray:
     ])
 
 
-def _conjugate_phase_spinor(p: EulerPoint) -> np.ndarray:
-    # the alternative phase assignment; kept for the convention report
-    sr = math.sqrt(p.r)
-    return np.array([
-        sr * math.cos(p.theta / 2.0) * cmath.exp(0.5j * (p.phi + p.psi)),
-        sr * math.sin(p.theta / 2.0) * cmath.exp(-0.5j * (p.phi - p.psi)),
-    ])
-
-
 def hopf_projection(chi: np.ndarray) -> np.ndarray:
     """x_i = chi^dag sigma_i chi."""
     return np.array([float(np.real(chi.conj() @ (s @ chi))) for s in _pauli()])
@@ -88,7 +79,8 @@ def spinor_convention_report(samples: int = 50, seed: int = 7) -> dict:
         p = EulerPoint(rng.uniform(0.5, 2.0), rng.uniform(0.05, math.pi - 0.05),
                        rng.uniform(0, 2 * math.pi), rng.uniform(0, 4 * math.pi))
         worst_impl = max(worst_impl, hopf_deviation(p))
-        worst_conj = max(worst_conj, hopf_deviation(p, _conjugate_phase_spinor))
+        # the alternative phase assignment is the conjugated spinor
+        worst_conj = max(worst_conj, hopf_deviation(p, lambda q: euler_to_spinor(q).conj()))
     return {"implemented": worst_impl, "conjugated": worst_conj}
 
 

@@ -140,11 +140,11 @@ _LADDER_CHUNKS = np.array([1, 2, 4, 8, 15])
 _LADDER_START = np.concatenate([[0], np.cumsum(_LADDER_CHUNKS)])  # first rung per chunk
 _HALF = 0.5 ** np.arange(_LADDER_START[-1] + 1)
 _PATIENCE = 50  # stalled iterations before a start stops
+_TOL = 1e-10  # an accepted step gaining less than this, relative to max(|R|, 1), stalls
 
 
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int = 20000,
-                              tol: float = 1e-10, seed: int = 42,
-                              restarts: int = 8) -> DistanceResult:
+                              seed: int = 42, restarts: int = 8) -> DistanceResult:
     """Maximize tr(drho a) over Hermitian a with ||[D, pi(a)]|| <= 1.
 
     The objective is linear and the constraint positively homogeneous, so we
@@ -236,7 +236,7 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
         out = act[chunk[act] == len(_LADDER_CHUNKS)]  # the whole ladder was rejected
         step[out] *= _HALF[-1]
         gain = (R[acc] - R_prev[acc]) / np.maximum(np.abs(R[acc]), 1.0)
-        stall[acc] = np.where(gain < tol, stall[acc] + 1, 0)
+        stall[acc] = np.where(gain < _TOL, stall[acc] + 1, 0)
         stall[out] += 1
         new = np.concatenate([acc, out])  # iterations that ended this round
         iters[new] += 1

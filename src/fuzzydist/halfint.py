@@ -80,15 +80,8 @@ class HalfInteger:
 
     # ---- views ---------------------------------------------------------
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __float__(self):
         return self.twice / 2.0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
 
     def times_self_plus_one(self) -> Fraction:
         """Exact value of v(v+1), as a Fraction (denominator divides 4)."""
@@ -109,11 +102,6 @@ def _twice(other) -> int:
     if isinstance(other, int):
         return 2 * other
     raise TypeError("cannot mix HalfInteger with %r" % (other,))
-
-
-def casimir_fraction(n: HalfInteger) -> Fraction:
-    """n(n+1) exactly."""
-    return n.times_self_plus_one()
 
 
 def ladder_radicand(n: HalfInteger, n3: HalfInteger) -> Fraction:

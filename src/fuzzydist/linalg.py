@@ -74,13 +74,3 @@ def operator_norm(m) -> float:
     """Largest singular value, i.e. sqrt of the top eigenvalue of M^dag M."""
     a = as_matrix(m)
     return float(np.linalg.norm(a, 2))
-
-
-def trace_norm(m) -> float:
-    """Sum of singular values."""
-    a = as_matrix(m)
-    return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(as_matrix(m)))

@@ -131,8 +131,8 @@ def _step_blocks(sphere: FuzzySphere, n3: HalfInteger, pu: np.ndarray, pd: np.nd
     return w, _commutator(build_dirac(sphere, "config", 0), diags)
 
 
-def distinct_branch_report(n, lam: float = 1.0) -> List[dict]:
-    """Measured comparison of the distinct-sector closed form with the oracle.
+def distinct_branch_report(n) -> List[dict]:
+    """Measured comparison of the distinct-sector closed form with the oracle, at lam = 1.
 
     One entry per n3; literal_matches goes False exactly on n3 <= -3/2 where
     the literal radicand disagrees, while the symmetrized form tracks the
@@ -144,9 +144,9 @@ def distinct_branch_report(n, lam: float = 1.0) -> List[dict]:
     for n3 in _steps(n):
         # any right-sector pair with l3p != n3p exercises the distinct branch;
         # use (n3p, l3p) = (n3, n3+1) which exists for every valid step
-        oracle = quantum_seminorm_oracle(n, lam, n3, n3, n3 + HalfInteger(2))
-        lit = distinct_sector_seminorm_literal(n, lam, n3)
-        sym = distinct_sector_seminorm_symmetrized(n, lam, n3)
+        oracle = quantum_seminorm_oracle(n, 1.0, n3, n3, n3 + HalfInteger(2))
+        lit = distinct_sector_seminorm_literal(n, 1.0, n3)
+        sym = distinct_sector_seminorm_symmetrized(n, 1.0, n3)
         out.append({
             "n3": str(n3),
             "oracle": oracle,
@@ -379,16 +379,19 @@ def path_distance(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> float
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - css) / np.arange(1, len(v) + 1) > 0)[0][-1]
-    theta = (1.0 - css[rho]) / (rho + 1.0)
+    """Euclidean projection of each row of v onto the probability simplex."""
+    m = v.shape[-1]
+    u = np.sort(v, axis=-1)[:, ::-1]
+    css = np.cumsum(u, axis=-1)
+    rho = m - 1 - np.argmax((u + (1.0 - css) / np.arange(1, m + 1) > 0)[:, ::-1], axis=-1)
+    theta = (1.0 - np.take_along_axis(css, rho[:, None], axis=-1)) / (rho[:, None] + 1.0)
     return np.clip(v + theta, 0.0, None)
 
 
-def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int = 42,
-                           max_iters: int = 2000) -> dict:
+_DESCENT_ITERS = 2000  # iterations per start before MinimizationError
+
+
+def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int = 42) -> dict:
     """Minimize the path distance over profiles on the product of simplices.
 
     Projected gradient descent with Armijo backtracking on the analytic
@@ -403,9 +406,8 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     m = n.twice + 1
 
     rng = np.random.default_rng(seed)
-    inits = [np.full((npts, m), 1.0 / m)]
-    for _ in range(max(0, starts - 1)):
-        inits.append(np.vstack([rng.dirichlet(np.ones(m)) for _ in range(npts)]))
+    inits = [np.full((npts, m), 1.0 / m),
+             *rng.dirichlet(np.ones(m), size=(max(0, starts - 1), npts))]
 
     best = None
     for x in inits:
@@ -413,11 +415,11 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
         t = 1.0
         iters = 0
         converged = False
-        for iters in range(1, max_iters + 1):
+        for iters in range(1, _DESCENT_ITERS + 1):
             g = _raw_path_grad(n, lam, x, n_i.twice)
             moved = False
             for _bt in range(40):
-                cand = np.vstack([_project_simplex(x[r] - t * g[r]) for r in range(npts)])
+                cand = _project_simplex(x - t * g)
                 fc = _raw_path(n, lam, cand, n_i.twice)
                 gap = x - cand
                 if fc <= fx - 1e-4 * float(np.sum(gap * gap)) / max(t, 1e-16):
@@ -435,7 +437,7 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
 
     fx, x, iters, converged = best
     if not converged:
-        raise MinimizationError("descent did not converge in %d iterations" % max_iters,
+        raise MinimizationError("descent did not converge in %d iterations" % _DESCENT_ITERS,
                                 best={"distance": fx, "profile_rows": x})
     profile = ProbabilityProfile(n, {t: x[r] for r, t in enumerate(labels)})
     return {"profile": profile, "distance": fx, "iterations": iters}

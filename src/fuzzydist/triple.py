@@ -22,18 +22,17 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import SYMMETRY_TOL, is_hermitian, operator_norm
-from .sphere import FuzzySphere, SphereDomainError, _matrix_of
+from .sphere import FuzzySphere, SphereDomainError, _halfint, _matrix_of
 
 
 class SpectralTriple:
     """Bundle of (representation, Dirac operator) for one fuzzy sphere."""
 
-    def __init__(self, sphere: FuzzySphere, representation: str, dirac: np.ndarray,
-                 algebra_dim: int):
+    def __init__(self, sphere: FuzzySphere, representation: str, dirac: np.ndarray):
         self.sphere = sphere
         self.representation = representation
         self.dirac = dirac
-        self.algebra_dim = algebra_dim  # matrix size of algebra elements
+        self.algebra_dim = dirac.shape[0] // 2  # matrix size of algebra elements
 
     def __repr__(self):
         return "SpectralTriple(n=%s, rep=%s)" % (self.sphere.n, self.representation)
@@ -48,13 +47,13 @@ def build_dirac(sphere: FuzzySphere, representation: str = "config", k: int = 0)
         raise SphereDomainError("representation must be 'config' or 'quantum'")
     if k != 0:
         raise SphereDomainError("monopole index k = %r is not supported, only k = 0" % (k,))
-    sigma_x = np.block([[sphere.x3, sphere.xminus], [sphere.xplus, -sphere.x3]])
-    D = sigma_x / sphere.lam / sphere.radius
+    x3 = sphere.x3
+    D = np.block([[x3, sphere.xminus], [sphere.xplus, -x3]]) / sphere.lam / sphere.radius
     if not is_hermitian(D):
         raise SphereDomainError("Dirac operator failed the Hermiticity check")
     if representation == "config":
-        return SpectralTriple(sphere, representation, D, sphere.dim)
-    return SpectralTriple(sphere, representation, np.kron(D, np.eye(sphere.dim)), sphere.dim ** 2)
+        return SpectralTriple(sphere, representation, D)
+    return SpectralTriple(sphere, representation, np.kron(D, np.eye(sphere.dim)))
 
 
 def _commutator(triple: SpectralTriple, a: np.ndarray) -> np.ndarray:
@@ -91,7 +90,6 @@ def dirac_eigenvalue_pattern(n, lam: float = 1.0):
     branch first. The pattern follows from the total-spin decomposition of
     (spin n) x (spin 1/2).
     """
-    from .sphere import _halfint
     n = _halfint(n)
     nf = n.twice / 2.0
     r = lam * np.sqrt(float(n.times_self_plus_one()))

@@ -265,7 +265,7 @@ def _coherent_sup_gap(seed):
     # functionals coincide only at n = 1
     ratios = {}
     for t in (1, 2, 3):
-        rep = coherent.coherent_route_report(HalfInteger(t), 1.0, 1e-4, seed=seed)
+        rep = coherent.coherent_route_report(HalfInteger(t), 1.0, seed=seed)
         ratios[t] = rep["sup_to_closed_ratio"]
     dev_half = abs(ratios[1] - 0.5)
     dev_one = abs(ratios[2] - 1.0)
@@ -320,7 +320,7 @@ def _quantum_distinct_branch(seed):
     expected_mismatch = []
     for t in (1, 2, 3, 4, 5, 6, 8):
         n = HalfInteger(t)
-        for row in quantum.distinct_branch_report(n, 1.0):
+        for row in quantum.distinct_branch_report(n):
             if not row["symmetrized_matches"]:
                 return (False, abs(row["symmetrized"] - row["oracle"]),
                         "symmetrized form missed the oracle at n=%s n3=%s" % (n, row["n3"]))
@@ -614,7 +614,7 @@ def _representation_choice(seed):
     for sig, x in zip(sphere._pauli(), (s.x1, s.x2, s.x3)):
         adj += np.kron(sig, np.kron(x, eye) - np.kron(eye, x.T))
     adj /= s.radius
-    m = triple.SpectralTriple(s, "quantum", adj, s.dim ** 2)
+    m = triple.SpectralTriple(s, "quantum", adj)
     dev_adj = abs(triple.lipschitz_seminorm(m, drho) - expect) / expect
     passed = dev_left <= 1e-10 and dev_adj > 0.1
     return (passed, dev_left,

@@ -162,16 +162,16 @@ def test_route_report_sup_ratios():
     ladder-block norm matches sqrt(4n(3n-1))|dz| while the full Dirac
     seminorm of the same displacement is larger; both are reported.
     """
-    rep = coherent_route_report(H(1), 1.0, 1e-4, seed=42)
+    rep = coherent_route_report(H(1), 1.0, seed=42)
     assert rep["sup_to_closed_ratio"] == pytest.approx(0.5, abs=1e-5)
     assert rep["ladder_norm_per_dz"] == pytest.approx(rep["ladder_norm_closed"], rel=1e-10)
     assert rep["dirac_seminorm_per_dz"] > rep["ladder_norm_per_dz"]
 
-    rep = coherent_route_report(H(2), 1.0, 1e-4, seed=42)
+    rep = coherent_route_report(H(2), 1.0, seed=42)
     assert rep["sup_to_closed_ratio"] == pytest.approx(1.0, abs=1e-5)
     assert rep["pipeline"] == pytest.approx(rep["closed_form"], rel=1e-12)
 
-    rep = coherent_route_report(H(3), 1.0, 1e-4, seed=42)
+    rep = coherent_route_report(H(3), 1.0, seed=42)
     assert 1.10 < rep["sup_to_closed_ratio"] < 1.20
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzydist import distance
 from fuzzydist.coherent import coherent_state
@@ -264,3 +266,25 @@ def test_out_of_range_labels_rejected():
         quantized_polar_angle(H(2), H(4))
     with pytest.raises(ValueError):
         arc_length_step(H(2), H(3))  # n3^2 >= n(n+1): arc undefined
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 12), st.floats(0.5, 2.0), st.data())
+def test_lower_bound_symmetric_linear_and_below_the_ladder(twice_n, lam, data):
+    """Between basis states a < c the lower-bound formula is symmetric in its states, linear
+    in lam, and at most the exact ladder distance, the sum of adjacent closed forms a -> c."""
+    i, j = sorted(data.draw(st.lists(st.integers(0, twice_n), min_size=2, max_size=2,
+                                     unique=True)))
+    a, c = H(2 * i - twice_n), H(2 * j - twice_n)
+
+    def bound(lam, lo, hi):
+        s = build_space(H(twice_n), lam)
+        return distance_lower_bound(build_dirac(s, "config", 0), pure_state(s, lo),
+                                    pure_state(s, hi)).value
+
+    d = bound(lam, a, c)
+    assert bound(lam, c, a) == pytest.approx(d, rel=1e-14)
+    assert d == pytest.approx(lam * bound(1.0, a, c), rel=1e-12)
+    ladder = sum(adjacent_distance_closed_form(H(twice_n), H(t), lam)
+                 for t in range(a.twice, c.twice, 2))
+    assert d <= ladder * (1.0 + 1e-12)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzydist.halfint import HalfInteger, casimir_fraction, ladder_radicand
+from fuzzydist.halfint import HalfInteger, ladder_radicand
 
 
 def test_construction_and_twice():
@@ -46,15 +46,8 @@ def test_arithmetic_and_order():
     assert hash(HalfInteger(2)) == hash(HalfInteger(2))
 
 
-def test_is_integer_flag():
-    assert HalfInteger(2).is_integer
-    assert not HalfInteger(3).is_integer
-
-
 def test_exact_fractions():
     # n(n+1) for n = 3/2 is 15/4, exactly
-    assert casimir_fraction(HalfInteger(3)) == Fraction(15, 4)
     assert HalfInteger(3).times_self_plus_one() == Fraction(15, 4)
-    assert HalfInteger(3).as_fraction() == Fraction(3, 2)
     # n(n+1) - n3(n3+1) at (3/2, 1/2) is 15/4 - 3/4 = 3
     assert ladder_radicand(HalfInteger(3), HalfInteger(1)) == Fraction(3)

@@ -11,12 +11,10 @@ from fuzzydist.linalg import (
     LinalgDomainError,
     as_matrix,
     commutator,
-    frobenius_norm,
     hermitian_eigh,
     hermitian_eigvals,
     is_hermitian,
     operator_norm,
-    trace_norm,
 )
 
 
@@ -54,8 +52,6 @@ def test_norms_on_known_matrix():
     # singular values of diag(3, -4) are 4 and 3
     m = np.diag([3.0, -4.0])
     assert operator_norm(m) == pytest.approx(4.0)
-    assert trace_norm(m) == pytest.approx(7.0)
-    assert frobenius_norm(m) == pytest.approx(5.0)
 
 
 def test_commutator_and_dagger():

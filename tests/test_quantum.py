@@ -12,6 +12,7 @@ from fuzzydist import cli, quantum, triple
 from fuzzydist.halfint import HalfInteger
 from fuzzydist.quantum import (
     EnergySpectrum,
+    MinimizationError,
     ProbabilityProfile,
     delta_matrix,
     distinct_branch_report,
@@ -80,7 +81,7 @@ def test_distinct_branch_literal_domain():
     """
     for t in (3, 4, 6, 8):
         n = H(t)
-        rows = distinct_branch_report(n, 1.0)
+        rows = distinct_branch_report(n)
         for row in rows:
             t3 = H.parse(row["n3"]).twice
             assert row["symmetrized_matches"]
@@ -313,6 +314,21 @@ def test_minimizer_recovers_uniform():
         assert np.abs(prof.at(H(t3)) - 1.0 / 3.0).max() <= 1e-4
     want = path_distance(H(2), 1.0, ProbabilityProfile.uniform(H(2)), H(-2), H(2))
     assert out["distance"] <= want + 1e-8
+
+
+def test_minimizer_raises_with_the_best_rows(monkeypatch):
+    """No start converges within zero iterations; the error carries the best start's rows.
+
+    One iteration would not do: the uniform start is stationary (the functional is
+    symmetric in l3), so it converges in its first iteration.
+    """
+    monkeypatch.setattr(quantum, "_DESCENT_ITERS", 0)
+    with pytest.raises(MinimizationError, match="did not converge in 0 iterations") as info:
+        minimize_path_distance(H(2), 1.0, H(-2), H(2), starts=3, seed=42)
+    best = info.value.best
+    assert np.array_equal(best["profile_rows"], np.full((3, 3), 1.0 / 3.0))
+    assert best["distance"] == pytest.approx(
+        path_distance(H(2), 1.0, ProbabilityProfile.uniform(H(2)), H(-2), H(2)), rel=1e-15)
 
 
 @pytest.mark.parametrize("twice_n", [1, 2, 3, 4])

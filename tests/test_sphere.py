@@ -2,11 +2,12 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fuzzydist import cli
+from fuzzydist import cli, sphere
 from fuzzydist.distance import adjacent_distance_closed_form, quantized_polar_angle
 from fuzzydist.halfint import HalfInteger
 from fuzzydist.quantum import (
@@ -22,10 +23,8 @@ from fuzzydist.quantum import (
 from fuzzydist.sphere import (
     FockMonomial,
     FuzzySphere,
-    HSOperator,
     SphereDomainError,
     TwoModeFock,
-    adjacent_drho,
     build_space,
     jordan_schwinger_check,
     k_adjoint_action,
@@ -49,6 +48,17 @@ def test_su2_closure_and_casimir(twice_n):
     cas = xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2]
     nf = twice_n / 2.0
     assert np.abs(cas - lam * lam * nf * (nf + 1.0) * eye).max() <= 1e-12 * max(1.0, lam * lam * nf * nf)
+
+
+def test_construction_rejects_a_ladder_band_off_by_1e6(monkeypatch):
+    """A radicand 1e-6 off at one label breaks [x+, x-] = 2 lam x3 far beyond the bound."""
+    exact = sphere.ladder_radicand
+    monkeypatch.setattr(sphere, "ladder_radicand", lambda n, n3: exact(n, n3) + (
+        Fraction(1, 10 ** 6) if n3 == H(-1) else 0))
+    with pytest.raises(SphereDomainError, match=re.escape("su(2) check [x+, x-] = 2 lam x3")):
+        build_space(H(5), 0.7)
+    monkeypatch.undo()
+    build_space(H(5), 0.7)
 
 
 def test_radius_and_dim():
@@ -92,18 +102,11 @@ def test_domain_errors():
 def test_pure_state_and_drho():
     s = build_space(H(3), 1.0)
     rho = pure_state(s, H(1))
-    rho.check_density()
-    assert rho.is_pure()
     i = s.index_of(H(1))
     assert rho.matrix[i, i] == pytest.approx(1.0)
-    d = adjacent_drho(s, H(1))
-    assert np.trace(d.matrix) == pytest.approx(0.0)
-    with pytest.raises(SphereDomainError):
-        adjacent_drho(s, H(3))  # n3 + 1 would leave the spectrum
 
 
 _STEP_ENTRY_POINTS = {
-    "adjacent_drho": lambda n, n3: adjacent_drho(build_space(n, 1.0), n3),
     "adjacent_distance_closed_form": lambda n, n3: adjacent_distance_closed_form(n, n3),
     "quantum_pure_distance": lambda n, n3: quantum_pure_distance(n, 1.0, n3, True),
     "quantum_pure_distance_distinct": lambda n, n3: quantum_pure_distance(n, 1.0, n3, False),
@@ -149,16 +152,6 @@ def test_wrong_parity_label_has_no_basis_state(entry):
             "profile_delta": lambda: ProbabilityProfile.delta(H(2), H(1))}[entry]
     with pytest.raises(SphereDomainError, match="no basis state at n = 1"):
         call()
-
-
-def test_density_validation():
-    s = build_space(H(2), 1.0)
-    bad = HSOperator(s, np.diag([2.0, -1.0, 0.0]).astype(complex))
-    with pytest.raises(SphereDomainError):
-        bad.check_density()
-    mixed = HSOperator(s, np.diag([0.5, 0.5, 0.0]).astype(complex))
-    mixed.check_density()
-    assert not mixed.is_pure()
 
 
 def test_winding_numbers():

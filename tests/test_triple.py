@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fuzzydist.halfint import HalfInteger
 from fuzzydist.linalg import hermitian_eigvals
-from fuzzydist.sphere import SphereDomainError, adjacent_drho, build_space, pure_state
+from fuzzydist.sphere import HSOperator, SphereDomainError, build_space, pure_state
 from fuzzydist.triple import (
     build_dirac,
     dirac_commutator,
@@ -84,7 +84,7 @@ def test_dirac_and_commutator_match_pauli_sums(representation, twice_n, lam):
 def test_commutator_accepts_state_operators():
     s = build_space(H(2), 1.0)
     tr = build_dirac(s, "config", 0)
-    d = adjacent_drho(s, H(0))
+    d = HSOperator(s, pure_state(s, H(2)).matrix - pure_state(s, H(0)).matrix)
     c1 = dirac_commutator(tr, d)
     c2 = dirac_commutator(tr, d.matrix)
     assert np.allclose(c1, c2)
@@ -95,7 +95,7 @@ def test_commutator_accepts_state_operators():
 def test_seminorm_scales_linearly():
     s = build_space(H(3), 1.0)
     tr = build_dirac(s, "config", 0)
-    d = adjacent_drho(s, H(-1))
+    d = HSOperator(s, pure_state(s, H(1)).matrix - pure_state(s, H(-1)).matrix)
     assert lipschitz_seminorm(tr, 2.5 * d.matrix) == pytest.approx(
         2.5 * lipschitz_seminorm(tr, d), rel=1e-12)
 
@@ -105,7 +105,8 @@ def test_adjacent_seminorm_value():
     # with rad = n(n+1) - n3(n3+1); at n=1, n3=0, lam=1: 2*sqrt(2)/sqrt(2) = 2
     s = build_space(H(2), 1.0)
     tr = build_dirac(s, "config", 0)
-    assert lipschitz_seminorm(tr, adjacent_drho(s, H(0))) == pytest.approx(2.0, rel=1e-12)
+    d = HSOperator(s, pure_state(s, H(2)).matrix - pure_state(s, H(0)).matrix)
+    assert lipschitz_seminorm(tr, d) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_quantum_dirac_acts_from_the_left():
