@@ -18,6 +18,7 @@ must be translated into the BLAS thread-count variables before numpy loads.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -59,7 +60,7 @@ def _halfint_arg(text: str) -> HalfInteger:
 
 
 def _complex_arg(text: str) -> complex:
-    """Parse 'a+bi' (also plain reals and pure-imaginary 'bi')."""
+    """Parse 'a+bi' (also plain reals and pure-imaginary 'bi'); both parts must be finite."""
     s = text.strip().replace(" ", "")
     if not s:
         raise argparse.ArgumentTypeError("empty complex number")
@@ -69,9 +70,12 @@ def _complex_arg(text: str) -> complex:
         if s[:-1] in ("", "+", "-"):
             s = s[:-1] + "1j"
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError:
         raise argparse.ArgumentTypeError("not a complex number: %r" % text) from None
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError("not a finite complex number: %r" % text)
+    return z
 
 
 def _lambda_arg(text: str) -> float:

@@ -145,8 +145,6 @@ def coherent_distance_numeric(n, lam: float = 1.0, dz: complex = 1e-4, z: comple
     Reproduces the closed-form metric coefficient per unit |dz|.
     """
     dz = complex(dz)
-    if dz == 0:
-        raise SphereDomainError("dz must be nonzero")
     if abs(dz) > 1e-3:
         raise SphereDomainError("numeric route is first order; need |dz| <= 1e-3")
     sphere = FuzzySphere(n, lam)

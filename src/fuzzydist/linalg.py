@@ -6,7 +6,7 @@ hermitian_eigh of J_y per spin. Matrices here are small (at most a few hundred
 rows), so robustness and clear error messages matter more than speed.
 
 Tolerances are fixed once, here, and imported by the other modules:
-SYMMETRY_TOL for Hermiticity checks, DECOMP_TOL for decomposition residuals.
+SYMMETRY_TOL for Hermiticity, DECOMP_TOL for decomposition residuals.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ def is_hermitian(m) -> bool:
         return False
     scale = max(np.abs(a).max(), 1.0)
     return np.abs(a - a.conj().T).max() <= SYMMETRY_TOL * scale
-
-
-def commutator(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    return a @ b - b @ a
 
 
 def hermitian_eigvals(m) -> np.ndarray:

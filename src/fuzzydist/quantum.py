@@ -25,6 +25,7 @@ distance is +infinity and the values here are the lower-bound formula
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ import numpy as np
 from .distance import adjacent_distance_closed_form
 from .halfint import HalfInteger, ladder_radicand
 from .sphere import FuzzySphere, SphereDomainError, _adjacent_step, _halfint, _labels, _row, _steps
-from .triple import _commutator, build_dirac
+from .triple import SpectralTriple, _commutator, build_dirac
 
 
 class MinimizationError(RuntimeError):
@@ -54,11 +55,6 @@ def same_sector_seminorm(n, lam: float, n3) -> float:
     return 2.0 * math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
 
 
-def _distinct_radicand(n: HalfInteger, n3: HalfInteger) -> Fraction:
-    """n(n+1) - n3^2 + |n3| exactly, the literal distinct-sector radicand."""
-    return n.times_self_plus_one() - Fraction(n3.twice * n3.twice, 4) + Fraction(abs(n3.twice), 2)
-
-
 def distinct_sector_seminorm_literal(n, lam: float, n3) -> float:
     """The distinct-right-sector closed form sqrt(n(n+1) - n3^2 + |n3|)/(lam sqrt(n(n+1))).
 
@@ -66,7 +62,7 @@ def distinct_sector_seminorm_literal(n, lam: float, n3) -> float:
     distinct_branch_report for the measured domain of validity.
     """
     n, n3 = _adjacent_step(n, n3)
-    rad = _distinct_radicand(n, n3)
+    rad = n.times_self_plus_one() - Fraction(n3.twice * n3.twice, 4) + Fraction(abs(n3.twice), 2)
     return math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
 
 
@@ -93,9 +89,7 @@ def quantum_pure_distance(n, lam: float, n3, right_same: bool) -> float:
     """
     if right_same:
         return adjacent_distance_closed_form(n, n3, lam)
-    n, n3 = _adjacent_step(n, n3)
-    rad = float(_distinct_radicand(n, n3))
-    return 2.0 * lam * math.sqrt(float(n.times_self_plus_one())) / math.sqrt(rad)
+    return 2.0 / distinct_sector_seminorm_literal(n, lam, n3)
 
 
 def quantum_pure_distance_symmetrized(n, lam: float, n3) -> float:
@@ -110,13 +104,21 @@ def quantum_seminorm_oracle(n, lam: float, n3, n3p, l3p) -> float:
     involved anywhere: the top singular value over its right-sector blocks.
     """
     n, n3 = _adjacent_step(n, n3)
-    sphere = FuzzySphere(n, lam)
-    e = np.eye(sphere.dim)
-    _, blocks = _step_blocks(sphere, n3, e[sphere.index_of(l3p)], e[sphere.index_of(n3p)])
+    e = np.eye(n.twice + 1)
+    _, blocks = _step_blocks(n, lam, n3, e[_row(n, l3p)], e[_row(n, n3p)])
     return float(np.linalg.svd(blocks, compute_uv=False).max())
 
 
-def _step_blocks(sphere: FuzzySphere, n3: HalfInteger, pu: np.ndarray, pd: np.ndarray):
+@functools.lru_cache(maxsize=64)
+def _config_triple(two_n: int, lam: float) -> SpectralTriple:
+    """The config triple at spin two_n/2 and scale lam, shared read-only by every oracle
+    call at that (2n, lam); bounded, since lam is a float a caller may sweep."""
+    tr = build_dirac(FuzzySphere(HalfInteger(two_n), lam), "config", 0)
+    tr.dirac.setflags(write=False)
+    return tr
+
+
+def _step_blocks(n: HalfInteger, lam: float, n3: HalfInteger, pu: np.ndarray, pd: np.ndarray):
     """Weights w and right-sector blocks of [D_q, pi(drho)] for one step n3 -> n3+1.
 
     drho = sum_l pu[l] |n3+1, l)(n3+1, l| - pd[l] |n3, l)(n3, l| = sum w[i, j] |i, j)(i, j|.
@@ -124,11 +126,12 @@ def _step_blocks(sphere: FuzzySphere, n3: HalfInteger, pu: np.ndarray, pd: np.nd
     contributes the config block [D_c, pi_c(diag w[:, j])]. The zero sectors
     are skipped and the rest go through the commutator kernel as one stack.
     """
-    w = np.zeros((sphere.dim, sphere.dim))
-    w[sphere.index_of(n3 + HalfInteger(2))] = pu
-    w[sphere.index_of(n3)] = -pd
-    diags = w[:, np.any(w != 0.0, axis=0)].T[:, :, None] * np.eye(sphere.dim)
-    return w, _commutator(build_dirac(sphere, "config", 0), diags)
+    dim = n.twice + 1
+    w = np.zeros((dim, dim))
+    w[_row(n, n3 + HalfInteger(2))] = pu
+    w[_row(n, n3)] = -pd
+    diags = w[:, np.any(w != 0.0, axis=0)].T[:, :, None] * np.eye(dim)
+    return w, _commutator(_config_triple(n.twice, float(lam)), diags)
 
 
 def distinct_branch_report(n) -> List[dict]:
@@ -172,13 +175,23 @@ def _data_rows(text: str):
                 raise SphereDomainError("line %d: %s" % (lineno, exc)) from None
 
 
+def _check_row(v: np.ndarray, where: str):
+    """SphereDomainError led by `where` unless row v is finite, >= 0 and sums to 1 within 1e-9."""
+    if not np.isfinite(v).all():
+        raise SphereDomainError("%s: non-finite probability" % where)
+    if v.min() < 0:
+        raise SphereDomainError("%s: negative probability" % where)
+    if abs(v.sum() - 1.0) > 1e-9:
+        raise SphereDomainError("%s: row sums to %.12g, not 1" % (where, v.sum()))
+
+
 class ProbabilityProfile:
     """P_{l3}(n3): one probability vector per left-sector label n3.
 
     Rows are keyed by 2 n3, an integer in -2n..2n with the parity of 2n.
     Vectors run over l3 descending from +n to -n, matching the row order of
-    every other basis in the package. Each vector is nonnegative and sums
-    to one.
+    every other basis in the package. Each vector is finite, nonnegative and
+    sums to 1 within 1e-9 (_check_row), and is stored rescaled to sum 1.
     """
 
     def __init__(self, n, rows: Dict[int, np.ndarray]):
@@ -191,13 +204,8 @@ class ProbabilityProfile:
             if v.shape != (m,):
                 raise SphereDomainError("profile row at n3 = %s has %d entries, need %d"
                                         % (HalfInteger(t), v.size, m))
-            if v.min() < -1e-12:
-                raise SphereDomainError("negative probability at n3 = %s" % HalfInteger(t))
-            s = v.sum()
-            if abs(s - 1.0) > 1e-9:
-                raise SphereDomainError("probabilities at n3 = %s sum to %.12g, not 1"
-                                        % (HalfInteger(t), s))
-            self.rows[t] = np.clip(v, 0.0, None) / s
+            _check_row(v, "n3 = %s" % HalfInteger(t))
+            self.rows[t] = v / v.sum()
 
     @classmethod
     def uniform(cls, n) -> "ProbabilityProfile":
@@ -228,14 +236,9 @@ class ProbabilityProfile:
             vectors.append((lineno, np.array(vals)))
         if len(vectors) != m:
             raise SphereDomainError("expected %d profile rows, got %d" % (m, len(vectors)))
-        rows = {}
-        for (lineno, vec), t in zip(vectors, labels):
-            if vec.min() < 0:
-                raise SphereDomainError("line %d: negative probability" % lineno)
-            if abs(vec.sum() - 1.0) > 1e-9:
-                raise SphereDomainError("line %d: row sums to %.12g, not 1" % (lineno, vec.sum()))
-            rows[t] = vec
-        return cls(n, rows)
+        for lineno, vec in vectors:
+            _check_row(vec, "line %d" % lineno)
+        return cls(n, {t: vec for (_, vec), t in zip(vectors, labels)})
 
     def at(self, n3) -> np.ndarray:
         t = _halfint(n3).twice
@@ -298,7 +301,7 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
     """
     n, n3 = _adjacent_step(n, n3)
     x = profile._path((n3.twice, n3.twice + 2))
-    w, blocks = _step_blocks(FuzzySphere(n, lam), n3, x[1], x[0])
+    w, blocks = _step_blocks(n, lam, n3, x[1], x[0])
     sv = np.linalg.svd(blocks, compute_uv=False)
     num, s, _ = _step_functional(n, x, n3.twice)
     return {
@@ -314,8 +317,7 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
 def mixed_distance_oracle(n, lam: float, n3, profile: ProbabilityProfile) -> float:
     """Distance recomputed from the explicit commutator, no closed forms and no SVD."""
     n, n3 = _adjacent_step(n, n3)
-    w, blocks = _step_blocks(FuzzySphere(n, lam), n3, profile.at(n3 + HalfInteger(2)),
-                             profile.at(n3))
+    w, blocks = _step_blocks(n, lam, n3, profile.at(n3 + HalfInteger(2)), profile.at(n3))
     return float(np.sum(w * w)) / float(np.linalg.norm(blocks))
 
 
@@ -327,7 +329,6 @@ class MinimizationCertificate:
     delta: np.ndarray          # symmetric tridiagonal, rows n3 descending n_f..n_i
     alpha: np.ndarray          # least-squares multipliers, one per row
     residual: float            # max over l3 of ||delta P_l3 - 2 alpha||_inf
-    row_labels: list           # HalfInteger n3 per row
 
 
 def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> MinimizationCertificate:
@@ -344,9 +345,6 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
     labels = _path_labels(n, n_i, n_f)
     x = profile._path(labels)
     num, s, (_, _, cx) = _step_functional(n, x, n_i.twice)
-    if np.any(s <= 0):
-        raise SphereDomainError("degenerate profile on n3 = %s..%s (zero quadratic form)"
-                                % (n_i, n_f))
     lr = lam * math.sqrt(float(n.times_self_plus_one()))
 
     # per-step f and g, padded with a zero step below n_i and above n_f, so row
@@ -360,7 +358,7 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
     prod = D @ x[::-1]                 # column l3 holds delta P_l3
     alpha = prod.mean(axis=1) / 2.0    # least-squares alpha is the l3 average
     residual = float(np.abs(prod - 2.0 * alpha[:, None]).max())
-    return MinimizationCertificate(D, alpha, residual, [HalfInteger(t) for t in labels[::-1]])
+    return MinimizationCertificate(D, alpha, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +369,7 @@ def path_distance(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> float
     n = _halfint(n)
     n_i = _halfint(n_i)
     n_f = _halfint(n_f)
-    d = _raw_path(n, lam, profile._path(_path_labels(n, n_i, n_f)), n_i.twice)
-    if d == np.inf:
-        raise SphereDomainError("degenerate profile on n3 = %s..%s (zero quadratic form)"
-                                % (n_i, n_f))
-    return d
+    return _raw_path(n, lam, profile._path(_path_labels(n, n_i, n_f)), n_i.twice)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -446,8 +440,6 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
 def _raw_path(n, lam, x, t0) -> float:
     """Path distance for raw (unvalidated) probability rows x, row r at n3 = t0/2 + r."""
     num, s, _ = _step_functional(n, x, t0)
-    if np.any(s <= 0):
-        return np.inf
     return float(np.sum(lam * math.sqrt(float(n.times_self_plus_one())) / 2.0 * num / np.sqrt(s)))
 
 
@@ -474,8 +466,6 @@ def uniform_minimized_distance(n, lam: float, n3) -> float:
     n, n3 = _adjacent_step(n, n3)
     nn1 = n.times_self_plus_one()
     rad = 3 * ladder_radicand(n, n3) - 1   # 3[n(n+1) - n3(n3+1) - 1/3], exact
-    if rad <= 0:
-        raise SphereDomainError("degenerate radicand at n3 = %s" % n3)
     m = n.twice + 1
     return (lam * math.sqrt(float(nn1))) / (math.sqrt(m) * math.sqrt(float(rad)))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfint import HalfInteger, ladder_radicand
-from .linalg import SYMMETRY_TOL, as_matrix, commutator
+from .linalg import SYMMETRY_TOL, as_matrix
 
 
 class SphereDomainError(ValueError):
@@ -288,10 +288,10 @@ def k_adjoint_action(cutoff: int, op, lam: float = 1.0) -> np.ndarray:
     if m.shape != (cutoff ** 2, cutoff ** 2):
         raise SphereDomainError(
             "operator shape %r does not match Fock dimension %d" % (m.shape, cutoff ** 2))
-    return commutator(fock.number_op, m)
+    return fock.number_op @ m - m @ fock.number_op
 
 
-def jordan_schwinger_check(n, lam: float = 1.0, cutoff: int | None = None) -> dict:
+def jordan_schwinger_check(n, lam: float, cutoff: int) -> dict:
     """Rebuild the sphere matrices from oscillator bilinears and compare.
 
     Returns {"max_deviation": float, "block_dim": int}. The restriction of
@@ -299,8 +299,6 @@ def jordan_schwinger_check(n, lam: float = 1.0, cutoff: int | None = None) -> di
     up to floating point noise.
     """
     n = _halfint(n)
-    if cutoff is None:
-        cutoff = n.twice + 2
     fock = TwoModeFock(cutoff, lam)
     idx = fock.sphere_block_indices(n)
     sphere = build_space(n, lam)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SYMMETRY_TOL, is_hermitian, operator_norm
+from .linalg import SYMMETRY_TOL, operator_norm
 from .sphere import FuzzySphere, SphereDomainError, _halfint, _matrix_of
 
 
@@ -49,8 +49,6 @@ def build_dirac(sphere: FuzzySphere, representation: str = "config", k: int = 0)
         raise SphereDomainError("monopole index k = %r is not supported, only k = 0" % (k,))
     x3 = sphere.x3
     D = np.block([[x3, sphere.xminus], [sphere.xplus, -x3]]) / sphere.lam / sphere.radius
-    if not is_hermitian(D):
-        raise SphereDomainError("Dirac operator failed the Hermiticity check")
     if representation == "config":
         return SpectralTriple(sphere, representation, D)
     return SpectralTriple(sphere, representation, np.kron(D, np.eye(sphere.dim)))

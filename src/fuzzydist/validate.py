@@ -1,19 +1,18 @@
 """Named validation checks aggregating every module's invariants.
 
 Each check is a pure function of the seed returning (passed, max_deviation,
-note) or (passed, max_deviation, note, details); its name is stated once, in
-@_check, and run_checks wraps the result in a CheckResult. The CLI `validate`
-command runs the registry in a fixed order and fails on the first
-regression. Checks that exist to surface a measured discrepancy (branch
-validity domains, norm identification, connection normalization) pass when
-the measurement matches the documented finding and fail if the code ever
-drifts from it.
+note); its name is stated once, in @_check, and run_checks wraps the result
+in a CheckResult. The CLI `validate` command runs the registry in a fixed
+order and fails on the first regression. Checks that exist to surface a
+measured discrepancy (branch validity domains, norm identification,
+connection normalization) pass when the measurement matches the documented
+finding and fail if the code ever drifts from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +27,7 @@ class CheckResult:
     name: str
     passed: bool
     max_deviation: float
-    note: str = ""
-    details: dict = field(default_factory=dict)
+    note: str
 
 
 def _check(name):
@@ -333,8 +331,7 @@ def _quantum_distinct_branch(seed):
     passed = mismatch == expected_mismatch
     return (passed, worst_sym,
             "literal form valid for n3 >= -1 only (%d known exceptions below); "
-            "symmetrized form exact everywhere" % len(mismatch),
-            {"literal_mismatches": mismatch})
+            "symmetrized form exact everywhere" % len(mismatch))
 
 
 @_check("quantum-monotonicity")

@@ -231,6 +231,26 @@ def test_bad_profile_contents_exit_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_profile_cell_exit_2(cell, tmp_path, capsys):
+    """A nan cell used to pass the sum check and print a bare nan, which no JSON parser reads."""
+    prof = tmp_path / "bad.txt"
+    prof.write_text("%s 0.5 0.5\n0.2 0.3 0.5\n1 0 0\n" % cell)
+    code, out, err = run_cli(["quantum-mixed", "--n", "1", "--profile", str(prof)], capsys)
+    assert (code, out) == (2, "")
+    assert "line 1: non-finite probability" in err
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "1+nani", "-infi"])
+def test_non_finite_z_exit_2(z, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coherent", "--n", "1", "--z=" + z, "--no-timestamp"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "error: argument --z: not a finite complex number" in err
+
+
 def test_wrong_level_count_exit_2(tmp_path, capsys):
     en = tmp_path / "levels.txt"
     en.write_text("1.0 0.0\n")

@@ -288,3 +288,23 @@ def test_lower_bound_symmetric_linear_and_below_the_ladder(twice_n, lam, data):
     ladder = sum(adjacent_distance_closed_form(H(twice_n), H(t), lam)
                  for t in range(a.twice, c.twice, 2))
     assert d <= ladder * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 8), st.floats(0.5, 2.0), st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi),
+       st.data())
+def test_lower_bound_rotation_invariant(twice_n, lam, theta, phi, data):
+    """The lower-bound formula of R rho R^dag, R rho' R^dag equals that of the basis states
+    rho, rho' for R = e^{-i phi J3} e^{-i theta Jy}, J = x/lam: tr(drho^2) and the
+    seminorm are both invariant."""
+    i, j = data.draw(st.lists(st.integers(0, twice_n), min_size=2, max_size=2, unique=True))
+    a, c = H(2 * i - twice_n), H(2 * j - twice_n)
+    s = build_space(H(twice_n), lam)
+    tr = build_dirac(s, "config", 0)
+    mu, v = np.linalg.eigh(s.x2 / lam)
+    j3 = np.diag(s.x3).real / lam
+    rot = (np.exp(-1j * phi * j3)[:, None] * v * np.exp(-1j * theta * mu)) @ v.conj().T
+    rho, rho2 = pure_state(s, a).matrix, pure_state(s, c).matrix
+    want = distance_lower_bound(tr, rho, rho2).value
+    got = distance_lower_bound(tr, rot @ rho @ rot.conj().T, rot @ rho2 @ rot.conj().T).value
+    assert got == pytest.approx(want, rel=1e-12)

@@ -10,7 +10,6 @@ import fuzzydist
 from fuzzydist.linalg import (
     LinalgDomainError,
     as_matrix,
-    commutator,
     hermitian_eigh,
     hermitian_eigvals,
     is_hermitian,
@@ -52,12 +51,6 @@ def test_norms_on_known_matrix():
     # singular values of diag(3, -4) are 4 and 3
     m = np.diag([3.0, -4.0])
     assert operator_norm(m) == pytest.approx(4.0)
-
-
-def test_commutator_and_dagger():
-    a = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert np.allclose(commutator(a, a.conj().T), np.diag([1.0, -1.0]))
-
 
 
 def test_package_imports_no_scipy():

@@ -137,7 +137,7 @@ def test_block_route_matches_dense_quantum_triple(t):
                 w[up, s.index_of(l3p)] += 1.0
                 w[down, s.index_of(n3p)] -= 1.0
                 dense = _dense_norms(tr, np.diag(w.ravel()))
-                w, blocks = quantum._step_blocks(s, n3, w[up], -w[down])
+                w, blocks = quantum._step_blocks(n, 1.0, n3, w[up], -w[down])
                 sv = np.linalg.svd(blocks, compute_uv=False)
                 block = (quantum_seminorm_oracle(n, 1.0, n3, n3p, l3p),
                          np.sqrt(np.sum(sv * sv)), sv.sum(), np.sum(w * w))
@@ -165,6 +165,7 @@ def test_oracles_never_build_the_dense_quantum_triple(monkeypatch):
 
     monkeypatch.setattr(quantum, "build_dirac", config_only)
     monkeypatch.setattr(triple, "build_dirac", config_only)
+    quantum._config_triple.cache_clear()
     n = H(4)
     assert quantum_seminorm_oracle(n, 1.0, H(0), H(0), H(2)) == pytest.approx(
         distinct_sector_seminorm_symmetrized(n, 1.0, H(0)), rel=1e-12)
@@ -172,7 +173,7 @@ def test_oracles_never_build_the_dense_quantum_triple(monkeypatch):
     assert mixed_commutator_norms(n, 1.0, H(0), prof)["operator"] > 0
     assert mixed_distance_oracle(n, 1.0, H(0), prof) == pytest.approx(
         trace_norm_distance(n, 1.0, H(0), prof), rel=1e-10)
-    assert built == ["config"] * 3
+    assert built == ["config"]   # one config triple per (2n, lam), shared by the three oracles
 
 
 def test_large_n_seminorm_oracle():
@@ -237,6 +238,26 @@ def test_profile_rejects_negative_and_bad_sum():
         ProbabilityProfile(H(2), {t: np.array([0.7, 0.6, -0.3]) for t in (-2, 0, 2)})
     with pytest.raises(SphereDomainError):
         ProbabilityProfile(H(2), {t: np.array([0.7, 0.6, 0.3]) for t in (-2, 0, 2)})
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+def test_profile_rejects_non_finite_rows(cell):
+    row = np.array([cell, 0.5, 0.5])
+    with pytest.raises(SphereDomainError, match="n3 = 1: non-finite probability"):
+        ProbabilityProfile(H(2), {2: row, 0: np.full(3, 1 / 3), -2: np.full(3, 1 / 3)})
+    with pytest.raises(SphereDomainError, match="line 2: non-finite probability"):
+        ProbabilityProfile.from_text("1 0 0\n%r 0.5 0.5\n0 0 1\n" % cell, H(2))
+
+
+def test_profile_rows_share_the_file_rule():
+    """A row of the library and a line of a file pass or fail the same check."""
+    tiny = np.array([-1e-13, 0.5, 0.5 + 1e-13])   # the old library rule clipped this
+    with pytest.raises(SphereDomainError, match="n3 = 0: negative probability"):
+        ProbabilityProfile(H(2), {2: np.full(3, 1 / 3), 0: tiny, -2: np.full(3, 1 / 3)})
+    with pytest.raises(SphereDomainError, match="line 3: row sums to"):
+        ProbabilityProfile.from_text("1 0 0\n0 1 0\n0.5 0.5 0.5\n", H(2))
+    with pytest.raises(SphereDomainError, match="n3 = -1: row sums to"):
+        ProbabilityProfile(H(2), {2: np.full(3, 1 / 3), 0: np.full(3, 1 / 3), -2: np.ones(3)})
 
 
 @pytest.mark.parametrize("bad", [4, -4, 1, -3])
@@ -373,6 +394,22 @@ def test_step_functional_matches_block_route(case, lam):
         mixed_distance_oracle(n, lam, n3, prof), rel=1e-10)
     steps = [trace_norm_distance(n, lam, H(t3), prof) for t3 in range(-n.twice, n.twice - 1, 2)]
     assert path_distance(n, lam, prof, H(-n.twice), n) == pytest.approx(sum(steps), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 10), st.data(), st.integers(0, 2 ** 32 - 1))
+def test_path_functional_finite_on_every_profile(twice_n, data, seed):
+    """Every step has S >= n |pu|^2 >= n/(2n+1) > 0 on probability rows, so the path
+    distance is finite and positive and the stationarity residual finite, with no guard."""
+    i, f = sorted(data.draw(st.lists(st.integers(0, twice_n), min_size=2, max_size=2,
+                                     unique=True)))
+    n_i, n_f = H(2 * i - twice_n), H(2 * f - twice_n)
+    raw = np.random.default_rng(seed).dirichlet(np.ones(twice_n + 1), size=twice_n + 1)
+    prof = ProbabilityProfile(H(twice_n),
+                              {t: raw[r] for r, t in enumerate(range(twice_n, -twice_n - 1, -2))})
+    d = path_distance(H(twice_n), 1.0, prof, n_i, n_f)
+    assert math.isfinite(d) and d > 0
+    assert math.isfinite(delta_matrix(H(twice_n), 1.0, prof, n_i, n_f).residual)
 
 
 # ---------------------------------------------------------------------------

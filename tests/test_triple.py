@@ -63,6 +63,7 @@ def test_dirac_and_commutator_match_pauli_sums(representation, twice_n, lam):
         want += np.kron(sig, x if representation == "config" else np.kron(x, eye)) / lam
     want /= s.radius
     assert np.array_equal(tr.dirac, want)
+    assert np.array_equal(tr.dirac, tr.dirac.conj().T)   # Hermitian exactly, with no check
 
     rng = np.random.default_rng(twice_n)
     dim = tr.algebra_dim
