@@ -258,14 +258,14 @@ def _config_row(s, tr, n3, oracle: bool, seed: int):
     if not oracle:
         return cells, 0
     try:
-        opt = distance.connes_distance_optimized(tr, rho, rho2, seed=seed)
+        opt, code = distance.connes_distance_optimized(tr, rho, rho2, seed=seed), 0
     except distance.OptimizerError as exc:
         print("fuzzydist: optimizer failed at n = %s, n3 = %s: %s" % (s.n, n3, exc),
               file=sys.stderr)
-        cells.update(optimizer=exc.best_value, optimizer_ball_residual=None)
-        return cells, 1
-    cells.update(optimizer=opt.value, optimizer_ball_residual=opt.ball_residual)
-    return cells, 0
+        opt, code = distance.DistanceResult(exc.best_value, "optimizer"), 1
+    cells.update(optimizer=opt.value, optimizer_ball_residual=opt.ball_residual,
+                 optimizer_method=opt.method, optimizer_stop=opt.stop)
+    return cells, code
 
 
 def _cmd_discrete(args):
@@ -291,7 +291,7 @@ def _cmd_coherent(args):
            "method": "norm_pipeline", "closed_form": closed,
            "metric_coefficient": coeff, "ratio": numeric / closed}
     if args.oracle:
-        scale = 1.0 / (1.0 + abs(z) ** 2)
+        scale = 1.0 / coherent._one_plus_abs2(z)
         row["fd_oracle"] = coherent.coherent_distance_fd(n, lam, dz) * scale
         row["richardson_coefficient"] = coherent.richardson_distance_coefficient(n, lam) * scale
     extra = {"z": zs, "dz": dz, "oracle": args.oracle}

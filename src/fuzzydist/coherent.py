@@ -114,7 +114,14 @@ def coherent_metric_coefficient(n, lam: float = 1.0, z: complex = 0j) -> float:
     n = _halfint(n)
     _labels(n)  # raises unless n >= 1/2, which keeps 3n - 1 > 0
     nf = n.twice / 2.0
-    return lam * math.sqrt(4.0 * nf * nf * (nf + 1.0) / (3.0 * nf - 1.0)) / (1.0 + abs(z) ** 2)
+    return lam * math.sqrt(4.0 * nf * nf * (nf + 1.0) / (3.0 * nf - 1.0)) / _one_plus_abs2(z)
+
+
+def _one_plus_abs2(z) -> float:
+    """1 + |z|^2, the divisor of every distance at z; past |z| = 1e150, SphereDomainError."""
+    if abs(z) > 1e150:
+        raise SphereDomainError("|z| must be <= 1e150: 1/(1+|z|^2) < 1e-300 beyond it")
+    return 1.0 + abs(z) ** 2
 
 
 def ladder_commutator_norm(sphere: FuzzySphere, op) -> float:
@@ -148,7 +155,7 @@ def coherent_distance_numeric(n, lam: float = 1.0, dz: complex = 1e-4, z: comple
     if abs(dz) > 1e-3:
         raise SphereDomainError("numeric route is first order; need |dz| <= 1e-3")
     sphere = FuzzySphere(n, lam)
-    return _ladder_functional(sphere, coherent_drho(sphere, dz).matrix) / (1.0 + abs(z) ** 2)
+    return _ladder_functional(sphere, coherent_drho(sphere, dz).matrix) / _one_plus_abs2(z)
 
 
 def coherent_distance_fd(n, lam: float = 1.0, dz: complex = 1e-4) -> float:

@@ -4,8 +4,8 @@ Three routes to the spectral distance between states:
 
 * the closed form for neighbouring basis states,
 * the general lower-bound formula tr(drho^2)/||[D, pi(drho)]||, and
-* a projected subgradient ascent over the Lipschitz ball for the true
-  supremum, which certifies that the lower bound is (numerically) attained.
+* the true supremum over the Lipschitz ball: exact, as a 1-D Kantorovich sum,
+  for diagonal displacements, and from a projected subgradient ascent otherwise.
 
 Plus the quantized polar angle and the continuum arc-length comparator.
 """
@@ -34,11 +34,11 @@ class OptimizerError(RuntimeError):
 @dataclass
 class DistanceResult:
     value: float
-    method: str  # closed_form | norm_pipeline | optimizer
+    method: str  # closed_form | norm_pipeline | diagonal_exact | optimizer (the ascent)
     certificate: Optional[np.ndarray] = None
     ball_residual: Optional[float] = None
-    iterations: Optional[int] = None  # optimizer only: the best start's iterations
-    stop: Optional[str] = None  # optimizer only: "stalled" or "zero_gradient"
+    iterations: Optional[int] = None  # the ascent's best start's iterations; 0 if exact
+    stop: Optional[str] = None  # "stalled" or "zero_gradient" (ascent), "exact" (diagonal)
 
 
 def adjacent_distance_closed_form(n, n3, lam: float = 1.0) -> float:
@@ -145,7 +145,33 @@ _TOL = 1e-10  # an accepted step gaining less than this, relative to max(|R|, 1)
 
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int = 20000,
                               seed: int = 42, restarts: int = 8) -> DistanceResult:
-    """Maximize tr(drho a) over Hermitian a with ||[D, pi(a)]|| <= 1.
+    """Maximize tr(drho a) over Hermitian a, ||[D, pi(a)]|| <= 1, drho = rho2 - rho: exactly if
+    drho is diagonal (_diagonal_supremum), else by _ascend, the one user of the last 3 args."""
+    drho = _matrix_of(rho2) - _matrix_of(rho)
+    if np.abs(drho).max() == 0.0:
+        return DistanceResult(0.0, "optimizer", None, None)
+    if not (drho - np.diag(np.diagonal(drho))).any():
+        return _diagonal_supremum(triple, drho)
+    return _ascend(triple, drho, max_iters, seed, restarts)
+
+
+def _diagonal_supremum(triple, drho) -> DistanceResult:
+    """sum_k w_k |F_k|, F = cumsum(diag drho): the exact supremum for diagonal drho.
+
+    e^{it sigma3/2} (x) e^{it J3} commutes with D, so averaging over t makes some optimal a
+    diagonal. [D, pi(diag f)] is a one-step shift in the spinor off-diagonal blocks, so the
+    ball is |f_k - f_(k+1)| <= w_k = 1/||[D, pi(P_k)]||, P_k = diag(1, .., 1, 0, .., 0) with
+    k + 1 ones, and summation by parts gives the value at a = sum_k w_k sign(F_k) P_k
+    (D'Andrea & Martinetti, SIGMA 6 (2010) 057)."""
+    P = np.tri(len(drho) - 1, len(drho))[:, :, None] * np.eye(len(drho))
+    w = 1.0 / _seminorm_batch(triple, P)
+    a = np.tensordot(w * np.sign(np.cumsum(np.diagonal(drho).real)[:-1]), P, 1)
+    return DistanceResult(float(np.real(np.trace(drho @ a))), "diagonal_exact", a,
+                          abs(lipschitz_seminorm(triple, a) - 1.0), 0, "exact")
+
+
+def _ascend(triple, drho, max_iters, seed, restarts) -> DistanceResult:
+    """Maximize tr(drho a) over Hermitian a with ||[D, pi(a)]|| <= 1, for any drho.
 
     The objective is linear and the constraint positively homogeneous, so we
     ascend R(a) = tr(drho a)/||[D, pi(a)]|| on the unit Frobenius sphere of
@@ -172,15 +198,11 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
     first ("stalled" on a tie), so every reported number is the one the
     rung-by-rung loop gives.
 
-    The best start's matrix is rescaled with the dense
-    ``lipschitz_seminorm``, which also gives the ball
-    residual; its iteration count and stop reason ("stalled" or
-    "zero_gradient") are reported. If that start stopped at ``max_iters``,
+    The best start's matrix is rescaled with the dense ``lipschitz_seminorm``,
+    which also gives the ball residual; its iteration count and stop reason
+    ("stalled" or "zero_gradient") are reported. If that start stopped at ``max_iters``,
     OptimizerError is raised with the rescaled value as ``best_value``.
     """
-    drho = _matrix_of(rho2) - _matrix_of(rho)
-    if np.abs(drho).max() == 0.0:
-        return DistanceResult(0.0, "optimizer", None, None)
     dim = triple.algebra_dim
 
     # each restart draws dim^2 real parts, then dim^2 imaginary parts

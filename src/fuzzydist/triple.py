@@ -55,11 +55,12 @@ def build_dirac(sphere: FuzzySphere, representation: str = "config", k: int = 0)
 
 
 def _commutator(triple: SpectralTriple, a: np.ndarray) -> np.ndarray:
-    """[D, pi(a)] for Hermitian a or each slice of a stack: D pi(a) is one product
-    with D viewed as a (4 dim) x dim matrix, and [D, pi(a)] = D pi(a) - (D pi(a))^dag."""
+    """[D, pi(a)] for Hermitian a or each slice of a stack: D pi(a) is one product with D
+    viewed as a (4 dim) x dim matrix; D pi(a) - (D pi(a))^dag is written into the conj copy."""
     dim = triple.algebra_dim
     da = (triple.dirac.reshape(4 * dim, dim) @ a).reshape(a.shape[:-2] + (2 * dim, 2 * dim))
-    return da - da.conj().swapaxes(-1, -2)
+    c = np.conjugate(da.swapaxes(-1, -2), out=np.empty_like(da))
+    return np.subtract(da, c, out=c)
 
 
 def dirac_commutator(triple: SpectralTriple, a) -> np.ndarray:

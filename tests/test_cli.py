@@ -37,6 +37,16 @@ def test_discrete_json_schema(capsys):
     assert abs(row["norm_pipeline"] - 1.0) <= 1e-10
 
 
+def test_discrete_oracle_names_its_route(capsys):
+    code, out, _ = run_cli(["discrete", "--n", "1", "--oracle", "--no-timestamp"], capsys)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len(rows) == 2
+    for row in rows:
+        assert (row["optimizer_method"], row["optimizer_stop"]) == ("diagonal_exact", "exact")
+        assert abs(row["optimizer"] - row["distance"]) <= 1e-12 * row["distance"]
+
+
 def test_thermal_worked_example(capsys):
     code, out, _ = run_cli(
         ["thermal", "--n", "1", "--n3", "0", "--beta", "0", "--energies", "default",
@@ -249,6 +259,19 @@ def test_non_finite_z_exit_2(z, capsys):
     assert exc.value.code == 2
     assert out == ""
     assert "error: argument --z: not a finite complex number" in err
+
+
+def test_base_point_beyond_1e150_exit_2(capsys):
+    code, out, err = run_cli(["coherent", "--n", "1", "--z", "1e155", "--oracle",
+                              "--no-timestamp"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: |z| must be <= 1e150" in err
+    code, out, _ = run_cli(["coherent", "--n", "1", "--z", "1e150", "--oracle",
+                            "--no-timestamp"], capsys)
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert all(0.0 < row[k] < 1e-299 for k in ("distance", "closed_form", "fd_oracle"))
 
 
 def test_wrong_level_count_exit_2(tmp_path, capsys):

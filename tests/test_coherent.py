@@ -89,6 +89,19 @@ def test_metric_coefficient_values():
     assert coherent_metric_coefficient(H(2), 2.5, 0j) == pytest.approx(5.0)
 
 
+def test_base_point_beyond_1e150_rejected():
+    # 1/(1+|z|^2) keeps its expression up to |z| = 1e150 and is refused beyond,
+    # where |z|^2 would overflow from about 1.34e154 on
+    for z in (1e150 + 0j, 1e150j):
+        assert coherent_metric_coefficient(H(2), 1.0, z) == 2.0 / (1.0 + abs(z) ** 2)
+        assert 0.0 < coherent_distance_numeric(H(2), 1.0, 1e-4, z) < 1e-303
+    for z in (1e155 + 0j, 1.0000000000000002e150 + 0j, 1e155 * cmath.exp(1j)):
+        for route in (lambda: coherent_metric_coefficient(H(2), 1.0, z),
+                      lambda: coherent_distance_numeric(H(2), 1.0, 1e-4, z)):
+            with pytest.raises(SphereDomainError, match=r"\|z\| must be <= 1e150"):
+                route()
+
+
 def test_ladder_commutator_norm_law():
     # |[x_plus/lam, drho]| = sqrt(4n(3n-1)) |dz|, all n, either phase of dz
     for t in (1, 2, 3, 4, 6):

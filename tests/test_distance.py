@@ -11,6 +11,7 @@ from fuzzydist import distance
 from fuzzydist.coherent import coherent_state
 from fuzzydist.distance import (
     OptimizerError,
+    _ascend,
     _hermitize_traceless,
     _normalize,
     _ratio_batch,
@@ -77,7 +78,8 @@ def test_lower_bound_zero_displacement():
 
 
 def test_optimizer_reaches_lower_bound():
-    """Constrained ascent confirms tightness for adjacent pairs (n <= 3/2)."""
+    """The exact diagonal route and the constrained ascent both confirm tightness
+    for adjacent pairs (n <= 3/2)."""
     for t in (1, 2, 3):
         s = build_space(H(t), 1.0)
         tr = build_dirac(s, "config", 0)
@@ -85,7 +87,10 @@ def test_optimizer_reaches_lower_bound():
             lo = pure_state(s, H(t3))
             hi = pure_state(s, H(t3 + 2))
             lb = distance_lower_bound(tr, lo, hi).value
-            opt = connes_distance_optimized(tr, lo, hi, seed=42)
+            exact = connes_distance_optimized(tr, lo, hi, seed=42)
+            assert (exact.method, exact.stop, exact.iterations) == ("diagonal_exact", "exact", 0)
+            assert lb - 1e-6 <= exact.value <= lb + 1e-3
+            opt = _ascend(tr, hi.matrix - lo.matrix, 20000, 42, 8)
             assert lb - 1e-6 <= opt.value <= lb + 1e-3
             assert opt.ball_residual <= 1e-8
             assert opt.stop in ("stalled", "zero_gradient")
@@ -115,8 +120,59 @@ def test_optimizer_max_iters_raises():
     s = build_space(H(4), 1.0)
     tr = build_dirac(s, "config", 0)
     with pytest.raises(OptimizerError) as err:
-        connes_distance_optimized(tr, pure_state(s, H(-4)), pure_state(s, H(4)), max_iters=3)
+        _ascend(tr, pure_state(s, H(4)).matrix - pure_state(s, H(-4)).matrix, 3, 42, 8)
     assert 0.0 < err.value.best_value <= 4.4495
+    # a diagonal pair is exact, so the public call raises only off the diagonal:
+    # coherent z = 0 -> 0.5, whose certified supremum is 1.909465
+    rho, rho2 = (HSOperator(s, coherent_state(s, z).projector()) for z in (0j, 0.5 + 0j))
+    with pytest.raises(OptimizerError) as err:
+        connes_distance_optimized(tr, rho, rho2, max_iters=3)
+    assert 0.0 < err.value.best_value < 1.909465
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 12), st.floats(0.5, 2.0), st.integers(0, 2**32 - 1))
+def test_diagonal_supremum_is_the_kantorovich_sum(twice_n, lam, seed):
+    """Between diagonal states p, q the public call is exact: the ladder sum
+    sum_k w_k |F_k| with F the cumulative sum of q - p and w_k the adjacent closed
+    forms, at least the lower-bound formula, symmetric, linear in lam, and certified
+    by a potential on the Lipschitz sphere. For 2n <= 3 the ascent, which rescales a
+    feasible potential, stays below it."""
+    p, q = np.random.default_rng(seed).dirichlet(np.ones(twice_n + 1), size=2)
+    rho, rho2 = np.diag(p).astype(complex), np.diag(q).astype(complex)
+    s = build_space(H(twice_n), lam)
+    tr = build_dirac(s, "config", 0)
+    got = connes_distance_optimized(tr, rho, rho2)
+    assert (got.method, got.stop, got.iterations) == ("diagonal_exact", "exact", 0)
+    w = [adjacent_distance_closed_form(H(twice_n), H(t), lam)
+         for t in range(-twice_n, twice_n - 1, 2)]
+    want = float(np.dot(w, np.abs(np.cumsum(q - p)[:-1])))
+    assert abs(got.value - want) <= 1e-12 * want
+    assert got.value >= distance_lower_bound(tr, rho, rho2).value * (1.0 - 1e-12)
+    assert abs(connes_distance_optimized(tr, rho2, rho).value - got.value) <= 1e-12 * want
+    one = connes_distance_optimized(build_dirac(build_space(H(twice_n), 1.0), "config", 0),
+                                    rho, rho2).value
+    assert abs(got.value - lam * one) <= 1e-12 * want
+    assert abs(lipschitz_seminorm(tr, got.certificate) - 1.0) <= 1e-12
+    assert got.ball_residual <= 1e-12
+    assert abs(np.trace((rho2 - rho) @ got.certificate).real - got.value) <= 1e-12 * want
+    if twice_n <= 3:
+        try:
+            low = _ascend(tr, rho2 - rho, 500, 42, 8).value
+        except OptimizerError as err:
+            low = err.best_value
+        assert low <= got.value * (1.0 + 1e-12)
+
+
+def test_diagonal_mixed_pair_is_exact():
+    """At 2n = 4 the ascent ran all 20 000 iterations on this pair and raised at
+    0.4844; the exact route returns the W1 value."""
+    rng = np.random.default_rng(5)
+    for m in (3, 4, 5):
+        p, q = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))
+    s = build_space(H(4), 1.0)
+    got = connes_distance_optimized(build_dirac(s, "config", 0), np.diag(p), np.diag(q))
+    assert abs(got.value - 0.5648379587027474) <= 1e-12
 
 
 def _one_candidate_ascent(tr, rho, rho2, seed, eig_screen, restarts=8, max_iters=20000,
@@ -180,7 +236,7 @@ def test_chunked_ladder_matches_one_candidate_loop(seed):
     """Batching the halving ladder, rejecting from eigenvalues and retiring
     bit-frozen starts move no value, iteration count or stop reason."""
     for kind, tr, rho, rho2 in _reference_pairs():
-        got = connes_distance_optimized(tr, rho, rho2, seed=seed)
+        got = _ascend(tr, rho2.matrix - rho.matrix, 20000, seed, 8)
         for eig_screen in (False, True):
             want, iters, stop = _one_candidate_ascent(tr, rho, rho2, seed, eig_screen)
             assert abs(got.value - want) <= 1e-12 * abs(want), (kind, tr, eig_screen, got.value)
@@ -193,11 +249,11 @@ def test_frozen_starts_retire_exactly(monkeypatch):
     stop reason it would have run to; max_iters still binds over the tail."""
     s = build_space(H(4), 1.0)
     tr = build_dirac(s, "config", 0)
-    lo, hi = pure_state(s, H(-4)), pure_state(s, H(4))
+    drho = pure_state(s, H(4)).matrix - pure_state(s, H(-4)).matrix
     with pytest.raises(OptimizerError) as err:
-        connes_distance_optimized(tr, lo, hi, seed=42, max_iters=65)
+        _ascend(tr, drho, 65, 42, 8)
     assert err.value.best_value == 4.449489740606218
-    opt = connes_distance_optimized(tr, lo, hi, seed=42, max_iters=66)
+    opt = _ascend(tr, drho, 66, 42, 8)
     assert (opt.iterations, opt.stop) == (66, "stalled")
     # at n = 1/2 the displacement is already optimal: its first rung leaves it
     # unchanged, so all 50 stalled iterations are settled in one round
@@ -210,7 +266,7 @@ def test_frozen_starts_retire_exactly(monkeypatch):
     monkeypatch.setattr(distance, "_seminorm_batch", counted)
     s = build_space(H(1), 1.0)
     tr = build_dirac(s, "config", 0)
-    opt = connes_distance_optimized(tr, pure_state(s, H(-1)), pure_state(s, H(1)), restarts=0)
+    opt = _ascend(tr, pure_state(s, H(1)).matrix - pure_state(s, H(-1)).matrix, 20000, 42, 0)
     assert (opt.iterations, opt.stop) == (50, "stalled")
     assert len(calls) == 1
 

@@ -70,6 +70,9 @@ def test_dirac_and_commutator_match_pauli_sums(representation, twice_n, lam):
     for a in (_hermitian(rng, dim, dim), _hermitian(rng, 3, dim, dim)):
         got = dirac_commutator(tr, a)
         assert got.shape == a.shape[:-2] + (2 * dim, 2 * dim)
+        # the kernel writes the difference into the conjugate copy: bit for bit the plain one
+        da = (tr.dirac.reshape(4 * dim, dim) @ a).reshape(got.shape)
+        assert np.array_equal(got, da - da.conj().swapaxes(-1, -2))
         for g, ai in zip(got.reshape(-1, 2 * dim, 2 * dim), a.reshape(-1, dim, dim)):
             pi = np.kron(np.eye(2), ai)
             ref = want @ pi - pi @ want
