@@ -220,7 +220,9 @@ def coherent_route_report(n, lam: float = 1.0, seed: int = 42) -> dict:
     triple. Both are computed here per unit |dz| at dz = 1e-4, together with
     the two commutator norms involved, and the ratio is reported as-is: the
     routes agree at n = 1, the supremum is half the closed form at n = 1/2,
-    and strictly larger for n >= 3/2.
+    and strictly larger for n >= 3/2. "sup_method" names the route behind the
+    supremum: "diagonal_exact" at n = 1/2, where every displacement is diagonal
+    in the n.x eigenbasis, and the ascent ("optimizer") from n = 1 on.
     """
     from .distance import connes_distance_optimized
     from .triple import build_dirac, lipschitz_seminorm
@@ -233,7 +235,7 @@ def coherent_route_report(n, lam: float = 1.0, seed: int = 42) -> dict:
     triple = build_dirac(sphere, "config", 0)
     rho0 = HSOperator(sphere, coherent_state(sphere, 0j).projector())
     rho1 = HSOperator(sphere, coherent_state(sphere, complex(dz)).projector())
-    sup = connes_distance_optimized(triple, rho0, rho1, seed=seed).value / dz
+    sup = connes_distance_optimized(triple, rho0, rho1, seed=seed)
     closed = coherent_metric_coefficient(n, lam, 0j)
     return {
         "closed_form": closed,
@@ -241,8 +243,9 @@ def coherent_route_report(n, lam: float = 1.0, seed: int = 42) -> dict:
         "ladder_norm_per_dz": ladder_commutator_norm(sphere, drho) / dz,
         "ladder_norm_closed": math.sqrt(4.0 * nf * (3.0 * nf - 1.0)),
         "dirac_seminorm_per_dz": lipschitz_seminorm(triple, drho) / dz,
-        "optimizer_sup_per_dz": sup,
-        "sup_to_closed_ratio": sup / closed,
+        "optimizer_sup_per_dz": sup.value / dz,
+        "sup_to_closed_ratio": sup.value / dz / closed,
+        "sup_method": sup.method,
     }
 
 

@@ -5,7 +5,9 @@ Three routes to the spectral distance between states:
 * the closed form for neighbouring basis states,
 * the general lower-bound formula tr(drho^2)/||[D, pi(drho)]||, and
 * the true supremum over the Lipschitz ball: exact, as a 1-D Kantorovich sum,
-  for diagonal displacements, and from a projected subgradient ascent otherwise.
+  for displacements diagonal in the n.x eigenbasis (n along their spin-1 part),
+  which covers every pair at n = 1/2, and from a projected subgradient ascent
+  otherwise. A displacement whose trace exceeds rounding is at infinite distance.
 
 Plus the quantized polar angle and the continuum arc-length comparator.
 """
@@ -19,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .halfint import ladder_radicand
+from .linalg import SYMMETRY_TOL
 from .sphere import SphereDomainError, _adjacent_step, _halfint, _matrix_of, _row
 from .triple import SpectralTriple, _commutator, lipschitz_seminorm
 
@@ -146,26 +149,48 @@ _TOL = 1e-10  # an accepted step gaining less than this, relative to max(|R|, 1)
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int = 20000,
                               seed: int = 42, restarts: int = 8) -> DistanceResult:
     """Maximize tr(drho a) over Hermitian a, ||[D, pi(a)]|| <= 1, drho = rho2 - rho: exactly if
-    drho is diagonal (_diagonal_supremum), else by _ascend, the one user of the last 3 args."""
-    drho = _matrix_of(rho2) - _matrix_of(rho)
-    if np.abs(drho).max() == 0.0:
+    drho is diagonal in the n.x eigenbasis (_diagonal_supremum), else by _ascend, the one user
+    of the last 3 args. ArithmeticError if |tr drho| exceeds rounding: a + t I then raises
+    tr(drho a) without bound, so the distance is infinite."""
+    m, m2 = _matrix_of(rho), _matrix_of(rho2)
+    drho = m2 - m
+    scale = np.abs(drho).max()
+    if scale == 0.0:
         return DistanceResult(0.0, "optimizer", None, None)
-    if not (drho - np.diag(np.diagonal(drho))).any():
-        return _diagonal_supremum(triple, drho)
-    return _ascend(triple, drho, max_iters, seed, restarts)
+    t = np.trace(drho)
+    if abs(t) > SYMMETRY_TOL * max(1.0, abs(np.trace(m)), abs(np.trace(m2))):
+        raise ArithmeticError("displacement of trace %.3e: infinite distance" % abs(t))
+    drho0 = drho - t / len(drho) * np.eye(len(drho))  # the exact route drops the rounding trace
+    V, r = None, drho0  # exactly diagonal: the n3 basis itself, V = I with no eigh
+    if (drho - np.diag(np.diagonal(drho))).any():
+        xs = (triple.sphere.x1, triple.sphere.x2, triple.sphere.x3)
+        # v_i = Re tr(drho x_i); the quantum triple's algebra M_(dim^2) keeps the ascent
+        v = [np.vdot(x, drho).real for x in xs] if triple.representation == "config" else []
+        if any(v):  # columns by descending eigenvalue, the row order of n3
+            V = np.linalg.eigh(np.tensordot(v, xs, 1))[1][:, ::-1]
+            r = V.conj().T @ drho0 @ V
+        if V is None or np.abs(r - np.diag(np.diagonal(r))).max() > SYMMETRY_TOL * scale:
+            return _ascend(triple, drho, max_iters, seed, restarts)
+    return _diagonal_supremum(triple, drho0, np.diagonal(r).real, V)
 
 
-def _diagonal_supremum(triple, drho) -> DistanceResult:
-    """sum_k w_k |F_k|, F = cumsum(diag drho): the exact supremum for diagonal drho.
+def _diagonal_supremum(triple, drho, d, V) -> DistanceResult:
+    """sum_k w_k |F_k|, F = cumsum(d): the exact supremum for traceless drho = V diag(d) V^dag,
+    V an eigenbasis of n.x by descending eigenvalue (None: the identity, n along x3).
 
     e^{it sigma3/2} (x) e^{it J3} commutes with D, so averaging over t makes some optimal a
     diagonal. [D, pi(diag f)] is a one-step shift in the spinor off-diagonal blocks, so the
     ball is |f_k - f_(k+1)| <= w_k = 1/||[D, pi(P_k)]||, P_k = diag(1, .., 1, 0, .., 0) with
     k + 1 ones, and summation by parts gives the value at a = sum_k w_k sign(F_k) P_k
-    (D'Andrea & Martinetti, SIGMA 6 (2010) 057)."""
-    P = np.tri(len(drho) - 1, len(drho))[:, :, None] * np.eye(len(drho))
+    (D'Andrea & Martinetti, SIGMA 6 (2010) 057). The SU(2) rotation U_(1/2) (x) U_n taking
+    x3 to n.x also commutes with D, and V = U_n up to phases that drop out of V diag V^dag,
+    so the potential for drho is V a V^dag; its dense ball residual checks that claim."""
+    P = np.tri(len(d) - 1, len(d))[:, :, None] * np.eye(len(d))
     w = 1.0 / _seminorm_batch(triple, P)
-    a = np.tensordot(w * np.sign(np.cumsum(np.diagonal(drho).real)[:-1]), P, 1)
+    a = np.tensordot(w * np.sign(np.cumsum(d)[:-1]), P, 1)
+    if V is not None:
+        a = V @ a @ V.conj().T
+        a = (a + a.conj().T) / 2.0
     return DistanceResult(float(np.real(np.trace(drho @ a))), "diagonal_exact", a,
                           abs(lipschitz_seminorm(triple, a) - 1.0), 0, "exact")
 

@@ -177,15 +177,18 @@ def test_route_report_sup_ratios():
     """
     rep = coherent_route_report(H(1), 1.0, seed=42)
     assert rep["sup_to_closed_ratio"] == pytest.approx(0.5, abs=1e-5)
+    assert rep["sup_method"] == "diagonal_exact"  # every n = 1/2 displacement is n.x-diagonal
     assert rep["ladder_norm_per_dz"] == pytest.approx(rep["ladder_norm_closed"], rel=1e-10)
     assert rep["dirac_seminorm_per_dz"] > rep["ladder_norm_per_dz"]
 
     rep = coherent_route_report(H(2), 1.0, seed=42)
     assert rep["sup_to_closed_ratio"] == pytest.approx(1.0, abs=1e-5)
+    assert rep["sup_method"] == "optimizer"
     assert rep["pipeline"] == pytest.approx(rep["closed_form"], rel=1e-12)
 
     rep = coherent_route_report(H(3), 1.0, seed=42)
     assert 1.10 < rep["sup_to_closed_ratio"] < 1.20
+    assert rep["sup_method"] == "optimizer"
 
 
 def test_large_n_deviation_law():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuzzydist import distance
@@ -173,6 +173,122 @@ def test_diagonal_mixed_pair_is_exact():
     s = build_space(H(4), 1.0)
     got = connes_distance_optimized(build_dirac(s, "config", 0), np.diag(p), np.diag(q))
     assert abs(got.value - 0.5648379587027474) <= 1e-12
+
+
+def test_nonzero_trace_is_infinite_distance():
+    """a + t I has seminorm 0, so a displacement with trace beyond rounding is at infinite
+    distance on every route; the lower-bound formula's convention is ArithmeticError."""
+    s = build_space(H(2), 1.0)
+    tr = build_dirac(s, "config", 0)
+    p, q = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 2.0, 0.0])
+    for rho, rho2 in ((p, q), (q, p)):
+        with pytest.raises(ArithmeticError, match="infinite distance"):
+            connes_distance_optimized(tr, rho, rho2)
+    rho = coherent_state(s, 0.3 + 0.4j).projector()
+    with pytest.raises(ArithmeticError, match="infinite distance"):
+        connes_distance_optimized(tr, rho, 1.5 * coherent_state(s, -0.5 + 0.1j).projector())
+
+
+def _bloch(z):
+    """Unit vector of the stereographic label z; z = 0 is the north pole."""
+    return np.array([2.0 * z.real, 2.0 * z.imag, 1.0 - abs(z) ** 2]) / (1.0 + abs(z) ** 2)
+
+
+_Z = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_Z, _Z, st.floats(0.5, 2.0))
+def test_spin_half_distance_is_the_bloch_chord(z, z2, lam):
+    """At n = 1/2 every displacement is diagonal in the n.x eigenbasis, so the public call is
+    exact on any pair of coherent states: (lam sqrt(3)/4) times the chord between their Bloch
+    vectors, at least the lower-bound formula, certified on the Lipschitz sphere, and above
+    what the ascent reaches."""
+    chord = float(np.linalg.norm(_bloch(z) - _bloch(z2)))
+    # forming the two projectors rounds drho by ~1e-16, about 3e-16/chord of the value
+    # (4e-14 at chord 1e-2); against the chord read from drho itself the route is 1e-15
+    assume(chord >= 1e-2)
+    s = build_space(H(1), lam)
+    tr = build_dirac(s, "config", 0)
+    rho, rho2 = (coherent_state(s, w).projector() for w in (z, z2))
+    got = connes_distance_optimized(tr, rho, rho2)
+    assert (got.method, got.stop, got.iterations) == ("diagonal_exact", "exact", 0)
+    want = lam * math.sqrt(3.0) / 4.0 * chord
+    assert abs(got.value - want) <= 1e-12 * want
+    assert got.value >= distance_lower_bound(tr, rho, rho2).value * (1.0 - 1e-12)
+    assert got.ball_residual <= 1e-12
+    try:
+        low = _ascend(tr, rho2 - rho, 500, 42, 8).value
+    except OptimizerError as err:
+        low = err.best_value
+    assert low <= got.value * (1.0 + 1e-12)
+
+
+def _rotation(s, theta, phi):
+    """e^{-i phi J3} e^{-i theta Jy} on the spin of sphere s, J = x/lam."""
+    mu, v = np.linalg.eigh(s.x2 / s.lam)
+    j3 = np.diag(s.x3).real / s.lam
+    return (np.exp(-1j * phi * j3)[:, None] * v * np.exp(-1j * theta * mu)) @ v.conj().T
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 8), st.floats(0.5, 2.0), st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi),
+       st.integers(0, 2**32 - 1))
+def test_rotated_diagonal_pair_is_exact(twice_n, lam, theta, phi, seed):
+    """U_(1/2) (x) U_n commutes with D_c, so rotating both states of a diagonal pair keeps
+    their distance: the public call finds the rotated frame from the spin-1 part of drho
+    and returns the unrotated diagonal_exact value."""
+    p, q = np.random.default_rng(seed).dirichlet(np.ones(twice_n + 1), size=2)
+    s = build_space(H(twice_n), lam)
+    tr = build_dirac(s, "config", 0)
+    want = connes_distance_optimized(tr, np.diag(p), np.diag(q)).value
+    rot = _rotation(s, theta, phi)
+    got = connes_distance_optimized(tr, rot @ np.diag(p) @ rot.conj().T,
+                                    rot @ np.diag(q) @ rot.conj().T)
+    assert (got.method, got.stop, got.iterations) == ("diagonal_exact", "exact", 0)
+    assert abs(got.value - want) <= 1e-12 * want
+    assert got.ball_residual <= 1e-12
+
+
+def test_su2_invariance_routes():
+    """Antipodal coherent states are pole to pole in a rotated frame, so their distance is
+    exact. A displacement with no spin-1 part, one on the quantum triple, and coherent pairs
+    at 2n >= 2 that are not antipodal go to the ascent, bitwise as if it were called directly."""
+    s = build_space(H(4), 1.0)
+    tr = build_dirac(s, "config", 0)
+    for z in (0.3 + 0.4j, 2.0 - 1.0j):
+        rho, rho2 = (coherent_state(s, w).projector() for w in (z, -1.0 / z.conjugate()))
+        got = connes_distance_optimized(tr, rho, rho2)
+        assert got.method == "diagonal_exact"
+        assert abs(got.value - 4.449489742783178) <= 1e-12
+    # tr(drho x3) = 0 for this pair of diagonal states, and rotation keeps it 0
+    s = build_space(H(2), 1.0)
+    rot = _rotation(s, 0.7, 1.9)
+    p, q = np.diag([0.5, 0.0, 0.5]), np.diag([0.0, 1.0, 0.0])
+    got = connes_distance_optimized(build_dirac(s, "config", 0), rot @ p @ rot.conj().T,
+                                    rot @ q @ rot.conj().T)
+    assert got.method == "optimizer"
+    # the quantum triple's algebra is M_(dim^2), on which the spin-1 part is not defined
+    psi = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    got = connes_distance_optimized(build_dirac(build_space(H(1), 1.0), "quantum"),
+                                    np.diag([1.0, 0.0, 0.0, 0.0]), np.outer(psi, psi))
+    assert got.method == "optimizer"
+    for twice_n in (1, 2, 3):
+        s = build_space(H(twice_n), 1.0)
+        tr = build_dirac(s, "config", 0)
+        rho, rho2 = (coherent_state(s, z).projector() for z in (0j, 1e-4 + 0j))
+        got = connes_distance_optimized(tr, rho, rho2)
+        if twice_n == 1:
+            # tr drho = -2.6e-16, 3e-12 of the value, which the exact route drops: summed
+            # with it, the value falls 1.3e-12 below the lower bound, tight at n = 1/2
+            lb = distance_lower_bound(tr, rho, rho2).value
+            assert got.method == "diagonal_exact"
+            assert abs(got.value - lb) <= 1e-12 * lb
+            continue
+        want = _ascend(tr, rho2 - rho, 20000, 42, 8)
+        assert (got.value, got.iterations, got.stop) == (want.value, want.iterations, want.stop)
+        assert got.certificate.tobytes() == want.certificate.tobytes()
+        assert got.method == "optimizer"
 
 
 def _one_candidate_ascent(tr, rho, rho2, seed, eig_screen, restarts=8, max_iters=20000,
@@ -357,9 +473,7 @@ def test_lower_bound_rotation_invariant(twice_n, lam, theta, phi, data):
     a, c = H(2 * i - twice_n), H(2 * j - twice_n)
     s = build_space(H(twice_n), lam)
     tr = build_dirac(s, "config", 0)
-    mu, v = np.linalg.eigh(s.x2 / lam)
-    j3 = np.diag(s.x3).real / lam
-    rot = (np.exp(-1j * phi * j3)[:, None] * v * np.exp(-1j * theta * mu)) @ v.conj().T
+    rot = _rotation(s, theta, phi)
     rho, rho2 = pure_state(s, a).matrix, pure_state(s, c).matrix
     want = distance_lower_bound(tr, rho, rho2).value
     got = distance_lower_bound(tr, rot @ rho @ rot.conj().T, rot @ rho2 @ rot.conj().T).value
