@@ -23,7 +23,7 @@ import numpy as np
 from .halfint import ladder_radicand
 from .linalg import SYMMETRY_TOL
 from .sphere import SphereDomainError, _adjacent_step, _halfint, _matrix_of, _row
-from .triple import SpectralTriple, _commutator, lipschitz_seminorm
+from .triple import SpectralTriple, _commutator, build_dirac, lipschitz_seminorm
 
 
 class OptimizerError(RuntimeError):
@@ -151,15 +151,22 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
     """Maximize tr(drho a) over Hermitian a, ||[D, pi(a)]|| <= 1, drho = rho2 - rho: exactly if
     drho is diagonal in the n.x eigenbasis (_diagonal_supremum), else by _ascend, the one user
     of the last 3 args. ArithmeticError if |tr drho| exceeds rounding: a + t I then raises
-    tr(drho a) without bound, so the distance is infinite."""
+    tr(drho a) without bound, so the distance is infinite. On the quantum triple the same
+    holds for its right marginal, the partial trace over the left index, as I (x) B
+    commutes with D_q. drho = 0 is exact at 0, with no potential."""
     m, m2 = _matrix_of(rho), _matrix_of(rho2)
     drho = m2 - m
     scale = np.abs(drho).max()
     if scale == 0.0:
-        return DistanceResult(0.0, "optimizer", None, None)
+        return DistanceResult(0.0, "diagonal_exact", None, None, 0, "exact")
     t = np.trace(drho)
     if abs(t) > SYMMETRY_TOL * max(1.0, abs(np.trace(m)), abs(np.trace(m2))):
         raise ArithmeticError("displacement of trace %.3e: infinite distance" % abs(t))
+    if triple.representation == "quantum":
+        dim = triple.sphere.dim
+        right = np.abs(np.einsum("ijik->jk", drho.reshape((dim,) * 4))).max()
+        if right > SYMMETRY_TOL * scale:
+            raise ArithmeticError("right marginal of size %.3e: infinite distance" % right)
     drho0 = drho - t / len(drho) * np.eye(len(drho))  # the exact route drops the rounding trace
     V, r = None, drho0  # exactly diagonal: the n3 basis itself, V = I with no eigh
     if (drho - np.diag(np.diagonal(drho))).any():
@@ -184,10 +191,19 @@ def _diagonal_supremum(triple, drho, d, V) -> DistanceResult:
     k + 1 ones, and summation by parts gives the value at a = sum_k w_k sign(F_k) P_k
     (D'Andrea & Martinetti, SIGMA 6 (2010) 057). The SU(2) rotation U_(1/2) (x) U_n taking
     x3 to n.x also commutes with D, and V = U_n up to phases that drop out of V diag V^dag,
-    so the potential for drho is V a V^dag; its dense ball residual checks that claim."""
-    P = np.tri(len(d) - 1, len(d))[:, :, None] * np.eye(len(d))
-    w = 1.0 / _seminorm_batch(triple, P)
-    a = np.tensordot(w * np.sign(np.cumsum(d)[:-1]), P, 1)
+    so the potential for drho is V a V^dag; its dense ball residual checks that claim.
+
+    On the quantum triple (V None, zero right marginal) d is the weight matrix w[i, j] of
+    drho, left index i, flattened. D_q = D_c (x) I commutes with I (x) |j><j|, so compressing
+    a to right sector j leaves its seminorm at most 1 and is a config problem for column j.
+    The supremum is the config sum over the columns, attained by sum_j a_j (x) |j><j|."""
+    config = build_dirac(triple.sphere) if triple.representation == "quantum" else triple
+    dim = config.algebra_dim
+    P = np.tri(dim - 1, dim)[:, :, None] * np.eye(dim)
+    w = 1.0 / _seminorm_batch(config, P)
+    F = np.cumsum(d.reshape(dim, -1), axis=0)[:-1]  # one column per right sector j
+    a = np.tensordot(w * np.sign(F.T), P, 1)  # the config potential a_j of each column
+    a = np.einsum("jab,jk->ajbk", a, np.eye(len(a))).reshape(drho.shape)  # sum_j a_j (x) |j><j|
     if V is not None:
         a = V @ a @ V.conj().T
         a = (a + a.conj().T) / 2.0

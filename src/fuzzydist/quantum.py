@@ -254,21 +254,22 @@ class ProbabilityProfile:
 # ---------------------------------------------------------------------------
 # mixed-state distance functional
 
-def _step_functional(n: HalfInteger, x: np.ndarray, t0: int):
-    """Num, S and (cu, cd, cx) for every step of the path of profile rows x.
+def _step_functional(nn1: float, x: np.ndarray, t0: int):
+    """Num, S and (cu, cd, cx) for every step of the path of profile rows x, nn1 = n(n+1).
 
     Row r of x is P(n3) at n3 = t0/2 + r, so step r runs n3 -> n3+1 with
     pu = x[r+1], pd = x[r]: Num = |pu|^2 + |pd|^2 and
     S = cu |pu|^2 + cd |pd|^2 + cx pu.pd with cu = n(n+1) - (n3+1)^2,
     cd = n(n+1) - n3^2 and cx = n(n+1) - n3(n3+1), all exact in floats.
-    The step's distance is (lam sqrt(n(n+1))/2) Num/sqrt(S).
+    The step's distance is (lam sqrt(n(n+1))/2) Num/sqrt(S). Leading axes of
+    x index independent paths, each computed exactly as if alone.
     """
-    n3 = t0 / 2.0 + np.arange(len(x) - 1)          # n3 of each step
-    nn1 = float(n.times_self_plus_one())
+    n3 = t0 / 2.0 + np.arange(x.shape[-2] - 1)     # n3 of each step
     cu, cd, cx = nn1 - (n3 + 1.0) ** 2, nn1 - n3 ** 2, nn1 - n3 * (n3 + 1.0)
-    sq = (x[:, None, :] @ x[:, :, None])[:, 0, 0]             # |P|^2 per row, summed as np.dot
-    cross = (x[1:, None, :] @ x[:-1, :, None])[:, 0, 0]      # pu.pd per step
-    return sq[1:] + sq[:-1], cu * sq[1:] + cd * sq[:-1] + cx * cross, (cu, cd, cx)
+    sq = (x[..., None, :] @ x[..., :, None])[..., 0, 0]             # |P|^2 per row, as np.dot
+    cross = (x[..., 1:, None, :] @ x[..., :-1, :, None])[..., 0, 0]  # pu.pd per step
+    return (sq[..., 1:] + sq[..., :-1], cu * sq[..., 1:] + cd * sq[..., :-1] + cx * cross,
+            (cu, cd, cx))
 
 
 def _path_labels(n: HalfInteger, n_i: HalfInteger, n_f: HalfInteger) -> range:
@@ -303,9 +304,10 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
     x = profile._path((n3.twice, n3.twice + 2))
     w, blocks = _step_blocks(n, lam, n3, x[1], x[0])
     sv = np.linalg.svd(blocks, compute_uv=False)
-    num, s, _ = _step_functional(n, x, n3.twice)
+    nn1 = float(n.times_self_plus_one())
+    num, s, _ = _step_functional(nn1, x, n3.twice)
     return {
-        "display": 2.0 / (lam * math.sqrt(float(n.times_self_plus_one()))) * math.sqrt(s[0]),
+        "display": 2.0 / (lam * math.sqrt(nn1)) * math.sqrt(s[0]),
         "frobenius": float(np.sqrt(np.sum(sv * sv))),
         "nuclear": float(sv.sum()),
         "operator": float(sv.max()),
@@ -344,8 +346,9 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
     n_f = _halfint(n_f)
     labels = _path_labels(n, n_i, n_f)
     x = profile._path(labels)
-    num, s, (_, _, cx) = _step_functional(n, x, n_i.twice)
-    lr = lam * math.sqrt(float(n.times_self_plus_one()))
+    nn1 = float(n.times_self_plus_one())
+    num, s, (_, _, cx) = _step_functional(nn1, x, n_i.twice)
+    lr = lam * math.sqrt(nn1)
 
     # per-step f and g, padded with a zero step below n_i and above n_f, so row
     # r (ascending) sees the step above it at r + 1 and the one below at r
@@ -369,16 +372,17 @@ def path_distance(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> float
     n = _halfint(n)
     n_i = _halfint(n_i)
     n_f = _halfint(n_f)
-    return _raw_path(n, lam, profile._path(_path_labels(n, n_i, n_f)), n_i.twice)
+    return float(_raw_path(float(n.times_self_plus_one()), lam,
+                           profile._path(_path_labels(n, n_i, n_f)), n_i.twice))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of v onto the probability simplex."""
+    """Euclidean projection of each row of v (last axis) onto the probability simplex."""
     m = v.shape[-1]
-    u = np.sort(v, axis=-1)[:, ::-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
     css = np.cumsum(u, axis=-1)
-    rho = m - 1 - np.argmax((u + (1.0 - css) / np.arange(1, m + 1) > 0)[:, ::-1], axis=-1)
-    theta = (1.0 - np.take_along_axis(css, rho[:, None], axis=-1)) / (rho[:, None] + 1.0)
+    rho = m - 1 - np.argmax((u + (1.0 - css) / np.arange(1, m + 1) > 0)[..., ::-1], axis=-1)
+    theta = (1.0 - np.take_along_axis(css, rho[..., None], axis=-1)) / (rho[..., None] + 1.0)
     return np.clip(v + theta, 0.0, None)
 
 
@@ -389,72 +393,79 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     """Minimize the path distance over profiles on the product of simplices.
 
     Projected gradient descent with Armijo backtracking on the analytic
-    gradient _raw_path_grad. Returns {"profile", "distance", "iterations"}
-    for the best start. The minimizer found is the uniform profile.
+    gradient _raw_path_grad, from the uniform profile and starts - 1 seeded
+    Dirichlet ones. Each start's rule: try its step t once per round; on the
+    Armijo test accept, t *= 1.5 and take a new gradient, else t *= 0.5. It
+    stops on an accepted step below 1e-12 ("small_step"), after 40 rejections
+    in a row ("no_descent"), or unconverged after _DESCENT_ITERS iterations.
+    The starts run in lockstep as one (starts, npts, m) stack, each with its
+    rule unchanged: the helpers keep leading axes independent, so every start
+    takes bitwise the steps it would alone. Returns {"profile", "distance",
+    "iterations", "stop"} of the first start of least distance; the minimizer
+    found is the uniform profile. If that start did not converge,
+    MinimizationError carries its distance and rows.
     """
     n = _halfint(n)
     n_i = _halfint(n_i)
     n_f = _halfint(n_f)
     labels = _path_labels(n, n_i, n_f)
-    npts = len(labels)
-    m = n.twice + 1
+    npts, m, t0 = len(labels), n.twice + 1, n_i.twice
+    nn1 = float(n.times_self_plus_one())
 
     rng = np.random.default_rng(seed)
-    inits = [np.full((npts, m), 1.0 / m),
-             *rng.dirichlet(np.ones(m), size=(max(0, starts - 1), npts))]
+    x = np.concatenate([np.full((1, npts, m), 1.0 / m),
+                        rng.dirichlet(np.ones(m), size=(max(0, starts - 1), npts))])
+    fx, g = _raw_path(nn1, lam, x, t0), _raw_path_grad(nn1, lam, x, t0)
+    k = len(x)
+    step, rungs, iters = np.ones(k), np.zeros(k, int), np.full(k, min(1, _DESCENT_ITERS))
+    stop = np.full(k, "" if _DESCENT_ITERS > 0 else "max_iters", dtype=object)  # "": live
+    while (live := np.flatnonzero(stop == "")).size:
+        xl, tl = x[live], step[live]
+        cand = _project_simplex(xl - tl[:, None, None] * g[live])
+        fc = _raw_path(nn1, lam, cand, t0)
+        gap = xl - cand
+        ok = fc <= fx[live] - 1e-4 * np.sum(gap * gap, axis=(-2, -1)) / np.maximum(tl, 1e-16)
+        acc, rej = live[ok], live[~ok]
+        x[acc], fx[acc] = cand[ok], fc[ok]
+        step[acc] *= 1.5
+        step[rej] *= 0.5
+        rungs[acc] = 0
+        rungs[rej] += 1
+        stop[rej[rungs[rej] == 40]] = "no_descent"
+        stop[acc[np.abs(gap[ok]).max(axis=(-2, -1)) < 1e-12]] = "small_step"
+        stop[acc[(stop[acc] == "") & (iters[acc] == _DESCENT_ITERS)]] = "max_iters"
+        more = acc[stop[acc] == ""]
+        iters[more] += 1
+        g[more] = _raw_path_grad(nn1, lam, x[more], t0)
 
-    best = None
-    for x in inits:
-        fx = _raw_path(n, lam, x, n_i.twice)
-        t = 1.0
-        iters = 0
-        converged = False
-        for iters in range(1, _DESCENT_ITERS + 1):
-            g = _raw_path_grad(n, lam, x, n_i.twice)
-            moved = False
-            for _bt in range(40):
-                cand = _project_simplex(x - t * g)
-                fc = _raw_path(n, lam, cand, n_i.twice)
-                gap = x - cand
-                if fc <= fx - 1e-4 * float(np.sum(gap * gap)) / max(t, 1e-16):
-                    step_inf = float(np.abs(gap).max())
-                    x, fx = cand, fc
-                    t *= 1.5
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved or step_inf < 1e-12:
-                converged = True
-                break
-        if best is None or fx < best[0]:
-            best = (fx, x, iters, converged)
-
-    fx, x, iters, converged = best
-    if not converged:
+    b = int(np.argmin(fx))
+    if stop[b] == "max_iters":
         raise MinimizationError("descent did not converge in %d iterations" % _DESCENT_ITERS,
-                                best={"distance": fx, "profile_rows": x})
-    profile = ProbabilityProfile(n, {t: x[r] for r, t in enumerate(labels)})
-    return {"profile": profile, "distance": fx, "iterations": iters}
+                                best={"distance": float(fx[b]), "profile_rows": x[b]})
+    profile = ProbabilityProfile(n, {t: x[b, r] for r, t in enumerate(labels)})
+    return {"profile": profile, "distance": float(fx[b]), "iterations": int(iters[b]),
+            "stop": stop[b]}
 
 
-def _raw_path(n, lam, x, t0) -> float:
-    """Path distance for raw (unvalidated) probability rows x, row r at n3 = t0/2 + r."""
-    num, s, _ = _step_functional(n, x, t0)
-    return float(np.sum(lam * math.sqrt(float(n.times_self_plus_one())) / 2.0 * num / np.sqrt(s)))
+def _raw_path(nn1, lam, x, t0):
+    """Path distance for raw (unvalidated) probability rows x, row r at n3 = t0/2 + r;
+    one value per path of the leading axes."""
+    num, s, _ = _step_functional(nn1, x, t0)
+    return np.sum(lam * math.sqrt(nn1) / 2.0 * num / np.sqrt(s), axis=-1)
 
 
-def _raw_path_grad(n, lam, x, t0) -> np.ndarray:
+def _raw_path_grad(nn1, lam, x, t0) -> np.ndarray:
     """Gradient of _raw_path: each step adds d = c Num/sqrt(S) with c = lam r/2, so
     dd/dp = c (2p/sqrt(S) - Num (dS/dp)/(2 S^{3/2})) for its two rows p = pu, pd."""
-    num, s, (cu, cd, cx) = _step_functional(n, x, t0)
-    c = lam * math.sqrt(float(n.times_self_plus_one())) / 2.0
-    k = (c / np.sqrt(s))[:, None]
-    h = (c * num / (2.0 * s ** 1.5))[:, None]
+    num, s, (cu, cd, cx) = _step_functional(nn1, x, t0)
+    c = lam * math.sqrt(nn1) / 2.0
+    k = (c / np.sqrt(s))[..., None]
+    h = (c * num / (2.0 * s ** 1.5))[..., None]
     cu, cd, cx = cu[:, None], cd[:, None], cx[:, None]
-    pu, pd = x[1:], x[:-1]
+    pu, pd = x[..., 1:, :], x[..., :-1, :]
     g = np.zeros_like(x)
-    g[1:] += 2.0 * k * pu - h * (2.0 * cu * pu + cx * pd)
-    g[:-1] += 2.0 * k * pd - h * (2.0 * cd * pd + cx * pu)
+    g[..., 1:, :] += 2.0 * k * pu - h * (2.0 * cu * pu + cx * pd)
+    g[..., :-1, :] += 2.0 * k * pd - h * (2.0 * cd * pd + cx * pu)
     return g
 
 

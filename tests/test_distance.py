@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fuzzydist import distance
 from fuzzydist.coherent import coherent_state
 from fuzzydist.distance import (
+    DistanceResult,
     OptimizerError,
     _ascend,
     _hermitize_traceless,
@@ -75,6 +76,8 @@ def test_lower_bound_zero_displacement():
     rho = pure_state(s, H(0))
     res = distance_lower_bound(tr, rho, rho)
     assert res.value == 0.0
+    assert connes_distance_optimized(tr, rho, rho) == DistanceResult(0.0, "diagonal_exact", None,
+                                                                     None, 0, "exact")
 
 
 def test_optimizer_reaches_lower_bound():
@@ -189,6 +192,40 @@ def test_nonzero_trace_is_infinite_distance():
         connes_distance_optimized(tr, rho, 1.5 * coherent_state(s, -0.5 + 0.1j).projector())
 
 
+def test_quantum_triple_sums_the_config_route_over_right_sectors():
+    """I (x) B commutes with D_q for every B, so on the quantum triple a displacement with
+    a nonzero right marginal (partial trace over the left index) is at infinite distance
+    on every route. With equal right marginals, a diagonal pair is exact: compressing to
+    right sector j is a config problem, so the value is the config route summed over the
+    columns of the weight matrix, certified by the block potential sum_j a_j (x) |j><j|.
+    The single Kantorovich chain over the flattened dim^2 basis returned 0.866 for the first
+    pair below and 0.7987, 1.3856 and 2.1856 with ball residual 2n for the others."""
+    tr = build_dirac(build_space(H(1), 1.0), "quantum")
+    psi = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    for rho2 in (np.diag([0.0, 1.0, 0.0, 0.0]), np.outer(psi, psi)):
+        with pytest.raises(ArithmeticError, match="infinite distance"):
+            connes_distance_optimized(tr, np.diag([1.0, 0.0, 0.0, 0.0]), rho2)
+    for twice_n, want in ((1, 0.6196602723327878), (2, 1.2297271498300795),
+                          (3, 1.0973662266217152)):
+        dim = twice_n + 1
+        s = build_space(H(twice_n), 1.0)
+        tr = build_dirac(s, "quantum")
+        w = np.random.default_rng(10 + twice_n).dirichlet(np.ones(dim * dim)).reshape(dim, dim)
+        rho, rho2 = np.diag(w.ravel()), np.diag(w[::-1].ravel())  # each column flipped
+        got = connes_distance_optimized(tr, rho, rho2)
+        assert (got.method, got.stop, got.iterations) == ("diagonal_exact", "exact", 0)
+        assert abs(got.value - want) <= 1e-12 * want
+        assert got.ball_residual <= 1e-12
+        assert abs(np.trace((rho2 - rho) @ got.certificate).real - got.value) <= 1e-12 * want
+        cols = [connes_distance_optimized(build_dirac(s), np.diag(w[:, j]), np.diag(w[::-1, j]))
+                for j in range(dim)]
+        assert abs(sum(c.value for c in cols) - got.value) <= 1e-12 * want
+        assert got.value >= distance_lower_bound(tr, rho, rho2).value
+        if twice_n == 1:  # the ascent rescales a feasible potential and ends just below
+            low = _ascend(tr, rho2 - rho, 20000, 42, 2).value
+            assert want * (1.0 - 1e-8) <= low <= want * (1.0 + 1e-12)
+
+
 def _bloch(z):
     """Unit vector of the stereographic label z; z = 0 is the north pole."""
     return np.array([2.0 * z.real, 2.0 * z.imag, 1.0 - abs(z) ** 2]) / (1.0 + abs(z) ** 2)
@@ -268,10 +305,11 @@ def test_su2_invariance_routes():
     got = connes_distance_optimized(build_dirac(s, "config", 0), rot @ p @ rot.conj().T,
                                     rot @ q @ rot.conj().T)
     assert got.method == "optimizer"
-    # the quantum triple's algebra is M_(dim^2), on which the spin-1 part is not defined
-    psi = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    # the quantum triple's algebra is M_(dim^2), on which the spin-1 part is not defined;
+    # both states have right marginal I/2, so the distance is finite
+    psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     got = connes_distance_optimized(build_dirac(build_space(H(1), 1.0), "quantum"),
-                                    np.diag([1.0, 0.0, 0.0, 0.0]), np.outer(psi, psi))
+                                    np.diag([0.5, 0.0, 0.0, 0.5]), np.outer(psi, psi))
     assert got.method == "optimizer"
     for twice_n in (1, 2, 3):
         s = build_space(H(twice_n), 1.0)

@@ -352,18 +352,87 @@ def test_minimizer_raises_with_the_best_rows(monkeypatch):
         path_distance(H(2), 1.0, ProbabilityProfile.uniform(H(2)), H(-2), H(2)), rel=1e-15)
 
 
+def _serial_starts(n, lam, n_i, n_f, starts, seed):
+    """Reference: the per-start descent, one start after another and one rung at a time.
+    One (distance, rows, iterations, stop) per start, stop "max_iters" if it did not converge."""
+    npts, m = len(quantum._path_labels(n, n_i, n_f)), n.twice + 1
+    nn1, t0 = float(n.times_self_plus_one()), n_i.twice
+    rng = np.random.default_rng(seed)
+    out = []
+    for x in [np.full((npts, m), 1.0 / m),
+              *rng.dirichlet(np.ones(m), size=(max(0, starts - 1), npts))]:
+        fx, t, iters, stop = quantum._raw_path(nn1, lam, x, t0), 1.0, 0, "max_iters"
+        for iters in range(1, quantum._DESCENT_ITERS + 1):
+            g = quantum._raw_path_grad(nn1, lam, x, t0)
+            for _ in range(40):
+                cand = quantum._project_simplex(x - t * g)
+                fc = quantum._raw_path(nn1, lam, cand, t0)
+                gap = x - cand
+                if fc <= fx - 1e-4 * float(np.sum(gap * gap)) / max(t, 1e-16):
+                    x, fx, t = cand, fc, t * 1.5
+                    break
+                t *= 0.5
+            else:
+                stop = "no_descent"
+                break
+            if np.abs(gap).max() < 1e-12:
+                stop = "small_step"
+                break
+        out.append((float(fx), x, iters, stop))
+    return out
+
+
+def _assert_lockstep_is_serial(twice_n, twice_i, twice_f, starts, seed):
+    """minimize_path_distance against the first least-distance start of _serial_starts:
+    bitwise equal distance, iterations, stop and rows, or the same MinimizationError.
+    Returns the stop reason of that start and of every start."""
+    n, n_i, n_f = H(twice_n), H(twice_i), H(twice_f)
+    runs = _serial_starts(n, 1.3, n_i, n_f, starts, seed)
+    d, rows, iters, stop = min(runs, key=lambda r: r[0])  # the first of least distance
+    if stop == "max_iters":
+        with pytest.raises(MinimizationError, match="did not converge") as info:
+            minimize_path_distance(n, 1.3, n_i, n_f, starts=starts, seed=seed)
+        assert info.value.best["distance"] == d
+        assert info.value.best["profile_rows"].tobytes() == rows.tobytes()
+    else:
+        got = minimize_path_distance(n, 1.3, n_i, n_f, starts=starts, seed=seed)
+        assert (got["distance"], got["iterations"], got["stop"]) == (d, iters, stop)
+        labels = quantum._path_labels(n, n_i, n_f)
+        want = ProbabilityProfile(n, dict(zip(labels, rows)))
+        assert all(got["profile"].rows[t].tobytes() == want.rows[t].tobytes() for t in labels)
+    return stop, [r[3] for r in runs]
+
+
+def test_lockstep_minimizer_matches_serial_loop(monkeypatch):
+    """The starts run in lockstep but each takes exactly its own steps. Over paths at
+    2n = 1..5, from 1 to 20 starts, with lam = 1.3: both stop reasons, then 3 iterations
+    per start, where the stationary uniform start stops and the others run out, and 20,
+    where the best start runs out and MinimizationError carries it."""
+    best = {_assert_lockstep_is_serial(*case)[0]
+            for case in [(2, -2, 2, 20, 1), (1, -1, 1, 5, 2), (3, -3, 3, 4, 3),
+                         (4, -4, 2, 8, 4), (5, -3, 5, 4, 5), (4, -4, 4, 1, 6)]}
+    assert best == {"small_step", "no_descent"}
+    monkeypatch.setattr(quantum, "_DESCENT_ITERS", 3)
+    for case in [(2, -2, 2, 20, 1), (3, -3, 3, 8, 3)]:
+        best, stops = _assert_lockstep_is_serial(*case)
+        assert best == "small_step" and set(stops) == {"small_step", "max_iters"}
+    monkeypatch.setattr(quantum, "_DESCENT_ITERS", 20)
+    best, stops = _assert_lockstep_is_serial(2, -2, 2, 20, 4)
+    assert best == "max_iters" and stops[0] == "small_step"
+
+
 @pytest.mark.parametrize("twice_n", [1, 2, 3, 4])
 def test_path_gradient_matches_central_difference(twice_n):
-    n = H(twice_n)
+    nn1 = float(H(twice_n).times_self_plus_one())
     x = np.random.default_rng(twice_n).dirichlet(np.ones(twice_n + 1), size=twice_n + 1)
     h = 1e-6
     fd = np.zeros_like(x)
     for idx in np.ndindex(x.shape):
         e = np.zeros_like(x)
         e[idx] = h
-        fd[idx] = (quantum._raw_path(n, 1.3, x + e, -twice_n)
-                   - quantum._raw_path(n, 1.3, x - e, -twice_n)) / (2 * h)
-    assert np.abs(quantum._raw_path_grad(n, 1.3, x, -twice_n) - fd).max() <= 1e-8
+        fd[idx] = (quantum._raw_path(nn1, 1.3, x + e, -twice_n)
+                   - quantum._raw_path(nn1, 1.3, x - e, -twice_n)) / (2 * h)
+    assert np.abs(quantum._raw_path_grad(nn1, 1.3, x, -twice_n) - fd).max() <= 1e-8
 
 
 def test_path_distance_adds_steps():
