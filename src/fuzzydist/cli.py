@@ -8,8 +8,8 @@ suppressed.
 
 Every step subcommand emits one row per step n3 -> n3+1 through _sweep,
 which fills the n and n3 columns. _config_row builds a config pair's row
-(closed form, norm pipeline, ascent and its OptimizerError fallback) once:
-discrete emits it, table projects it.
+(closed form, norm pipeline and, with --oracle, the exact Kantorovich supremum
+with an OptimizerError fallback) once: discrete emits it, table projects it.
 
 The compute modules are imported lazily inside the handlers: FUZZYDIST_THREADS
 must be translated into the BLAS thread-count variables before numpy loads.
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discrete", help="adjacent pure-state distances on the sphere")
     common(p)
     p.add_argument("--oracle", action="store_true",
-                   help="also run the constrained-ascent optimizer")
+                   help="also compute the exact supremum (diagonal Kantorovich route)")
 
     p = sub.add_parser("coherent", help="infinitesimal coherent-state distances")
     common(p, steps=False)
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=_halfint_arg, required=True)
     lam(p)
     p.add_argument("--oracle", action="store_true",
-                   help="include the optimizer column")
+                   help="include the optimizer column, the exact diagonal supremum")
     output(p)
 
     p = sub.add_parser("validate", help="run the full validation registry")

@@ -23,7 +23,7 @@ import numpy as np
 from .halfint import ladder_radicand
 from .linalg import SYMMETRY_TOL
 from .sphere import SphereDomainError, _adjacent_step, _halfint, _matrix_of, _row
-from .triple import SpectralTriple, _commutator, build_dirac, lipschitz_seminorm
+from .triple import SpectralTriple, _commutator, lipschitz_seminorm
 
 
 class OptimizerError(RuntimeError):
@@ -144,13 +144,14 @@ _LADDER_START = np.concatenate([[0], np.cumsum(_LADDER_CHUNKS)])  # first rung p
 _HALF = 0.5 ** np.arange(_LADDER_START[-1] + 1)
 _PATIENCE = 50  # stalled iterations before a start stops
 _TOL = 1e-10  # an accepted step gaining less than this, relative to max(|R|, 1), stalls
+_MAX_ITERS = 20000  # iterations per start; the best start reaching it raises OptimizerError
+_RESTARTS = 8  # seeded random starts beside the displacement itself
 
 
-def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int = 20000,
-                              seed: int = 42, restarts: int = 8) -> DistanceResult:
+def connes_distance_optimized(triple: SpectralTriple, rho, rho2, seed: int = 42) -> DistanceResult:
     """Maximize tr(drho a) over Hermitian a, ||[D, pi(a)]|| <= 1, drho = rho2 - rho: exactly if
     drho is diagonal in the n.x eigenbasis (_diagonal_supremum), else by _ascend, the one user
-    of the last 3 args. ArithmeticError if |tr drho| exceeds rounding: a + t I then raises
+    of seed. ArithmeticError if |tr drho| exceeds rounding: a + t I then raises
     tr(drho a) without bound, so the distance is infinite. On the quantum triple the same
     holds for its right marginal, the partial trace over the left index, as I (x) B
     commutes with D_q. drho = 0 is exact at 0, with no potential."""
@@ -177,7 +178,7 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, max_iters: int 
             V = np.linalg.eigh(np.tensordot(v, xs, 1))[1][:, ::-1]
             r = V.conj().T @ drho0 @ V
         if V is None or np.abs(r - np.diag(np.diagonal(r))).max() > SYMMETRY_TOL * scale:
-            return _ascend(triple, drho, max_iters, seed, restarts)
+            return _ascend(triple, drho, _MAX_ITERS, seed, _RESTARTS)
     return _diagonal_supremum(triple, drho0, np.diagonal(r).real, V)
 
 
@@ -188,22 +189,20 @@ def _diagonal_supremum(triple, drho, d, V) -> DistanceResult:
     e^{it sigma3/2} (x) e^{it J3} commutes with D, so averaging over t makes some optimal a
     diagonal. [D, pi(diag f)] is a one-step shift in the spinor off-diagonal blocks, so the
     ball is |f_k - f_(k+1)| <= w_k = 1/||[D, pi(P_k)]||, P_k = diag(1, .., 1, 0, .., 0) with
-    k + 1 ones, and summation by parts gives the value at a = sum_k w_k sign(F_k) P_k
+    k + 1 ones. [D, pi(P_k)] is x+[k, k+1]/(lam r) and its conjugate, so w_k = lam r/x+[k, k+1]
+    is read from the band, and summation by parts gives the value at a = sum_k w_k sign(F_k) P_k
     (D'Andrea & Martinetti, SIGMA 6 (2010) 057). The SU(2) rotation U_(1/2) (x) U_n taking
     x3 to n.x also commutes with D, and V = U_n up to phases that drop out of V diag V^dag,
-    so the potential for drho is V a V^dag; its dense ball residual checks that claim.
+    so the potential for drho is V a V^dag; its dense ball residual checks the weights and V.
 
     On the quantum triple (V None, zero right marginal) d is the weight matrix w[i, j] of
     drho, left index i, flattened. D_q = D_c (x) I commutes with I (x) |j><j|, so compressing
     a to right sector j leaves its seminorm at most 1 and is a config problem for column j.
     The supremum is the config sum over the columns, attained by sum_j a_j (x) |j><j|."""
-    config = build_dirac(triple.sphere) if triple.representation == "quantum" else triple
-    dim = config.algebra_dim
-    P = np.tri(dim - 1, dim)[:, :, None] * np.eye(dim)
-    w = 1.0 / _seminorm_batch(config, P)
-    F = np.cumsum(d.reshape(dim, -1), axis=0)[:-1]  # one column per right sector j
-    a = np.tensordot(w * np.sign(F.T), P, 1)  # the config potential a_j of each column
-    a = np.einsum("jab,jk->ajbk", a, np.eye(len(a))).reshape(drho.shape)  # sum_j a_j (x) |j><j|
+    s = triple.sphere
+    F = np.cumsum(d.reshape(s.dim, -1), axis=0)  # one column per right sector j
+    g = np.append(s.lam * s.radius / s._xplus, 0.0)[:, None] * np.sign(F)  # w_k sign(F_k)
+    a = np.diag(np.cumsum(g[::-1], axis=0)[::-1].ravel())  # sum_j a_j (x) |j><j|, row-major
     if V is not None:
         a = V @ a @ V.conj().T
         a = (a + a.conj().T) / 2.0

@@ -188,15 +188,15 @@ def _distance_optimizer(seed):
             rho2 = sphere.pure_state(s, n3 + HalfInteger(2))
             lb = distance.distance_lower_bound(tr, rho, rho2)
             opt = distance.connes_distance_optimized(tr, rho, rho2, seed=seed)
-            if not (lb.value - 1e-6 <= opt.value <= lb.value + 1e-3):
+            if opt.method != "diagonal_exact" or abs(opt.value - lb.value) > 1e-12 * lb.value:
                 return (False, abs(opt.value - lb.value),
-                        "optimizer left the certified bracket at n=%s n3=%s" % (n, n3))
+                        "exact route missed the lower bound at n=%s n3=%s" % (n, n3))
             worst_gap = max(worst_gap, abs(opt.value - lb.value))
             worst_ball = max(worst_ball, opt.ball_residual)
             if t == 1:
                 spin_half_value = opt.value
     target = math.sqrt(3.0) / 2.0
-    passed = (worst_ball <= 1e-8 and spin_half_value is not None
+    passed = (worst_ball <= 1e-12 and spin_half_value is not None
               and abs(spin_half_value - target) <= 1e-6)
     return (passed, worst_gap,
             "supremum matches lower bound, ball residual %.1e; spin-1/2 value %.9f"

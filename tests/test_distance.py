@@ -92,7 +92,8 @@ def test_optimizer_reaches_lower_bound():
             lb = distance_lower_bound(tr, lo, hi).value
             exact = connes_distance_optimized(tr, lo, hi, seed=42)
             assert (exact.method, exact.stop, exact.iterations) == ("diagonal_exact", "exact", 0)
-            assert lb - 1e-6 <= exact.value <= lb + 1e-3
+            assert abs(exact.value - lb) <= 1e-12 * lb
+            assert exact.ball_residual <= 1e-12
             opt = _ascend(tr, hi.matrix - lo.matrix, 20000, 42, 8)
             assert lb - 1e-6 <= opt.value <= lb + 1e-3
             assert opt.ball_residual <= 1e-8
@@ -109,15 +110,17 @@ def test_optimizer_spin_half_exact_value():
 
 
 def test_optimizer_seed_determinism():
+    # coherent z = 0 -> 1e-4 at 2n = 2 is off the diagonal, so the ascent reads the seed
     s = build_space(H(2), 1.0)
     tr = build_dirac(s, "config", 0)
-    for restarts in (0, 8):
-        a, b = (connes_distance_optimized(tr, pure_state(s, H(0)), pure_state(s, H(2)),
-                                          seed=7, restarts=restarts) for _ in range(2))
-        assert a.value == b.value
+    rho, rho2 = (coherent_state(s, z).projector() for z in (0j, 1e-4 + 0j))
+    a, b = (connes_distance_optimized(tr, rho, rho2, seed=7) for _ in range(2))
+    assert a.method == "optimizer"
+    assert (a.value, a.iterations, a.stop) == (b.value, b.iterations, b.stop)
+    assert a.certificate.tobytes() == b.certificate.tobytes()
 
 
-def test_optimizer_max_iters_raises():
+def test_optimizer_max_iters_raises(monkeypatch):
     # pole to pole at n = 2: three iterations leave the ascent well short of
     # the true 4.4495 (the sum of the adjacent closed forms)
     s = build_space(H(4), 1.0)
@@ -128,8 +131,9 @@ def test_optimizer_max_iters_raises():
     # a diagonal pair is exact, so the public call raises only off the diagonal:
     # coherent z = 0 -> 0.5, whose certified supremum is 1.909465
     rho, rho2 = (HSOperator(s, coherent_state(s, z).projector()) for z in (0j, 0.5 + 0j))
+    monkeypatch.setattr(distance, "_MAX_ITERS", 3)
     with pytest.raises(OptimizerError) as err:
-        connes_distance_optimized(tr, rho, rho2, max_iters=3)
+        connes_distance_optimized(tr, rho, rho2)
     assert 0.0 < err.value.best_value < 1.909465
 
 
@@ -165,6 +169,43 @@ def test_diagonal_supremum_is_the_kantorovich_sum(twice_n, lam, seed):
         except OptimizerError as err:
             low = err.best_value
         assert low <= got.value * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("twice_n", list(range(1, 13)) + [40])
+def test_band_weights_match_the_eigvalsh_stack(twice_n):
+    """The exact route reads w_k = lam r/x+[k, k+1] from the band. Its reference is the dense
+    route it replaced: 1/||[D, pi(P_k)]|| by eigvalsh on the stack of projectors P_k onto the
+    first k + 1 basis states. The adjacent pair of rows k + 1 -> k is at distance w_k."""
+    for lam in (0.7, 1.0, 2.3):
+        s = build_space(H(twice_n), lam)
+        tr = build_dirac(s, "config", 0)
+        want = 1.0 / _seminorm_batch(tr, np.tri(s.dim - 1, s.dim)[:, :, None] * np.eye(s.dim))
+        for k, n3 in enumerate(s.n3_values()[1:]):  # n3 of row k + 1
+            got = connes_distance_optimized(tr, pure_state(s, n3), pure_state(s, n3 + H(2)))
+            assert got.method == "diagonal_exact"
+            assert abs(got.value - want[k]) <= 1e-15 * want[k]
+
+
+def test_exact_route_needs_no_seminorm_stack(monkeypatch):
+    """With the eigvalsh stack unavailable, the exact route still gives the pinned values of a
+    config pole-to-pole pair and of the quantum flipped-column pairs, certified on the ball."""
+    def boom(*args):
+        raise AssertionError("the exact route called _seminorm_batch")
+
+    monkeypatch.setattr(distance, "_seminorm_batch", boom)
+    s = build_space(H(4), 1.0)
+    got = connes_distance_optimized(build_dirac(s, "config", 0), pure_state(s, H(4)),
+                                    pure_state(s, H(-4)))
+    assert got.method == "diagonal_exact" and got.ball_residual <= 1e-12
+    assert abs(got.value - 4.449489742783178) <= 1e-12 * got.value
+    for twice_n, want in ((1, 0.6196602723327878), (2, 1.2297271498300795),
+                          (3, 1.0973662266217152)):
+        dim = twice_n + 1
+        tr = build_dirac(build_space(H(twice_n), 1.0), "quantum")
+        w = np.random.default_rng(10 + twice_n).dirichlet(np.ones(dim * dim)).reshape(dim, dim)
+        got = connes_distance_optimized(tr, np.diag(w.ravel()), np.diag(w[::-1].ravel()))
+        assert got.method == "diagonal_exact" and got.ball_residual <= 1e-12
+        assert abs(got.value - want) <= 1e-12 * want
 
 
 def test_diagonal_mixed_pair_is_exact():
