@@ -26,7 +26,7 @@ def main():
 
     # The Dirac operator on configuration space has a two-value spectrum:
     # n/r with multiplicity 2n+2 and -(n+1)/r with multiplicity 2n.
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     eigs = hermitian_eigvals(tr.dirac)
     vals, counts = np.unique(np.round(eigs, 10), return_counts=True)
     print("Dirac spectrum:", dict(zip(vals.tolist(), counts.tolist())))

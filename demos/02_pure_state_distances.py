@@ -1,9 +1,10 @@
 """Spectral distances between adjacent pure states, three independent ways.
 
 The closed form, the eigensolver pipeline (trace quotient over commutator
-norm), and a direct optimization of the Connes supremum all agree for
-adjacent pure states. The quantized geometry is compared against the round
-sphere geodesic it approximates.
+norm), and the exact Kantorovich supremum (the diagonal route of
+connes_distance_optimized, the third column) all agree for adjacent pure
+states. The quantized geometry is compared against the round sphere geodesic
+it approximates.
 
 Run with:  python3 demos/02_pure_state_distances.py
 """
@@ -19,7 +20,7 @@ def main():
     lam = 1.0
     n = HalfInteger(3)  # n = 3/2
     s = build_space(n, lam)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
 
     print("adjacent-state distances at n = %s" % n)
     print("%6s  %14s  %14s  %14s" % ("n3", "closed_form", "pipeline", "optimizer"))
@@ -28,7 +29,7 @@ def main():
         hi = pure_state(s, n3 + HalfInteger(2))
         closed = adjacent_distance_closed_form(n, n3, lam)
         pipe = distance_lower_bound(tr, lo, hi).value
-        opt = connes_distance_optimized(tr, lo, hi, seed=7).value
+        opt = connes_distance_optimized(tr, lo, hi).value
         print("%6s  %14.10f  %14.10f  %14.10f" % (n3, closed, pipe, opt))
 
     # The spin-1/2 distance is a known exact value.

@@ -8,8 +8,8 @@ suppressed.
 
 Every step subcommand emits one row per step n3 -> n3+1 through _sweep,
 which fills the n and n3 columns. _config_row builds a config pair's row
-(closed form, norm pipeline and, with --oracle, the exact Kantorovich supremum
-with an OptimizerError fallback) once: discrete emits it, table projects it.
+(closed form, norm pipeline and, with --oracle, the exact Kantorovich supremum)
+once: discrete emits it, table projects it.
 
 The compute modules are imported lazily inside the handlers: FUZZYDIST_THREADS
 must be translated into the BLAS thread-count variables before numpy loads.
@@ -230,24 +230,19 @@ def _adjacent_labels(n: HalfInteger, n3):
 
 
 def _sweep(args, step_row, **meta):
-    """Rows n, n3, then step_row(n3)'s cells for the --n3 step or every step at --n.
-
-    step_row returns (cells, exit_code); the command exits with the largest code.
-    """
-    rows, code = [], 0
-    for n3 in _adjacent_labels(args.n, args.n3):
-        cells, step_code = step_row(n3)
-        rows.append({"n": str(args.n), "n3": str(n3), **cells})
-        code = max(code, step_code)
+    """Rows n, n3, then step_row(n3)'s cells for the --n3 step or every step at --n."""
+    rows = [{"n": str(args.n), "n3": str(n3), **step_row(n3)}
+            for n3 in _adjacent_labels(args.n, args.n3)]
     extra = {"n3": str(args.n3) if args.n3 is not None else None, **meta,
              "oracle": args.oracle}
-    return extra, rows, code
+    return extra, rows, 0
 
 
-def _config_row(s, tr, n3, oracle: bool, seed: int):
-    """(cells, exit_code) of the config pair |n3> -> |n3+1> on sphere s with triple tr.
+def _config_row(s, tr, n3, oracle: bool):
+    """Cells of the config pair |n3> -> |n3+1> on sphere s with triple tr.
 
-    An OptimizerError keeps its best_value as the optimizer cell and gives exit code 1.
+    Both states are basis projectors, so drho is diagonal and traceless: the oracle
+    takes the exact Kantorovich route, which reads no seed and raises nothing.
     """
     from . import distance, sphere
     rho, rho2 = sphere.pure_state(s, n3), sphere.pure_state(s, n3 + HalfInteger(2))
@@ -255,24 +250,18 @@ def _config_row(s, tr, n3, oracle: bool, seed: int):
     lb = distance.distance_lower_bound(tr, rho, rho2)
     cells = {"distance": cf, "value": cf, "method": "closed_form", "norm_pipeline": lb.value,
              "ratio": lb.value / cf, "ball_residual": lb.ball_residual}
-    if not oracle:
-        return cells, 0
-    try:
-        opt, code = distance.connes_distance_optimized(tr, rho, rho2, seed=seed), 0
-    except distance.OptimizerError as exc:
-        print("fuzzydist: optimizer failed at n = %s, n3 = %s: %s" % (s.n, n3, exc),
-              file=sys.stderr)
-        opt, code = distance.DistanceResult(exc.best_value, "optimizer"), 1
-    cells.update(optimizer=opt.value, optimizer_ball_residual=opt.ball_residual,
-                 optimizer_method=opt.method, optimizer_stop=opt.stop)
-    return cells, code
+    if oracle:
+        opt = distance.connes_distance_optimized(tr, rho, rho2)
+        cells.update(optimizer=opt.value, optimizer_ball_residual=opt.ball_residual,
+                     optimizer_method=opt.method, optimizer_stop=opt.stop)
+    return cells
 
 
 def _cmd_discrete(args):
     from . import sphere, triple
     s = sphere.build_space(args.n, args.lam)
-    tr = triple.build_dirac(s, "config", 0)
-    return _sweep(args, lambda n3: _config_row(s, tr, n3, args.oracle, args.seed))
+    tr = triple.build_dirac(s, "config")
+    return _sweep(args, lambda n3: _config_row(s, tr, n3, args.oracle))
 
 
 def _cmd_coherent(args):
@@ -314,7 +303,7 @@ def _cmd_quantum_pure(args):
             row["ratio"] = row["oracle"] / d
             if not same:
                 row["symmetrized"] = quantum.quantum_pure_distance_symmetrized(n, lam, n3)
-        return row, 0
+        return row
 
     return _sweep(args, step_row, right_sector=args.right_sector)
 
@@ -353,7 +342,7 @@ def _cmd_quantum_mixed(args):
             row["operator"] = norms["operator"]
             cert = quantum.delta_matrix(n, lam, profile, n3, n3 + HalfInteger(2))
             row["stationarity_residual"] = cert.residual
-        return row, 0
+        return row
 
     return _sweep(args, step_row, profile=args.profile)
 
@@ -377,7 +366,7 @@ def _cmd_thermal(args):
             prof = quantum.ProbabilityProfile(n, dict.fromkeys(_labels(n), weights))
             row["profile_functional"] = quantum.trace_norm_distance(n, lam, n3, prof)
             row["ratio"] = row["profile_functional"] / d
-        return row, 0
+        return row
 
     return _sweep(args, step_row, beta=args.beta, energies=args.energies)
 
@@ -409,19 +398,18 @@ def _cmd_table(args):
         raise UsageError("--n-min must be at least 1/2")
     if n_max.twice < n_min.twice:
         raise UsageError("--n-max must be >= --n-min")
-    rows, code = [], 0
+    rows = []
     for t in range(n_min.twice, n_max.twice + 1):
         n = HalfInteger(t)
         s = sphere.build_space(n, lam)
-        tr = triple.build_dirac(s, "config", 0)
+        tr = triple.build_dirac(s, "config")
         for n3 in _adjacent_labels(n, None):
-            cells, step_code = _config_row(s, tr, n3, args.oracle, args.seed)
+            cells = _config_row(s, tr, n3, args.oracle)
             row = {"n": str(n), "n3": str(n3)}
             row.update((col, cells[key]) for col, key in _TABLE_COLUMNS if key in cells)
             rows.append(row)
-            code = max(code, step_code)
     extra = {"n_min": str(n_min), "n_max": str(n_max), "oracle": args.oracle}
-    return extra, rows, code
+    return extra, rows, 0
 
 
 _HANDLERS = {

@@ -60,7 +60,7 @@ def _jy_eigh(two_n: int):
 
 def _check_normalized(amplitudes):
     """Raise unless every state (the last axis) has unit norm within 1e-12."""
-    if np.abs(np.linalg.norm(amplitudes, axis=-1) - 1.0).max() > 1e-12:
+    if not np.abs(np.linalg.norm(amplitudes, axis=-1) - 1.0).max() <= 1e-12:
         raise SphereDomainError("coherent state lost normalization")
 
 
@@ -119,7 +119,7 @@ def coherent_metric_coefficient(n, lam: float = 1.0, z: complex = 0j) -> float:
 
 def _one_plus_abs2(z) -> float:
     """1 + |z|^2, the divisor of every distance at z; past |z| = 1e150, SphereDomainError."""
-    if abs(z) > 1e150:
+    if not abs(z) <= 1e150:
         raise SphereDomainError("|z| must be <= 1e150: 1/(1+|z|^2) < 1e-300 beyond it")
     return 1.0 + abs(z) ** 2
 
@@ -152,7 +152,7 @@ def coherent_distance_numeric(n, lam: float = 1.0, dz: complex = 1e-4, z: comple
     Reproduces the closed-form metric coefficient per unit |dz|.
     """
     dz = complex(dz)
-    if abs(dz) > 1e-3:
+    if not abs(dz) <= 1e-3:
         raise SphereDomainError("numeric route is first order; need |dz| <= 1e-3")
     sphere = FuzzySphere(n, lam)
     return _ladder_functional(sphere, coherent_drho(sphere, dz).matrix) / _one_plus_abs2(z)
@@ -232,7 +232,7 @@ def coherent_route_report(n, lam: float = 1.0, seed: int = 42) -> dict:
     nf = n.twice / 2.0
     sphere = FuzzySphere(n, lam)
     drho = coherent_drho(sphere, complex(dz))
-    triple = build_dirac(sphere, "config", 0)
+    triple = build_dirac(sphere, "config")
     rho0 = HSOperator(sphere, coherent_state(sphere, 0j).projector())
     rho1 = HSOperator(sphere, coherent_state(sphere, complex(dz)).projector())
     sup = connes_distance_optimized(triple, rho0, rho1, seed=seed)

@@ -158,6 +158,8 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, seed: int = 42)
     m, m2 = _matrix_of(rho), _matrix_of(rho2)
     drho = m2 - m
     scale = np.abs(drho).max()
+    if not np.isfinite(scale):
+        raise SphereDomainError("displacement has a non-finite entry")
     if scale == 0.0:
         return DistanceResult(0.0, "diagonal_exact", None, None, 0, "exact")
     t = np.trace(drho)

@@ -113,7 +113,7 @@ def quantum_seminorm_oracle(n, lam: float, n3, n3p, l3p) -> float:
 def _config_triple(two_n: int, lam: float) -> SpectralTriple:
     """The config triple at spin two_n/2 and scale lam, shared read-only by every oracle
     call at that (2n, lam); bounded, since lam is a float a caller may sweep."""
-    tr = build_dirac(FuzzySphere(HalfInteger(two_n), lam), "config", 0)
+    tr = build_dirac(FuzzySphere(HalfInteger(two_n), lam), "config")
     tr.dirac.setflags(write=False)
     return tr
 

@@ -42,8 +42,8 @@ class FuzzySphere:
     def __init__(self, n, lam: float = 1.0):
         n = _halfint(n)
         labels = _labels(n)
-        if not lam > 0:
-            raise SphereDomainError("lambda must be positive, got %r" % lam)
+        if not 0 < lam < math.inf:
+            raise SphereDomainError("lambda must be positive and finite, got %r" % lam)
         self.n = n
         self.lam = float(lam)
         self.dim = len(labels)
@@ -59,12 +59,14 @@ class FuzzySphere:
         # su(2) as three band identities under the dense Casimir bound; each commutator
         # band is twice the dense closure entries, so at n(n+1) >= 3/4 none is looser
         lam, d, a = self.lam, self._x3, self._xplus
-        aa = np.concatenate(([0.0], a * a, [0.0]))  # (x+ x-)_ii = aa[i + 1], (x- x+)_ii = aa[i]
-        for what, dev in (("[x3, x+] = lam x+", (d[:-1] - d[1:]) * a - lam * a),
-                          ("[x+, x-] = 2 lam x3", aa[1:] - aa[:-1] - 2.0 * lam * d),
-                          ("Casimir", (aa[1:] + aa[:-1]) / 2.0 + d * d - lam * lam * self.casimir)):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge lam: inf and nan fail below
+            aa = np.concatenate(([0.0], a * a, [0.0]))  # (x+ x-)_ii = aa[i + 1], (x- x+)_ii = aa[i]
+            devs = (("[x3, x+] = lam x+", (d[:-1] - d[1:]) * a - lam * a),
+                    ("[x+, x-] = 2 lam x3", aa[1:] - aa[:-1] - 2.0 * lam * d),
+                    ("Casimir", (aa[1:] + aa[:-1]) / 2.0 + d * d - lam * lam * self.casimir))
+        for what, dev in devs:
             worst = float(np.abs(dev).max())
-            if worst > SYMMETRY_TOL * lam * lam * max(self.casimir, 1.0):
+            if not worst <= SYMMETRY_TOL * lam * lam * max(self.casimir, 1.0):
                 raise SphereDomainError("su(2) check %s failed: %.3e" % (what, worst))
 
     @property
@@ -206,8 +208,8 @@ class TwoModeFock:
     def __init__(self, cutoff: int, lam: float = 1.0):
         if cutoff < 2:
             raise SphereDomainError("cutoff must be at least 2")
-        if not lam > 0:
-            raise SphereDomainError("lambda must be positive")
+        if not 0 < lam < math.inf:
+            raise SphereDomainError("lambda must be positive and finite")
         self.cutoff = int(cutoff)
         self.lam = float(lam)
         a = np.zeros((cutoff, cutoff), dtype=complex)

@@ -41,7 +41,8 @@ class SpectralTriple:
 def build_dirac(sphere: FuzzySphere, representation: str = "config", k: int = 0) -> SpectralTriple:
     """Assemble D_c = sigma.x/(lam r), or D_q = D_c (x) I for the quantum representation.
 
-    k must be 0: the triple has no monopole sector, and any other k raises.
+    k must be 0: the triple has no monopole sector, and any other k raises. Callers omit it;
+    it stays in the signature only because the benchmark's perfbench/workloads.py passes 0.
     """
     if representation not in ("config", "quantum"):
         raise SphereDomainError("representation must be 'config' or 'quantum'")
@@ -72,7 +73,7 @@ def dirac_commutator(triple: SpectralTriple, a) -> np.ndarray:
         raise SphereDomainError("algebra element shape %r does not match representation dim %d"
                                 % (m.shape, dim))
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if dev > SYMMETRY_TOL * max(np.abs(m).max(initial=0.0), 1.0):
+    if not dev <= SYMMETRY_TOL * max(np.abs(m).max(initial=0.0), 1.0):
         raise SphereDomainError("algebra element is not Hermitian (max |a - a^dag| = %.3e)" % dev)
     return _commutator(triple, m)
 

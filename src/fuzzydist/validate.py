@@ -126,7 +126,7 @@ def _dirac_spectrum(seed):
     worst = 0.0
     for t in (1, 2, 3, 4, 6):
         s = sphere.build_space(HalfInteger(t), 1.0)
-        tr = triple.build_dirac(s, "config", 0)
+        tr = triple.build_dirac(s, "config")
         vals = np.linalg.eigvalsh(tr.dirac)
         (pos, mpos), (neg, mneg) = triple.dirac_eigenvalue_pattern(HalfInteger(t), 1.0)
         expect = np.sort(np.concatenate([np.full(mpos, pos), np.full(mneg, neg)]))
@@ -141,7 +141,7 @@ def _distance_pipeline(seed):
     for t in range(1, 17):  # n = 1/2 .. 8
         n = HalfInteger(t)
         s = sphere.build_space(n, 1.0)
-        tr = triple.build_dirac(s, "config", 0)
+        tr = triple.build_dirac(s, "config")
         for n3 in sphere._steps(n):
             closed = distance.adjacent_distance_closed_form(n, n3, 1.0)
             lb = distance.distance_lower_bound(
@@ -163,11 +163,11 @@ def _distance_symmetries(seed):
         refl = distance.adjacent_distance_closed_form(n, -n3 - HalfInteger(2), 1.0)
         worst = max(worst, abs(refl - d1) / d1)
         s = sphere.build_space(n, 1.0)
-        tr = triple.build_dirac(s, "config", 0)
+        tr = triple.build_dirac(s, "config")
         lb1 = distance.distance_lower_bound(
             tr, sphere.pure_state(s, n3), sphere.pure_state(s, n3 + HalfInteger(2)))
         s2 = sphere.build_space(n, 2.0)
-        tr2 = triple.build_dirac(s2, "config", 0)
+        tr2 = triple.build_dirac(s2, "config")
         lb2 = distance.distance_lower_bound(
             tr2, sphere.pure_state(s2, n3), sphere.pure_state(s2, n3 + HalfInteger(2)))
         worst = max(worst, abs(lb2.value - 2.0 * lb1.value) / lb2.value)
@@ -182,7 +182,7 @@ def _distance_optimizer(seed):
     for t in (1, 2, 3):
         n = HalfInteger(t)
         s = sphere.build_space(n, 1.0)
-        tr = triple.build_dirac(s, "config", 0)
+        tr = triple.build_dirac(s, "config")
         for n3 in sphere._steps(n):
             rho = sphere.pure_state(s, n3)
             rho2 = sphere.pure_state(s, n3 + HalfInteger(2))
@@ -597,7 +597,7 @@ def _representation_choice(seed):
     # therefore not what the distance formulas mean by the coordinate action
     n = HalfInteger(2)
     s = sphere.build_space(n, 1.0)
-    left = triple.build_dirac(s, "quantum", 0)
+    left = triple.build_dirac(s, "quantum")
     w = np.zeros((s.dim, s.dim))   # |1, 1)(1, 1| - |0, 1)(0, 1| as a weight matrix
     w[s.index_of(HalfInteger(2)), s.index_of(HalfInteger(2))] = 1.0
     w[s.index_of(HalfInteger(0)), s.index_of(HalfInteger(2))] = -1.0

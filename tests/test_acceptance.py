@@ -66,7 +66,7 @@ def test_criterion_02_closed_form_vs_pipeline():
     pairs = 0
     for t in range(1, 17):
         s = sphere.build_space(H(t), 1.0)
-        tr = triple.build_dirac(s, "config", 0)
+        tr = triple.build_dirac(s, "config")
         for t3 in range(-t, t - 1, 2):
             lo = sphere.pure_state(s, H(t3))
             hi = sphere.pure_state(s, H(t3 + 2))
@@ -89,7 +89,7 @@ def test_criterion_03_connes_supremum():
     ok = True
     for t in (1, 2, 3):
         s = sphere.build_space(H(t), 1.0)
-        tr = triple.build_dirac(s, "config", 0)
+        tr = triple.build_dirac(s, "config")
         for t3 in range(-t, t - 1, 2):
             lo = sphere.pure_state(s, H(t3))
             hi = sphere.pure_state(s, H(t3 + 2))

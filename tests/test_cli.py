@@ -310,25 +310,34 @@ def test_non_positive_or_non_finite_lambda_exit_2(command, lam, capsys):
     assert "error: argument --lambda: not a positive finite number" in err
 
 
-@pytest.mark.parametrize("argv, closed_form", [
-    (["discrete", "--n", "1"], "distance"),
-    (["table", "--n-min", "1", "--n-max", "1"], "closed_form"),
+@pytest.mark.parametrize("argv", [
+    ["discrete", "--n", "3"],
+    ["table", "--n-min", "1/2", "--n-max", "3/2"],
 ], ids=["discrete", "table"])
-def test_optimizer_failure_exit_1_with_partial_results(argv, closed_form, monkeypatch, capsys):
+def test_oracle_rows_are_exact_and_seed_free(argv, monkeypatch, capsys):
+    # every oracle row is an adjacent pair, answered by the exact Kantorovich route:
+    # the ascent, the only reader of the seed, is never reached
     from fuzzydist import distance
 
     def boom(*args, **kwargs):
-        raise distance.OptimizerError("stalled", best_value=0.9)
+        raise AssertionError("the ascent ran")
 
-    monkeypatch.setattr(distance, "connes_distance_optimized", boom)
-    code, out, err = run_cli(argv + ["--oracle", "--no-timestamp"], capsys)
-    assert code == 1
-    rows = json.loads(out)["results"]  # partial results still emitted
-    assert [row["n3"] for row in rows] == ["-1", "0"]
-    for row in rows:
-        assert "optimizer failed at n = 1, n3 = %s: stalled" % row["n3"] in err
-        assert row["optimizer"] == 0.9
-        assert row[closed_form] == 1.0
+    def recorded(*args, **kwargs):
+        res = exact(*args, **kwargs)
+        methods.append(res.method)
+        return res
+
+    exact, methods = distance.connes_distance_optimized, []
+    monkeypatch.setattr(distance, "_ascend", boom)
+    monkeypatch.setattr(distance, "connes_distance_optimized", recorded)
+    results = []
+    for seed in ("1", "2"):
+        code, out, _ = run_cli(argv + ["--oracle", "--seed", seed, "--no-timestamp"], capsys)
+        assert code == 0
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1]
+    assert len(methods) == 2 * len(results[0]) > 0
+    assert set(methods) == {"diagonal_exact"}
 
 
 # ---------------------------------------------------------------------------

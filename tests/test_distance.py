@@ -58,7 +58,7 @@ def test_closed_form_reflection_symmetry():
 def test_pipeline_matches_closed_form(twice_n):
     lam = 1.3
     s = build_space(H(twice_n), lam)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     for t3 in range(-twice_n, twice_n - 1, 2):
         lo = pure_state(s, H(t3))
         hi = pure_state(s, H(t3 + 2))
@@ -72,7 +72,7 @@ def test_pipeline_matches_closed_form(twice_n):
 
 def test_lower_bound_zero_displacement():
     s = build_space(H(2), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     rho = pure_state(s, H(0))
     res = distance_lower_bound(tr, rho, rho)
     assert res.value == 0.0
@@ -85,7 +85,7 @@ def test_optimizer_reaches_lower_bound():
     for adjacent pairs (n <= 3/2)."""
     for t in (1, 2, 3):
         s = build_space(H(t), 1.0)
-        tr = build_dirac(s, "config", 0)
+        tr = build_dirac(s, "config")
         for t3 in range(-t, t - 1, 2):
             lo = pure_state(s, H(t3))
             hi = pure_state(s, H(t3 + 2))
@@ -104,7 +104,7 @@ def test_optimizer_reaches_lower_bound():
 def test_optimizer_spin_half_exact_value():
     # the optimum is forced analytically at n = 1/2: distance lam*sqrt(3)/2
     s = build_space(H(1), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     opt = connes_distance_optimized(tr, pure_state(s, H(-1)), pure_state(s, H(1)), seed=42)
     assert abs(opt.value - math.sqrt(3.0) / 2.0) <= 1e-6
 
@@ -112,7 +112,7 @@ def test_optimizer_spin_half_exact_value():
 def test_optimizer_seed_determinism():
     # coherent z = 0 -> 1e-4 at 2n = 2 is off the diagonal, so the ascent reads the seed
     s = build_space(H(2), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     rho, rho2 = (coherent_state(s, z).projector() for z in (0j, 1e-4 + 0j))
     a, b = (connes_distance_optimized(tr, rho, rho2, seed=7) for _ in range(2))
     assert a.method == "optimizer"
@@ -124,7 +124,7 @@ def test_optimizer_max_iters_raises(monkeypatch):
     # pole to pole at n = 2: three iterations leave the ascent well short of
     # the true 4.4495 (the sum of the adjacent closed forms)
     s = build_space(H(4), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     with pytest.raises(OptimizerError) as err:
         _ascend(tr, pure_state(s, H(4)).matrix - pure_state(s, H(-4)).matrix, 3, 42, 8)
     assert 0.0 < err.value.best_value <= 4.4495
@@ -148,7 +148,7 @@ def test_diagonal_supremum_is_the_kantorovich_sum(twice_n, lam, seed):
     p, q = np.random.default_rng(seed).dirichlet(np.ones(twice_n + 1), size=2)
     rho, rho2 = np.diag(p).astype(complex), np.diag(q).astype(complex)
     s = build_space(H(twice_n), lam)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     got = connes_distance_optimized(tr, rho, rho2)
     assert (got.method, got.stop, got.iterations) == ("diagonal_exact", "exact", 0)
     w = [adjacent_distance_closed_form(H(twice_n), H(t), lam)
@@ -157,7 +157,7 @@ def test_diagonal_supremum_is_the_kantorovich_sum(twice_n, lam, seed):
     assert abs(got.value - want) <= 1e-12 * want
     assert got.value >= distance_lower_bound(tr, rho, rho2).value * (1.0 - 1e-12)
     assert abs(connes_distance_optimized(tr, rho2, rho).value - got.value) <= 1e-12 * want
-    one = connes_distance_optimized(build_dirac(build_space(H(twice_n), 1.0), "config", 0),
+    one = connes_distance_optimized(build_dirac(build_space(H(twice_n), 1.0), "config"),
                                     rho, rho2).value
     assert abs(got.value - lam * one) <= 1e-12 * want
     assert abs(lipschitz_seminorm(tr, got.certificate) - 1.0) <= 1e-12
@@ -178,7 +178,7 @@ def test_band_weights_match_the_eigvalsh_stack(twice_n):
     first k + 1 basis states. The adjacent pair of rows k + 1 -> k is at distance w_k."""
     for lam in (0.7, 1.0, 2.3):
         s = build_space(H(twice_n), lam)
-        tr = build_dirac(s, "config", 0)
+        tr = build_dirac(s, "config")
         want = 1.0 / _seminorm_batch(tr, np.tri(s.dim - 1, s.dim)[:, :, None] * np.eye(s.dim))
         for k, n3 in enumerate(s.n3_values()[1:]):  # n3 of row k + 1
             got = connes_distance_optimized(tr, pure_state(s, n3), pure_state(s, n3 + H(2)))
@@ -194,7 +194,7 @@ def test_exact_route_needs_no_seminorm_stack(monkeypatch):
 
     monkeypatch.setattr(distance, "_seminorm_batch", boom)
     s = build_space(H(4), 1.0)
-    got = connes_distance_optimized(build_dirac(s, "config", 0), pure_state(s, H(4)),
+    got = connes_distance_optimized(build_dirac(s, "config"), pure_state(s, H(4)),
                                     pure_state(s, H(-4)))
     assert got.method == "diagonal_exact" and got.ball_residual <= 1e-12
     assert abs(got.value - 4.449489742783178) <= 1e-12 * got.value
@@ -215,7 +215,7 @@ def test_diagonal_mixed_pair_is_exact():
     for m in (3, 4, 5):
         p, q = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))
     s = build_space(H(4), 1.0)
-    got = connes_distance_optimized(build_dirac(s, "config", 0), np.diag(p), np.diag(q))
+    got = connes_distance_optimized(build_dirac(s, "config"), np.diag(p), np.diag(q))
     assert abs(got.value - 0.5648379587027474) <= 1e-12
 
 
@@ -223,7 +223,7 @@ def test_nonzero_trace_is_infinite_distance():
     """a + t I has seminorm 0, so a displacement with trace beyond rounding is at infinite
     distance on every route; the lower-bound formula's convention is ArithmeticError."""
     s = build_space(H(2), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     p, q = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 2.0, 0.0])
     for rho, rho2 in ((p, q), (q, p)):
         with pytest.raises(ArithmeticError, match="infinite distance"):
@@ -287,7 +287,7 @@ def test_spin_half_distance_is_the_bloch_chord(z, z2, lam):
     # (4e-14 at chord 1e-2); against the chord read from drho itself the route is 1e-15
     assume(chord >= 1e-2)
     s = build_space(H(1), lam)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     rho, rho2 = (coherent_state(s, w).projector() for w in (z, z2))
     got = connes_distance_optimized(tr, rho, rho2)
     assert (got.method, got.stop, got.iterations) == ("diagonal_exact", "exact", 0)
@@ -318,7 +318,7 @@ def test_rotated_diagonal_pair_is_exact(twice_n, lam, theta, phi, seed):
     and returns the unrotated diagonal_exact value."""
     p, q = np.random.default_rng(seed).dirichlet(np.ones(twice_n + 1), size=2)
     s = build_space(H(twice_n), lam)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     want = connes_distance_optimized(tr, np.diag(p), np.diag(q)).value
     rot = _rotation(s, theta, phi)
     got = connes_distance_optimized(tr, rot @ np.diag(p) @ rot.conj().T,
@@ -333,7 +333,7 @@ def test_su2_invariance_routes():
     exact. A displacement with no spin-1 part, one on the quantum triple, and coherent pairs
     at 2n >= 2 that are not antipodal go to the ascent, bitwise as if it were called directly."""
     s = build_space(H(4), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     for z in (0.3 + 0.4j, 2.0 - 1.0j):
         rho, rho2 = (coherent_state(s, w).projector() for w in (z, -1.0 / z.conjugate()))
         got = connes_distance_optimized(tr, rho, rho2)
@@ -343,7 +343,7 @@ def test_su2_invariance_routes():
     s = build_space(H(2), 1.0)
     rot = _rotation(s, 0.7, 1.9)
     p, q = np.diag([0.5, 0.0, 0.5]), np.diag([0.0, 1.0, 0.0])
-    got = connes_distance_optimized(build_dirac(s, "config", 0), rot @ p @ rot.conj().T,
+    got = connes_distance_optimized(build_dirac(s, "config"), rot @ p @ rot.conj().T,
                                     rot @ q @ rot.conj().T)
     assert got.method == "optimizer"
     # the quantum triple's algebra is M_(dim^2), on which the spin-1 part is not defined;
@@ -354,7 +354,7 @@ def test_su2_invariance_routes():
     assert got.method == "optimizer"
     for twice_n in (1, 2, 3):
         s = build_space(H(twice_n), 1.0)
-        tr = build_dirac(s, "config", 0)
+        tr = build_dirac(s, "config")
         rho, rho2 = (coherent_state(s, z).projector() for z in (0j, 1e-4 + 0j))
         got = connes_distance_optimized(tr, rho, rho2)
         if twice_n == 1:
@@ -418,7 +418,7 @@ def _one_candidate_ascent(tr, rho, rho2, seed, eig_screen, restarts=8, max_iters
 def _reference_pairs():
     for twice_n in (1, 2, 3):
         s = build_space(H(twice_n), 1.0)
-        tr = build_dirac(s, "config", 0)
+        tr = build_dirac(s, "config")
         coh = [HSOperator(s, coherent_state(s, z).projector()) for z in (0j, 1e-4 + 0j)]
         yield "adjacent", tr, pure_state(s, H(twice_n - 2)), pure_state(s, H(twice_n))
         if twice_n > 1:  # at 2n = 1 the poles are the adjacent pair
@@ -443,7 +443,7 @@ def test_frozen_starts_retire_exactly(monkeypatch):
     """A start whose step no longer moves a is retired with the iterations and
     stop reason it would have run to; max_iters still binds over the tail."""
     s = build_space(H(4), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     drho = pure_state(s, H(4)).matrix - pure_state(s, H(-4)).matrix
     with pytest.raises(OptimizerError) as err:
         _ascend(tr, drho, 65, 42, 8)
@@ -460,7 +460,7 @@ def test_frozen_starts_retire_exactly(monkeypatch):
 
     monkeypatch.setattr(distance, "_seminorm_batch", counted)
     s = build_space(H(1), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     opt = _ascend(tr, pure_state(s, H(1)).matrix - pure_state(s, H(-1)).matrix, 20000, 42, 0)
     assert (opt.iterations, opt.stop) == (50, "stalled")
     assert len(calls) == 1
@@ -470,7 +470,7 @@ def test_frozen_starts_retire_exactly(monkeypatch):
 def test_ratio_batch_matches_dense_seminorm(twice_n):
     """The stacked kernels against the dense seminorm and the per-vector subgradient."""
     s = build_space(H(twice_n), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     dim = tr.algebra_dim
     rng = np.random.default_rng(twice_n)
     z = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
@@ -530,7 +530,7 @@ def test_lower_bound_symmetric_linear_and_below_the_ladder(twice_n, lam, data):
 
     def bound(lam, lo, hi):
         s = build_space(H(twice_n), lam)
-        return distance_lower_bound(build_dirac(s, "config", 0), pure_state(s, lo),
+        return distance_lower_bound(build_dirac(s, "config"), pure_state(s, lo),
                                     pure_state(s, hi)).value
 
     d = bound(lam, a, c)
@@ -551,7 +551,7 @@ def test_lower_bound_rotation_invariant(twice_n, lam, theta, phi, data):
     i, j = data.draw(st.lists(st.integers(0, twice_n), min_size=2, max_size=2, unique=True))
     a, c = H(2 * i - twice_n), H(2 * j - twice_n)
     s = build_space(H(twice_n), lam)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     rot = _rotation(s, theta, phi)
     rho, rho2 = pure_state(s, a).matrix, pure_state(s, c).matrix
     want = distance_lower_bound(tr, rho, rho2).value

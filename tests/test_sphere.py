@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fuzzydist import cli, sphere
+from fuzzydist import cli, coherent, distance, sphere
 from fuzzydist.distance import adjacent_distance_closed_form, quantized_polar_angle
 from fuzzydist.halfint import HalfInteger
 from fuzzydist.quantum import (
@@ -31,6 +31,7 @@ from fuzzydist.sphere import (
     pure_state,
     winding_number,
 )
+from fuzzydist.triple import build_dirac, lipschitz_seminorm
 
 H = HalfInteger
 
@@ -97,6 +98,32 @@ def test_domain_errors():
     s = build_space(H(2), 1.0)
     with pytest.raises(SphereDomainError):
         s.index_of(H(4))
+
+
+def _nan_pair():
+    """The config triple at n = 1, the state |1>, and |0> with a nan entry."""
+    s = build_space(H(2))
+    bad = pure_state(s, H(0)).matrix.copy()
+    bad[0, 0] = math.nan
+    return build_dirac(s), pure_state(s, H(2)), bad
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FuzzySphere(H(2), math.inf),
+    lambda: TwoModeFock(3, math.inf),
+    lambda: FuzzySphere(H(2), 1e200),  # lam^2 overflows, so the su(2) bands are nan
+    lambda: coherent.coherent_state(build_space(H(2)), math.nan),
+    lambda: coherent.coherent_metric_coefficient(H(2), 1.0, math.nan),
+    lambda: coherent.coherent_distance_numeric(H(2), 1.0, math.nan),
+    lambda: lipschitz_seminorm(_nan_pair()[0], _nan_pair()[2]),
+    lambda: distance.distance_lower_bound(*_nan_pair()),
+    lambda: distance.connes_distance_optimized(*_nan_pair()),
+], ids=["sphere-inf", "fock-inf", "sphere-1e200", "coherent-nan-z", "metric-nan-z",
+        "numeric-nan-dz", "seminorm-nan", "lower-bound-nan", "supremum-nan"])
+def test_non_finite_inputs_raise_the_domain_error(call):
+    # every guard is written so that nan fails it, rather than reaching LAPACK
+    with pytest.raises(SphereDomainError):
+        call()
 
 
 def test_pure_state_and_drho():

@@ -22,7 +22,7 @@ H = HalfInteger
 def test_config_dirac_spectrum(twice_n, lam):
     """Eigenvalues are n/r (multiplicity 2n+2) and -(n+1)/r (multiplicity 2n)."""
     s = build_space(H(twice_n), lam)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     vals = hermitian_eigvals(tr.dirac)
     (v_plus, m_plus), (v_minus, m_minus) = dirac_eigenvalue_pattern(H(twice_n), lam)
     expect = np.sort(np.concatenate([np.full(m_plus, v_plus), np.full(m_minus, v_minus)]))
@@ -33,7 +33,7 @@ def test_config_dirac_spectrum(twice_n, lam):
 def test_spin_half_spectrum_values():
     # at n = 1/2, lam = 1: one eigenvalue -sqrt(3), three at 1/sqrt(3)
     s = build_space(H(1), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     vals = hermitian_eigvals(tr.dirac)
     assert vals[0] == pytest.approx(-np.sqrt(3.0))
     assert np.allclose(vals[1:], 1.0 / np.sqrt(3.0))
@@ -56,7 +56,7 @@ def test_dirac_and_commutator_match_pauli_sums(representation, twice_n, lam):
     """D = sum_i sigma_i (x) x_i/(lam r), with (x) I on the right for the quantum
     triple, and [D, pi(a)] with pi(a) = I_2 (x) a, both assembled densely here."""
     s = build_space(H(twice_n), lam)
-    tr = build_dirac(s, representation, 0)
+    tr = build_dirac(s, representation)
     eye = np.eye(s.dim)
     want = np.zeros((2 * tr.algebra_dim, 2 * tr.algebra_dim), dtype=complex)
     for sig, x in zip(PAULI, (s.x1, s.x2, s.x3)):
@@ -87,7 +87,7 @@ def test_dirac_and_commutator_match_pauli_sums(representation, twice_n, lam):
 
 def test_commutator_accepts_state_operators():
     s = build_space(H(2), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     d = HSOperator(s, pure_state(s, H(2)).matrix - pure_state(s, H(0)).matrix)
     c1 = dirac_commutator(tr, d)
     c2 = dirac_commutator(tr, d.matrix)
@@ -98,7 +98,7 @@ def test_commutator_accepts_state_operators():
 
 def test_seminorm_scales_linearly():
     s = build_space(H(3), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     d = HSOperator(s, pure_state(s, H(1)).matrix - pure_state(s, H(-1)).matrix)
     assert lipschitz_seminorm(tr, 2.5 * d.matrix) == pytest.approx(
         2.5 * lipschitz_seminorm(tr, d), rel=1e-12)
@@ -108,7 +108,7 @@ def test_adjacent_seminorm_value():
     # [D, pi(drho)] for the step at n3 has norm 2*sqrt(rad)/(lam*sqrt(n(n+1)))
     # with rad = n(n+1) - n3(n3+1); at n=1, n3=0, lam=1: 2*sqrt(2)/sqrt(2) = 2
     s = build_space(H(2), 1.0)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     d = HSOperator(s, pure_state(s, H(2)).matrix - pure_state(s, H(0)).matrix)
     assert lipschitz_seminorm(tr, d) == pytest.approx(2.0, rel=1e-12)
 
@@ -124,7 +124,7 @@ def test_quantum_dirac_acts_from_the_left():
 
     n = H(2)
     s = build_space(n, 1.0)
-    tq = build_dirac(s, "quantum", 0)
+    tq = build_dirac(s, "quantum")
     dim2 = s.dim * s.dim
     assert tq.dirac.shape == (2 * dim2, 2 * dim2)
     w = np.zeros((s.dim, s.dim))   # |1, 1)(1, 1| - |0, 1)(0, 1|, left n3 by row
@@ -143,7 +143,7 @@ def test_quantum_dirac_rejects_monopole_sectors():
             with pytest.raises(SphereDomainError):
                 build_dirac(s, representation, k)
     with pytest.raises(ValueError):
-        build_dirac(s, "nonsense", 0)
+        build_dirac(s, "nonsense")
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -154,12 +154,12 @@ def test_seminorm_rotation_invariant_and_linear_in_inverse_lambda(twice_n, lam, 
     because the combined spinor and coordinate rotation commutes with D; and
     lam ||[D_lam, pi(a)]|| equals the seminorm at lam = 1."""
     s = build_space(H(twice_n), lam)
-    tr = build_dirac(s, "config", 0)
+    tr = build_dirac(s, "config")
     a = _hermitian(np.random.default_rng(seed), s.dim, s.dim)
     mu, v = np.linalg.eigh(s.x2 / lam)
     j3 = np.diag(s.x3).real / lam
     rot = (np.exp(-1j * phi * j3)[:, None] * v * np.exp(-1j * theta * mu)) @ v.conj().T
     h = lipschitz_seminorm(tr, a)
     assert lipschitz_seminorm(tr, rot @ a @ rot.conj().T) == pytest.approx(h, rel=1e-12)
-    unit = build_dirac(build_space(H(twice_n), 1.0), "config", 0)
+    unit = build_dirac(build_space(H(twice_n), 1.0), "config")
     assert lam * h == pytest.approx(lipschitz_seminorm(unit, a), rel=1e-12)
