@@ -3,8 +3,8 @@
 Subcommands compute distance tables for each state family, run the oracle
 cross-checks, and execute the validation registry. Output is JSON (default)
 or CSV with floats printed to 17 significant digits, so repeated runs with
-the same arguments and seed are byte-identical once timestamps are
-suppressed.
+the same arguments are byte-identical once timestamps are suppressed. Only
+validate and continuum-check take --seed, the seed of their checks' draws.
 
 Every step subcommand emits one row per step n3 -> n3+1 through _sweep,
 which fills the n and n3 columns. _config_row builds a config pair's row
@@ -107,10 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=1.0,
                        help="noncommutativity scale, positive (default 1)")
 
-    def output(p):
+    def output(p, seed=False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument("--seed", type=int, default=42)
+        if seed:  # only the checks draw random numbers
+            p.add_argument("--seed", type=int, default=42)
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from metadata (reproducible bytes)")
 
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also evaluate the profile functional directly")
 
     p = sub.add_parser("continuum-check", help="run the commutative-geometry checks")
-    output(p)
+    output(p, seed=True)
 
     p = sub.add_parser("table", help="sweep n and emit the distance table")
     p.add_argument("--n-min", dest="n_min", type=_halfint_arg, required=True)
@@ -162,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     output(p)
 
     p = sub.add_parser("validate", help="run the full validation registry")
-    output(p)
+    output(p, seed=True)
 
     return parser
 
@@ -447,7 +448,7 @@ def main(argv=None) -> int:
     meta = {"command": args.command,
             "n": str(args.n) if hasattr(args, "n") else None,
             "lambda": args.lam if hasattr(args, "lam") else None,
-            "seed": args.seed,
+            "seed": args.seed if hasattr(args, "seed") else None,
             "version": __version__}
     meta.update(extra)
     meta["format"] = args.format

@@ -26,7 +26,7 @@ import numpy as np
 
 from .halfint import HalfInteger
 from .linalg import DECOMP_TOL, LinalgDomainError, hermitian_eigh, operator_norm
-from .sphere import FuzzySphere, HSOperator, SphereDomainError, _halfint, _labels, _matrix_of
+from .sphere import FuzzySphere, HSOperator, SphereDomainError, _halfint, _labels, _lam, _matrix_of
 
 
 class CoherentState:
@@ -114,7 +114,7 @@ def coherent_metric_coefficient(n, lam: float = 1.0, z: complex = 0j) -> float:
     n = _halfint(n)
     _labels(n)  # raises unless n >= 1/2, which keeps 3n - 1 > 0
     nf = n.twice / 2.0
-    return lam * math.sqrt(4.0 * nf * nf * (nf + 1.0) / (3.0 * nf - 1.0)) / _one_plus_abs2(z)
+    return _lam(lam) * math.sqrt(4.0 * nf * nf * (nf + 1.0) / (3.0 * nf - 1.0)) / _one_plus_abs2(z)
 
 
 def _one_plus_abs2(z) -> float:

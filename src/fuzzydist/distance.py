@@ -22,7 +22,7 @@ import numpy as np
 
 from .halfint import ladder_radicand
 from .linalg import SYMMETRY_TOL
-from .sphere import SphereDomainError, _adjacent_step, _halfint, _matrix_of, _row
+from .sphere import SphereDomainError, _adjacent_step, _halfint, _lam, _matrix_of, _row
 from .triple import SpectralTriple, _commutator, lipschitz_seminorm
 
 
@@ -37,7 +37,7 @@ class OptimizerError(RuntimeError):
 @dataclass
 class DistanceResult:
     value: float
-    method: str  # closed_form | norm_pipeline | diagonal_exact | optimizer (the ascent)
+    method: str  # norm_pipeline | diagonal_exact | optimizer (the ascent)
     certificate: Optional[np.ndarray] = None
     ball_residual: Optional[float] = None
     iterations: Optional[int] = None  # the ascent's best start's iterations; 0 if exact
@@ -49,7 +49,7 @@ def adjacent_distance_closed_form(n, n3, lam: float = 1.0) -> float:
     n, n3 = _adjacent_step(n, n3)
     nn1 = float(n.times_self_plus_one())
     rad = float(ladder_radicand(n, n3))
-    return lam * math.sqrt(nn1) / math.sqrt(rad)
+    return _lam(lam) * math.sqrt(nn1) / math.sqrt(rad)
 
 
 def distance_lower_bound(triple: SpectralTriple, rho, rho2) -> DistanceResult:
@@ -91,7 +91,7 @@ def arc_length_step(n, n3, lam: float = 1.0) -> float:
     rad = nn1 - float(n3) ** 2
     if rad <= 0:
         raise SphereDomainError("|n3| >= sqrt(n(n+1)): arc step undefined")
-    return lam * math.sqrt(nn1) / math.sqrt(rad)
+    return _lam(lam) * math.sqrt(nn1) / math.sqrt(rad)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ import numpy as np
 
 from .distance import adjacent_distance_closed_form
 from .halfint import HalfInteger, ladder_radicand
-from .sphere import FuzzySphere, SphereDomainError, _adjacent_step, _halfint, _labels, _row, _steps
+from .sphere import (FuzzySphere, SphereDomainError, _adjacent_step, _halfint, _labels, _lam, _row,
+                     _steps)
 from .triple import SpectralTriple, _commutator, build_dirac
 
 
@@ -52,7 +53,7 @@ def same_sector_seminorm(n, lam: float, n3) -> float:
     """||[D, pi(drho_q)]|| when both states share the right sector."""
     n, n3 = _adjacent_step(n, n3)
     rad = ladder_radicand(n, n3)
-    return 2.0 * math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
+    return 2.0 * math.sqrt(float(rad)) / (_lam(lam) * math.sqrt(float(n.times_self_plus_one())))
 
 
 def distinct_sector_seminorm_literal(n, lam: float, n3) -> float:
@@ -63,7 +64,7 @@ def distinct_sector_seminorm_literal(n, lam: float, n3) -> float:
     """
     n, n3 = _adjacent_step(n, n3)
     rad = n.times_self_plus_one() - Fraction(n3.twice * n3.twice, 4) + Fraction(abs(n3.twice), 2)
-    return math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
+    return math.sqrt(float(rad)) / (_lam(lam) * math.sqrt(float(n.times_self_plus_one())))
 
 
 def distinct_sector_seminorm_symmetrized(n, lam: float, n3) -> float:
@@ -76,7 +77,7 @@ def distinct_sector_seminorm_symmetrized(n, lam: float, n3) -> float:
     n, n3 = _adjacent_step(n, n3)
     one = HalfInteger(2)
     rad = n.times_self_plus_one() - min(v.times_self_plus_one() for v in (n3 - one, n3, n3 + one))
-    return math.sqrt(float(rad)) / (lam * math.sqrt(float(n.times_self_plus_one())))
+    return math.sqrt(float(rad)) / (_lam(lam) * math.sqrt(float(n.times_self_plus_one())))
 
 
 def quantum_pure_distance(n, lam: float, n3, right_same: bool) -> float:
@@ -348,7 +349,7 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
     x = profile._path(labels)
     nn1 = float(n.times_self_plus_one())
     num, s, (_, _, cx) = _step_functional(nn1, x, n_i.twice)
-    lr = lam * math.sqrt(nn1)
+    lr = _lam(lam) * math.sqrt(nn1)
 
     # per-step f and g, padded with a zero step below n_i and above n_f, so row
     # r (ascending) sees the step above it at r + 1 and the one below at r
@@ -372,7 +373,7 @@ def path_distance(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> float
     n = _halfint(n)
     n_i = _halfint(n_i)
     n_f = _halfint(n_f)
-    return float(_raw_path(float(n.times_self_plus_one()), lam,
+    return float(_raw_path(float(n.times_self_plus_one()), _lam(lam),
                            profile._path(_path_labels(n, n_i, n_f)), n_i.twice))
 
 
@@ -408,6 +409,7 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     n = _halfint(n)
     n_i = _halfint(n_i)
     n_f = _halfint(n_f)
+    lam = _lam(lam)
     labels = _path_labels(n, n_i, n_f)
     npts, m, t0 = len(labels), n.twice + 1, n_i.twice
     nn1 = float(n.times_self_plus_one())
@@ -478,7 +480,7 @@ def uniform_minimized_distance(n, lam: float, n3) -> float:
     nn1 = n.times_self_plus_one()
     rad = 3 * ladder_radicand(n, n3) - 1   # 3[n(n+1) - n3(n3+1) - 1/3], exact
     m = n.twice + 1
-    return (lam * math.sqrt(float(nn1))) / (math.sqrt(m) * math.sqrt(float(rad)))
+    return (_lam(lam) * math.sqrt(float(nn1))) / (math.sqrt(m) * math.sqrt(float(rad)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +501,7 @@ class EnergySpectrum:
     @classmethod
     def default(cls, n, lam: float = 1.0) -> "EnergySpectrum":
         """Zeeman-like linear spectrum E_{l3} = lam * l3."""
+        lam = _lam(lam)
         return cls(np.array([lam * t / 2.0 for t in _labels(n)]))
 
     @classmethod
@@ -547,4 +550,5 @@ def thermal_distance(n, lam: float, n3, spectrum: EnergySpectrum, beta: float) -
                                 % (spectrum.levels.size, n.twice + 1))
     nn1 = n.times_self_plus_one()
     rad = 3 * ladder_radicand(n, n3) - 1
-    return thermal_prefactor(spectrum, beta) * lam * math.sqrt(float(nn1)) / math.sqrt(float(rad))
+    return (thermal_prefactor(spectrum, beta) * _lam(lam) * math.sqrt(float(nn1))
+            / math.sqrt(float(rad)))

@@ -35,6 +35,13 @@ def _halfint(value) -> HalfInteger:
     return HalfInteger.from_value(value)
 
 
+def _lam(lam) -> float:
+    """lam as a float, checked positive and finite; nan fails the check."""
+    if not 0 < lam < math.inf:
+        raise SphereDomainError("lambda must be positive and finite, got %r" % lam)
+    return float(lam)
+
+
 class FuzzySphere:
     """Immutable container for the spin-n coordinates at scale lam, stored as x3's
     diagonal and x+'s superdiagonal; the dense matrices are built on access."""
@@ -42,10 +49,8 @@ class FuzzySphere:
     def __init__(self, n, lam: float = 1.0):
         n = _halfint(n)
         labels = _labels(n)
-        if not 0 < lam < math.inf:
-            raise SphereDomainError("lambda must be positive and finite, got %r" % lam)
         self.n = n
-        self.lam = float(lam)
+        self.lam = _lam(lam)
         self.dim = len(labels)
         self.casimir = float(n.times_self_plus_one())  # n(n+1)
         self.radius = self.lam * math.sqrt(self.casimir)
@@ -208,10 +213,8 @@ class TwoModeFock:
     def __init__(self, cutoff: int, lam: float = 1.0):
         if cutoff < 2:
             raise SphereDomainError("cutoff must be at least 2")
-        if not 0 < lam < math.inf:
-            raise SphereDomainError("lambda must be positive and finite")
         self.cutoff = int(cutoff)
-        self.lam = float(lam)
+        self.lam = lam = _lam(lam)
         a = np.zeros((cutoff, cutoff), dtype=complex)
         for k in range(1, cutoff):
             a[k - 1, k] = math.sqrt(lam / 2.0) * math.sqrt(k)

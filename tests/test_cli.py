@@ -29,7 +29,7 @@ def test_discrete_json_schema(capsys):
     assert doc["meta"]["command"] == "discrete"
     assert doc["meta"]["n"] == "1"
     assert doc["meta"]["lambda"] == 1.0
-    assert doc["meta"]["seed"] == 42
+    assert doc["meta"]["seed"] is None  # only validate and continuum-check take --seed
     assert doc["meta"]["version"]
     row = doc["results"][0]
     assert row["method"] == "closed_form"
@@ -316,7 +316,7 @@ def test_non_positive_or_non_finite_lambda_exit_2(command, lam, capsys):
 ], ids=["discrete", "table"])
 def test_oracle_rows_are_exact_and_seed_free(argv, monkeypatch, capsys):
     # every oracle row is an adjacent pair, answered by the exact Kantorovich route:
-    # the ascent, the only reader of the seed, is never reached
+    # the ascent, the only reader of a seed, is never reached, and --seed is no option
     from fuzzydist import distance
 
     def boom(*args, **kwargs):
@@ -330,13 +330,13 @@ def test_oracle_rows_are_exact_and_seed_free(argv, monkeypatch, capsys):
     exact, methods = distance.connes_distance_optimized, []
     monkeypatch.setattr(distance, "_ascend", boom)
     monkeypatch.setattr(distance, "connes_distance_optimized", recorded)
-    results = []
-    for seed in ("1", "2"):
-        code, out, _ = run_cli(argv + ["--oracle", "--seed", seed, "--no-timestamp"], capsys)
-        assert code == 0
-        results.append(json.loads(out)["results"])
-    assert results[0] == results[1]
-    assert len(methods) == 2 * len(results[0]) > 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--oracle", "--seed", "1", "--no-timestamp"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    code, out, _ = run_cli(argv + ["--oracle", "--no-timestamp"], capsys)
+    assert code == 0
+    assert len(methods) == len(json.loads(out)["results"]) > 0
     assert set(methods) == {"diagonal_exact"}
 
 
@@ -350,7 +350,7 @@ def _run_subprocess(args):
 
 
 def test_repeated_runs_byte_identical():
-    args = ["discrete", "--n", "2", "--oracle", "--seed", "7", "--no-timestamp"]
+    args = ["discrete", "--n", "2", "--oracle", "--no-timestamp"]
     a = _run_subprocess(args)
     b = _run_subprocess(args)
     assert a.returncode == 0 and b.returncode == 0

@@ -170,24 +170,22 @@ def test_richardson_removes_bias():
 def test_route_report_sup_ratios():
     """The supremum oracle and the closed-form route are distinct functionals.
 
-    Measured relationship: the constrained supremum is half the closed form
-    at n = 1/2, equal at n = 1, and strictly larger from n = 3/2 on. The
-    ladder-block norm matches sqrt(4n(3n-1))|dz| while the full Dirac
-    seminorm of the same displacement is larger; both are reported.
+    The route each supremum takes, and the ladder-block norm, which matches
+    sqrt(4n(3n-1))|dz| while the full Dirac seminorm of the same displacement
+    is larger; both are reported. The sup/closed ratios themselves (0.5, 1 and
+    a bracket at n = 1/2, 1 and 3/2, seed 42) are the validate check
+    coherent-sup-gap.
     """
     rep = coherent_route_report(H(1), 1.0, seed=42)
-    assert rep["sup_to_closed_ratio"] == pytest.approx(0.5, abs=1e-5)
     assert rep["sup_method"] == "diagonal_exact"  # every n = 1/2 displacement is n.x-diagonal
     assert rep["ladder_norm_per_dz"] == pytest.approx(rep["ladder_norm_closed"], rel=1e-10)
     assert rep["dirac_seminorm_per_dz"] > rep["ladder_norm_per_dz"]
 
     rep = coherent_route_report(H(2), 1.0, seed=42)
-    assert rep["sup_to_closed_ratio"] == pytest.approx(1.0, abs=1e-5)
     assert rep["sup_method"] == "optimizer"
     assert rep["pipeline"] == pytest.approx(rep["closed_form"], rel=1e-12)
 
     rep = coherent_route_report(H(3), 1.0, seed=42)
-    assert 1.10 < rep["sup_to_closed_ratio"] < 1.20
     assert rep["sup_method"] == "optimizer"
 
 

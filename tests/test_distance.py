@@ -54,8 +54,9 @@ def test_closed_form_reflection_symmetry():
             assert a == pytest.approx(b, rel=1e-14)
 
 
-@pytest.mark.parametrize("twice_n", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("twice_n", range(1, 17))
 def test_pipeline_matches_closed_form(twice_n):
+    """Every adjacent pair to n = 8, in both orders, within 1e-10 of the closed form."""
     lam = 1.3
     s = build_space(H(twice_n), lam)
     tr = build_dirac(s, "config")
@@ -65,6 +66,7 @@ def test_pipeline_matches_closed_form(twice_n):
         got = distance_lower_bound(tr, lo, hi)
         want = adjacent_distance_closed_form(H(twice_n), H(t3), lam)
         assert got.value == pytest.approx(want, rel=1e-10)
+        assert distance_lower_bound(tr, hi, lo).value == pytest.approx(want, rel=1e-10)
         assert got.method == "norm_pipeline"
         assert got.ball_residual <= 1e-8
         assert got.iterations is None and got.stop is None

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fuzzydist import cli, coherent, distance, sphere
+from fuzzydist import cli, coherent, distance, quantum, sphere
 from fuzzydist.distance import adjacent_distance_closed_form, quantized_polar_angle
 from fuzzydist.halfint import HalfInteger
 from fuzzydist.quantum import (
@@ -36,8 +36,9 @@ from fuzzydist.triple import build_dirac, lipschitz_seminorm
 H = HalfInteger
 
 
-@pytest.mark.parametrize("twice_n", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("twice_n", range(1, 26))
 def test_su2_closure_and_casimir(twice_n):
+    """Closure within 1e-12 lam^2 and the Casimir within 1e-12 of lam^2 n(n+1), n <= 25/2."""
     lam = 0.7
     s = build_space(H(twice_n), lam)
     xs = (s.x1, s.x2, s.x3)
@@ -45,10 +46,11 @@ def test_su2_closure_and_casimir(twice_n):
     eps = {(0, 1): 2, (1, 2): 0, (2, 0): 1}
     for (i, j), k in eps.items():
         dev = np.abs(xs[i] @ xs[j] - xs[j] @ xs[i] - 1j * lam * xs[k]).max()
-        assert dev <= 1e-12 * lam * lam + 1e-15
+        assert dev <= 1e-12 * lam * lam
     cas = xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2]
     nf = twice_n / 2.0
-    assert np.abs(cas - lam * lam * nf * (nf + 1.0) * eye).max() <= 1e-12 * max(1.0, lam * lam * nf * nf)
+    want = lam * lam * nf * (nf + 1.0)
+    assert np.abs(cas - want * eye).max() <= 1e-12 * want
 
 
 def test_construction_rejects_a_ladder_band_off_by_1e6(monkeypatch):
@@ -126,6 +128,45 @@ def test_non_finite_inputs_raise_the_domain_error(call):
         call()
 
 
+_LAMBDA_ENTRY_POINTS = {
+    "FuzzySphere": lambda lam: FuzzySphere(H(4), lam),
+    "TwoModeFock": lambda lam: TwoModeFock(3, lam),
+    "adjacent_distance_closed_form": lambda lam: adjacent_distance_closed_form(H(4), H(0), lam),
+    "arc_length_step": lambda lam: distance.arc_length_step(H(4), H(0), lam),
+    "coherent_metric_coefficient": lambda lam: coherent.coherent_metric_coefficient(H(4), lam),
+    "same_sector_seminorm": lambda lam: same_sector_seminorm(H(4), lam, H(0)),
+    "distinct_sector_seminorm_literal":
+        lambda lam: distinct_sector_seminorm_literal(H(4), lam, H(0)),
+    "distinct_sector_seminorm_symmetrized":
+        lambda lam: distinct_sector_seminorm_symmetrized(H(4), lam, H(0)),
+    "quantum_pure_distance": lambda lam: quantum_pure_distance(H(4), lam, H(0), True),
+    "quantum_pure_distance_distinct": lambda lam: quantum_pure_distance(H(4), lam, H(0), False),
+    "quantum_pure_distance_symmetrized":
+        lambda lam: quantum.quantum_pure_distance_symmetrized(H(4), lam, H(0)),
+    "uniform_minimized_distance": lambda lam: quantum.uniform_minimized_distance(H(4), lam, H(0)),
+    "thermal_distance": lambda lam: thermal_distance(H(4), lam, H(0), EnergySpectrum.default(H(4)),
+                                                     0.5),
+    "trace_norm_distance": lambda lam: trace_norm_distance(H(4), lam, H(0),
+                                                           ProbabilityProfile.uniform(H(4))),
+    "path_distance": lambda lam: quantum.path_distance(H(4), lam, ProbabilityProfile.uniform(H(4)),
+                                                       H(-4), H(4)),
+    "delta_matrix": lambda lam: quantum.delta_matrix(H(4), lam, ProbabilityProfile.uniform(H(4)),
+                                                     H(-4), H(4)),
+    "minimize_path_distance": lambda lam: quantum.minimize_path_distance(H(4), lam, H(-4), H(4),
+                                                                         starts=2),
+    "EnergySpectrum.default": lambda lam: EnergySpectrum.default(H(4), lam),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_LAMBDA_ENTRY_POINTS))
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+def test_lambda_rule(entry, lam):
+    """Every entry point that takes lam rejects it unless 0 < lam < inf, through the one
+    shared check, whether or not it builds a FuzzySphere."""
+    with pytest.raises(SphereDomainError, match="lambda must be positive and finite"):
+        _LAMBDA_ENTRY_POINTS[entry](lam)
+
+
 def test_pure_state_and_drho():
     s = build_space(H(3), 1.0)
     rho = pure_state(s, H(1))
@@ -183,7 +224,8 @@ def test_wrong_parity_label_has_no_basis_state(entry):
 
 def test_winding_numbers():
     assert winding_number(FockMonomial(2, 1, 0, 0)) == 3
-    assert winding_number(FockMonomial(1, 0, 0, 1)) == 0
+    for balanced in ((1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0)):
+        assert winding_number(FockMonomial(*balanced)) == 0
     assert winding_number(FockMonomial(0, 0, 1, 2)) == -3
     with pytest.raises(SphereDomainError):
         FockMonomial(-1, 0, 0, 0)
@@ -206,9 +248,10 @@ def test_k_adjoint_grades_operators():
 
 @pytest.mark.parametrize("twice_n", [1, 2, 3, 4])
 def test_jordan_schwinger_reproduces_coordinates(twice_n):
-    rep = jordan_schwinger_check(H(twice_n), 0.5, cutoff=10)
-    assert rep["max_deviation"] <= 1e-12
-    assert rep["block_dim"] == twice_n + 1
+    for lam in (0.5, 1.0):
+        rep = jordan_schwinger_check(H(twice_n), lam, cutoff=10)
+        assert rep["max_deviation"] <= 1e-12
+        assert rep["block_dim"] == twice_n + 1
 
 
 def test_two_mode_embedding_roundtrip():
