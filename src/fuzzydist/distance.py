@@ -105,7 +105,8 @@ def _hermitize_traceless(a):
 
 
 def _normalize(a):
-    return a / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
+    """a over its Frobenius norm per slice, by the expression np.linalg.norm evaluates."""
+    return a / np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1), keepdims=True))
 
 
 def _seminorm_batch(triple, a):
@@ -118,8 +119,9 @@ def _seminorm_batch(triple, a):
     return np.maximum(-lam[:, 0], lam[:, -1])
 
 
-def _ratio_batch(triple, drho, a):
-    """R = tr(drho a)/h, h = ||[D, pi(a)]|| and the subgradient G of h, per slice of a.
+def _ratio_batch(triple, drho, a, c=None):
+    """R = tr(drho a)/h, h = ||[D, pi(a)]|| and the subgradient G of h, per slice of a;
+    c, if given, is the stack [D, pi(a)] already formed.
 
     G averages the Hermitian traceless direction of W_i = outer(u_i, conj(vh_i))
     over the top singular set of [D, pi(a)]; the map W -> G is linear, so the
@@ -127,7 +129,7 @@ def _ratio_batch(triple, drho, a):
     """
     dim = triple.algebra_dim
     D = triple.dirac
-    u, s, vh = np.linalg.svd(_commutator(triple, a))
+    u, s, vh = np.linalg.svd(_commutator(triple, a) if c is None else c)
     h = s[:, 0]
     top = s >= h[:, None] * (1.0 - 1e-8)  # the (near-)degenerate top set
     w = vh.swapaxes(-1, -2) @ (top[:, :, None] * u.conj().swapaxes(-1, -2))
@@ -146,6 +148,8 @@ _PATIENCE = 50  # stalled iterations before a start stops
 _TOL = 1e-10  # an accepted step gaining less than this, relative to max(|R|, 1), stalls
 _MAX_ITERS = 20000  # iterations per start; the best start reaching it raises OptimizerError
 _RESTARTS = 8  # seeded random starts beside the displacement itself
+_STOPS = ("", "stalled", "zero_gradient", "max_iters")  # a start's stop code names; "" runs
+_STALLED, _ZERO_GRADIENT, _OUT_OF_ITERS = 1, 2, 3
 
 
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, seed: int = 42) -> DistanceResult:
@@ -226,10 +230,11 @@ def _ascend(triple, drho, max_iters, seed, restarts) -> DistanceResult:
     fixed, so the candidates normalize(a + step 0.5^j grad), j = 0..29, do
     not depend on each other. The starts run in lockstep rounds; each round
     tries the next chunk of every active start's ladder (chunks of 1, 2, 4,
-    8 and 15 rungs) in one stack and accepts the first j whose ratio beats
-    R. A rejected candidate needs only h, taken from the eigenvalues of the
-    Hermitian i[D, pi(a)]; the accepted ones then get their ratio and
-    subgradient from one stacked SVD.
+    8 and 15 rungs) and forms their commutators [D, pi(a)] once, as one
+    stack. It accepts the first j whose ratio beats R, screening with h from
+    the eigenvalues of the Hermitian i[D, pi(a)]; the accepted rungs get
+    their ratio, subgradient and next gradient from one SVD of their slices
+    of that stack. A start whose whole ladder is rejected keeps its gradient.
 
     A start with no accepted rung in a round, one of whose rungs left a
     bitwise unchanged (a + step 0.5^j grad == a), is retired in that round.
@@ -238,7 +243,8 @@ def _ascend(triple, drho, max_iters, seed, restarts) -> DistanceResult:
     that same rejected candidate. Its remaining whole rejections are counted
     without being run, up to 50 stalls or ``max_iters``, whichever comes
     first ("stalled" on a tie), so every reported number is the one the
-    rung-by-rung loop gives.
+    rung-by-rung loop gives. Stop reasons are integer codes while the starts
+    run, named from _STOPS on return.
 
     The best start's matrix is rescaled with the dense ``lipschitz_seminorm``,
     which also gives the ball residual; its iteration count and stop reason
@@ -252,68 +258,72 @@ def _ascend(triple, drho, max_iters, seed, restarts) -> DistanceResult:
     a = _normalize(_hermitize_traceless(np.concatenate([drho[None], z[:, 0] + 1j * z[:, 1]])))
     R, G, h, val = _ratio_batch(triple, drho, a)
     n = len(a)
-    step, R_prev, grad = np.full(n, 0.1), R.copy(), np.empty_like(a)
+    step, grad = np.full(n, 0.1), np.empty_like(a)
     stall, iters, chunk = np.zeros((3, n), dtype=int)
-    stop = np.full(n, "" if max_iters > 0 else "max_iters", dtype=object)  # "" while active
-    new = np.arange(n)  # starts beginning an iteration
+    stop = np.full(n, 0 if max_iters > 0 else _OUT_OF_ITERS)  # codes into _STOPS, 0 while active
+    acc, a_acc = np.arange(n), a  # the starts just accepted and their points, as G, h and val
     while True:
-        new = new[stop[new] == ""]
-        # gradient of the ratio, then tangent projection on the sphere
-        hn = h[new, None, None]
-        g = _hermitize_traceless((drho * hn - val[new, None, None] * G[new]) / (hn * hn))
-        grad[new] = g - np.einsum("bij,bij->b", a[new].conj(), g).real[:, None, None] * a[new]
-        stop[new[np.linalg.norm(grad[new], axis=(-2, -1)) == 0.0]] = "zero_gradient"
-        R_prev[new], chunk[new] = R[new], 0
-        act = np.flatnonzero(stop == "")
+        if acc.size:  # gradient of the ratio, then tangent projection on the sphere
+            hn = h[:, None, None]
+            g = _hermitize_traceless((drho * hn - val[:, None, None] * G) / (hn * hn))
+            g -= np.einsum("bij,bij->b", a_acc.conj(), g).real[:, None, None] * a_acc
+            grad[acc] = g
+            zero = np.add.reduce((g.conj() * g).real, axis=(-2, -1)) == 0.0
+            if zero.any():
+                stop[acc[zero & (stop[acc] == 0)]] = _ZERO_GRADIENT
+        act = (stop == 0).nonzero()[0]
         if not act.size:
             break
         # the next chunk of rungs j of every active start's ladder, as one stack
-        sizes = _LADDER_CHUNKS[chunk[act]]
-        owner = np.repeat(act, sizes)
-        offset = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        j = _LADDER_START[chunk[owner]] + offset
+        owner, half = act, np.ones(act.size)  # 0.5^j, 1 for every start at chunk 0
+        if chunk[act].any():
+            sizes = _LADDER_CHUNKS[chunk[act]]
+            owner = np.repeat(act, sizes)
+            offset = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            half = _HALF[_LADDER_START[chunk[owner]] + offset]
         base = a[owner]
-        moved = base + (step[owner] * _HALF[j])[:, None, None] * grad[owner]
+        moved = base + (step[owner] * half)[:, None, None] * grad[owner]
         cand = _normalize(moved)
-        Rc = np.einsum("ij,bji->b", drho, cand).real / _seminorm_batch(triple, cand)
-        up = np.flatnonzero(Rc > R[owner])
-        acc, first = np.unique(owner[up], return_index=True)  # owner is sorted
-        win = up[first]
+        c = _commutator(triple, cand)
+        ev = np.linalg.eigvalsh(1j * c)  # i[D, pi(a)] is Hermitian
+        Rc = np.einsum("ij,bji->b", drho, cand).real / np.maximum(-ev[:, 0], ev[:, -1])
+        up = (Rc > R[owner]).nonzero()[0]
+        o = owner[up]  # sorted, as owner is: keep each owner's first winning rung
+        win = up[o != np.concatenate(([-1], o[:-1]))]
+        acc = owner[win]
         if acc.size:
-            R[acc], G[acc], h[acc], val[acc] = _ratio_batch(triple, drho, cand[win])
-            a[acc] = cand[win]
-            step[acc] = step[acc] * _HALF[j[win]] * 1.3
-        # a start with no accepted rung, one of which left `a` bitwise unchanged,
-        # would repeat that rejected candidate on every later rung and ladder:
-        # its remaining whole rejections are counted here instead of run
-        frozen = np.zeros(n, dtype=bool)
-        frozen[owner[(moved == base).all(axis=(-2, -1))]] = True
-        frozen[acc] = False
-        act = act[~frozen[act]]
-        dead = np.flatnonzero(frozen)
-        k = np.minimum(_PATIENCE - stall[dead], max_iters - iters[dead])
-        iters[dead] += k
-        stall[dead] += k
-        stop[dead] = np.where(stall[dead] >= _PATIENCE, "stalled", "max_iters")
+            a_acc = cand[win]
+            Ra, G, h, val = _ratio_batch(triple, drho, a_acc, c[win])
+            gain = (Ra - R[acc]) / np.maximum(np.abs(Ra), 1.0)
+            stall[acc], iters[acc] = np.where(gain < _TOL, stall[acc] + 1, 0), iters[acc] + 1
+            R[acc], a[acc], step[acc] = Ra, a_acc, step[acc] * half[win] * 1.3
+        # a start with no accepted rung, one of which left `a` bitwise unchanged, would repeat
+        # that rejection on every later rung: its remaining ones are counted, not run
+        same = (moved == base).all(axis=(-2, -1))
+        if same.any():
+            frozen = np.bincount(owner[same], minlength=n) > 0
+            frozen[acc] = False
+            act, dead = act[~frozen[act]], frozen.nonzero()[0]
+            k = np.minimum(_PATIENCE - stall[dead], max_iters - iters[dead])
+            iters[dead], stall[dead] = iters[dead] + k, stall[dead] + k
+            stop[dead] = np.where(stall[dead] >= _PATIENCE, _STALLED, _OUT_OF_ITERS)
         chunk[act] += 1
         chunk[acc] = 0
         out = act[chunk[act] == len(_LADDER_CHUNKS)]  # the whole ladder was rejected
-        step[out] *= _HALF[-1]
-        gain = (R[acc] - R_prev[acc]) / np.maximum(np.abs(R[acc]), 1.0)
-        stall[acc] = np.where(gain < _TOL, stall[acc] + 1, 0)
-        stall[out] += 1
-        new = np.concatenate([acc, out])  # iterations that ended this round
-        iters[new] += 1
-        stop[new[iters[new] >= max_iters]] = "max_iters"
-        stop[new[stall[new] >= _PATIENCE]] = "stalled"
+        if out.size:
+            chunk[out], step[out] = 0, step[out] * _HALF[-1]
+            stall[out], iters[out] = stall[out] + 1, iters[out] + 1
+        live = stop == 0  # of these, only starts whose iteration ended can newly stop
+        stop[live & (iters >= max_iters)] = _OUT_OF_ITERS
+        stop[live & (stall >= _PATIENCE)] = _STALLED
 
     best = int(np.argmax(R))
     if not np.isfinite(R[best]):
         raise OptimizerError("ascent produced no finite ratio", best_value=None)
     a_star = a[best] / lipschitz_seminorm(triple, a[best])
     value = float(np.real(np.trace(drho @ a_star)))
-    if stop[best] == "max_iters":
+    if stop[best] == _OUT_OF_ITERS:
         raise OptimizerError("best start stopped at max_iters = %d without converging"
                              % max_iters, best_value=value)
     residual = abs(lipschitz_seminorm(triple, a_star) - 1.0)
-    return DistanceResult(value, "optimizer", a_star, residual, int(iters[best]), stop[best])
+    return DistanceResult(value, "optimizer", a_star, residual, int(iters[best]), _STOPS[stop[best]])

@@ -388,6 +388,8 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 _DESCENT_ITERS = 2000  # iterations per start before MinimizationError
+_DESCENT_STOPS = ("", "small_step", "no_descent", "max_iters")  # stop code names; "" runs
+_SMALL_STEP, _NO_DESCENT, _OUT_OF_ITERS = 1, 2, 3
 
 
 def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int = 42) -> dict:
@@ -401,7 +403,8 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     in a row ("no_descent"), or unconverged after _DESCENT_ITERS iterations.
     The starts run in lockstep as one (starts, npts, m) stack, each with its
     rule unchanged: the helpers keep leading axes independent, so every start
-    takes bitwise the steps it would alone. Returns {"profile", "distance",
+    takes bitwise the steps it would alone; stop reasons are integer codes
+    until they are named from _DESCENT_STOPS. Returns {"profile", "distance",
     "iterations", "stop"} of the first start of least distance; the minimizer
     found is the uniform profile. If that start did not converge,
     MinimizationError carries its distance and rows.
@@ -420,8 +423,8 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     fx, g = _raw_path(nn1, lam, x, t0), _raw_path_grad(nn1, lam, x, t0)
     k = len(x)
     step, rungs, iters = np.ones(k), np.zeros(k, int), np.full(k, min(1, _DESCENT_ITERS))
-    stop = np.full(k, "" if _DESCENT_ITERS > 0 else "max_iters", dtype=object)  # "": live
-    while (live := np.flatnonzero(stop == "")).size:
+    stop = np.full(k, 0 if _DESCENT_ITERS > 0 else _OUT_OF_ITERS)  # codes into _DESCENT_STOPS
+    while (live := np.flatnonzero(stop == 0)).size:
         xl, tl = x[live], step[live]
         cand = _project_simplex(xl - tl[:, None, None] * g[live])
         fc = _raw_path(nn1, lam, cand, t0)
@@ -433,20 +436,20 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
         step[rej] *= 0.5
         rungs[acc] = 0
         rungs[rej] += 1
-        stop[rej[rungs[rej] == 40]] = "no_descent"
-        stop[acc[np.abs(gap[ok]).max(axis=(-2, -1)) < 1e-12]] = "small_step"
-        stop[acc[(stop[acc] == "") & (iters[acc] == _DESCENT_ITERS)]] = "max_iters"
-        more = acc[stop[acc] == ""]
+        stop[rej[rungs[rej] == 40]] = _NO_DESCENT
+        stop[acc[np.abs(gap[ok]).max(axis=(-2, -1)) < 1e-12]] = _SMALL_STEP
+        stop[acc[(stop[acc] == 0) & (iters[acc] == _DESCENT_ITERS)]] = _OUT_OF_ITERS
+        more = acc[stop[acc] == 0]
         iters[more] += 1
         g[more] = _raw_path_grad(nn1, lam, x[more], t0)
 
     b = int(np.argmin(fx))
-    if stop[b] == "max_iters":
+    if stop[b] == _OUT_OF_ITERS:
         raise MinimizationError("descent did not converge in %d iterations" % _DESCENT_ITERS,
                                 best={"distance": float(fx[b]), "profile_rows": x[b]})
     profile = ProbabilityProfile(n, {t: x[b, r] for r, t in enumerate(labels)})
     return {"profile": profile, "distance": float(fx[b]), "iterations": int(iters[b]),
-            "stop": stop[b]}
+            "stop": _DESCENT_STOPS[stop[b]]}
 
 
 def _raw_path(nn1, lam, x, t0):

@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 from fuzzydist import distance
 from fuzzydist.coherent import coherent_state
 from fuzzydist.distance import (
+    _HALF,
+    _LADDER_CHUNKS,
+    _LADDER_START,
+    _PATIENCE,
+    _TOL,
     DistanceResult,
     OptimizerError,
     _ascend,
@@ -190,11 +195,13 @@ def test_band_weights_match_the_eigvalsh_stack(twice_n):
 
 def test_exact_route_needs_no_seminorm_stack(monkeypatch):
     """With the eigvalsh stack unavailable, the exact route still gives the pinned values of a
-    config pole-to-pole pair and of the quantum flipped-column pairs, certified on the ball."""
+    config pole-to-pole pair and of the quantum flipped-column pairs, certified on the ball.
+    The ascent screens with np.linalg.eigvalsh directly, so that is blocked too."""
     def boom(*args):
-        raise AssertionError("the exact route called _seminorm_batch")
+        raise AssertionError("the exact route called an eigvalsh stack")
 
     monkeypatch.setattr(distance, "_seminorm_batch", boom)
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     s = build_space(H(4), 1.0)
     got = connes_distance_optimized(build_dirac(s, "config"), pure_state(s, H(4)),
                                     pure_state(s, H(-4)))
@@ -428,6 +435,118 @@ def _reference_pairs():
         yield "coherent", tr, coh[0], coh[1]
 
 
+def _lockstep_reference(triple, drho, max_iters, seed, restarts) -> DistanceResult:
+    """The lockstep ascent as it stood before its rounds shared one commutator stack, kept
+    word for word: a second commutator for the accepted rungs' SVD, every gradient taken at
+    the top of the next round, object-dtype stop strings, np.unique for the first winning
+    rung, and the ladder and freeze bookkeeping run in every round."""
+    dim = triple.algebra_dim
+
+    # each restart draws dim^2 real parts, then dim^2 imaginary parts
+    z = np.random.default_rng(seed).standard_normal((restarts, 2, dim, dim))
+    a = _normalize(_hermitize_traceless(np.concatenate([drho[None], z[:, 0] + 1j * z[:, 1]])))
+    R, G, h, val = _ratio_batch(triple, drho, a)
+    n = len(a)
+    step, R_prev, grad = np.full(n, 0.1), R.copy(), np.empty_like(a)
+    stall, iters, chunk = np.zeros((3, n), dtype=int)
+    stop = np.full(n, "" if max_iters > 0 else "max_iters", dtype=object)  # "" while active
+    new = np.arange(n)  # starts beginning an iteration
+    while True:
+        new = new[stop[new] == ""]
+        # gradient of the ratio, then tangent projection on the sphere
+        hn = h[new, None, None]
+        g = _hermitize_traceless((drho * hn - val[new, None, None] * G[new]) / (hn * hn))
+        grad[new] = g - np.einsum("bij,bij->b", a[new].conj(), g).real[:, None, None] * a[new]
+        stop[new[np.linalg.norm(grad[new], axis=(-2, -1)) == 0.0]] = "zero_gradient"
+        R_prev[new], chunk[new] = R[new], 0
+        act = np.flatnonzero(stop == "")
+        if not act.size:
+            break
+        # the next chunk of rungs j of every active start's ladder, as one stack
+        sizes = _LADDER_CHUNKS[chunk[act]]
+        owner = np.repeat(act, sizes)
+        offset = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        j = _LADDER_START[chunk[owner]] + offset
+        base = a[owner]
+        moved = base + (step[owner] * _HALF[j])[:, None, None] * grad[owner]
+        cand = _normalize(moved)
+        Rc = np.einsum("ij,bji->b", drho, cand).real / _seminorm_batch(triple, cand)
+        up = np.flatnonzero(Rc > R[owner])
+        acc, first = np.unique(owner[up], return_index=True)  # owner is sorted
+        win = up[first]
+        if acc.size:
+            R[acc], G[acc], h[acc], val[acc] = _ratio_batch(triple, drho, cand[win])
+            a[acc] = cand[win]
+            step[acc] = step[acc] * _HALF[j[win]] * 1.3
+        # a start with no accepted rung, one of which left `a` bitwise unchanged,
+        # would repeat that rejected candidate on every later rung and ladder:
+        # its remaining whole rejections are counted here instead of run
+        frozen = np.zeros(n, dtype=bool)
+        frozen[owner[(moved == base).all(axis=(-2, -1))]] = True
+        frozen[acc] = False
+        act = act[~frozen[act]]
+        dead = np.flatnonzero(frozen)
+        k = np.minimum(_PATIENCE - stall[dead], max_iters - iters[dead])
+        iters[dead] += k
+        stall[dead] += k
+        stop[dead] = np.where(stall[dead] >= _PATIENCE, "stalled", "max_iters")
+        chunk[act] += 1
+        chunk[acc] = 0
+        out = act[chunk[act] == len(_LADDER_CHUNKS)]  # the whole ladder was rejected
+        step[out] *= _HALF[-1]
+        gain = (R[acc] - R_prev[acc]) / np.maximum(np.abs(R[acc]), 1.0)
+        stall[acc] = np.where(gain < _TOL, stall[acc] + 1, 0)
+        stall[out] += 1
+        new = np.concatenate([acc, out])  # iterations that ended this round
+        iters[new] += 1
+        stop[new[iters[new] >= max_iters]] = "max_iters"
+        stop[new[stall[new] >= _PATIENCE]] = "stalled"
+
+    best = int(np.argmax(R))
+    if not np.isfinite(R[best]):
+        raise OptimizerError("ascent produced no finite ratio", best_value=None)
+    a_star = a[best] / lipschitz_seminorm(triple, a[best])
+    value = float(np.real(np.trace(drho @ a_star)))
+    if stop[best] == "max_iters":
+        raise OptimizerError("best start stopped at max_iters = %d without converging"
+                             % max_iters, best_value=value)
+    residual = abs(lipschitz_seminorm(triple, a_star) - 1.0)
+    return DistanceResult(value, "optimizer", a_star, residual, int(iters[best]), stop[best])
+
+def _outcome(ascend, *args):
+    """Everything an ascent reports, or its OptimizerError, as one comparable tuple."""
+    try:
+        got = ascend(*args)
+    except OptimizerError as err:
+        return "raised", str(err), err.best_value
+    return (got.value, got.method, got.iterations, got.stop, got.ball_residual,
+            got.certificate.tobytes())
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_ascent_matches_the_lockstep_reference_bitwise(seed):
+    """Sharing the commutator stack, forming gradients at acceptance, integer stop codes and
+    the skipped bookkeeping change no bit of what the ascent reports. The pairs are the
+    reference pairs (their coherent pairs at 2n = 2 and 3 are the benchmark's, z = 0 -> 1e-4),
+    pole to pole and a generic coherent pair at 2n = 4; runs to convergence with and without
+    restarts, and runs cut at 3 and 65 iterations, which raise or retire frozen starts."""
+    s = build_space(H(4), 1.0)
+    tr4 = build_dirac(s, "config")
+    cases = [(tr, rho, rho2) for _, tr, rho, rho2 in _reference_pairs()]
+    cases += [(tr4, pure_state(s, H(-4)), pure_state(s, H(4))),
+              (tr4, *(HSOperator(s, coherent_state(s, z).projector()) for z in (0j, 0.5 + 0j)))]
+    # the reference normalizes through np.linalg.norm; _normalize spells out what it evaluates
+    z = np.random.default_rng(seed).standard_normal((2, 5, 3, 3))
+    x = z[0] + 1j * z[1]
+    want = x / np.linalg.norm(x, axis=(-2, -1), keepdims=True)
+    assert _normalize(x).tobytes() == want.tobytes()
+    for tr, rho, rho2 in cases:
+        drho = rho2.matrix - rho.matrix
+        for max_iters, restarts in ((20000, 8), (20000, 0), (3, 8), (65, 8)):
+            args = (tr, drho, max_iters, seed, restarts)
+            assert _outcome(_ascend, *args) == _outcome(_lockstep_reference, *args), args[2:]
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_chunked_ladder_matches_one_candidate_loop(seed):
     """Batching the halving ladder, rejecting from eigenvalues and retiring
@@ -453,14 +572,16 @@ def test_frozen_starts_retire_exactly(monkeypatch):
     opt = _ascend(tr, drho, 66, 42, 8)
     assert (opt.iterations, opt.stop) == (66, "stalled")
     # at n = 1/2 the displacement is already optimal: its first rung leaves it
-    # unchanged, so all 50 stalled iterations are settled in one round
+    # unchanged, so all 50 stalled iterations are settled in one round, whose
+    # screen is the ascent's only eigvalsh call
     calls = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def counted(triple, a):
-        calls.append(len(a))
-        return _seminorm_batch(triple, a)
+    def counted(c):
+        calls.append(len(c))
+        return eigvalsh(c)
 
-    monkeypatch.setattr(distance, "_seminorm_batch", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     s = build_space(H(1), 1.0)
     tr = build_dirac(s, "config")
     opt = _ascend(tr, pure_state(s, H(1)).matrix - pure_state(s, H(-1)).matrix, 20000, 42, 0)
