@@ -109,16 +109,6 @@ def _normalize(a):
     return a / np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1), keepdims=True))
 
 
-def _seminorm_batch(triple, a):
-    """h = ||[D, pi(a)]|| per slice, from eigenvalues alone.
-
-    [D, pi(a)] is anti-Hermitian, so i[D, pi(a)] is Hermitian and its
-    operator norm is the largest eigenvalue modulus.
-    """
-    lam = np.linalg.eigvalsh(1j * _commutator(triple, a))
-    return np.maximum(-lam[:, 0], lam[:, -1])
-
-
 def _ratio_batch(triple, drho, a, c=None):
     """R = tr(drho a)/h, h = ||[D, pi(a)]|| and the subgradient G of h, per slice of a;
     c, if given, is the stack [D, pi(a)] already formed.

@@ -21,6 +21,12 @@ triple.py is kept as a small-n test oracle, fed np.diag(w.ravel()). I (x)
 |l><l| commutes with D_q, so between distinct right sectors the Connes
 distance is +infinity and the values here are the lower-bound formula
 2/seminorm.
+
+sigma.x is real in the |n3> basis: x3 and x+- are real bands, and sigma2 and
+x2 are both imaginary. So D_c is real symmetric, w is real, and every block
+is real antisymmetric; _config_triple keeps D_c as float64 and the SVDs run
+in real arithmetic. build_dirac stays complex while the ascent uses it, since
+a real D slows the ascent's real @ complex products.
 """
 
 from __future__ import annotations
@@ -112,15 +118,20 @@ def quantum_seminorm_oracle(n, lam: float, n3, n3p, l3p) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _config_triple(two_n: int, lam: float) -> SpectralTriple:
-    """The config triple at spin two_n/2 and scale lam, shared read-only by every oracle
-    call at that (2n, lam); bounded, since lam is a float a caller may sweep."""
+    """The config triple at spin two_n/2 and scale lam, D_c read-only float64, shared by
+    every oracle call at that (2n, lam); bounded, since lam is a float a caller may sweep.
+    D_c's imaginary part is checked to be exactly zero before it is dropped. build_dirac
+    stays complex while the ascent uses it: a real D slowed its real @ complex products."""
     tr = build_dirac(FuzzySphere(HalfInteger(two_n), lam), "config")
+    if np.any(tr.dirac.imag):
+        raise SphereDomainError("config Dirac operator at 2n = %d is not real" % two_n)
+    tr.dirac = np.ascontiguousarray(tr.dirac.real)
     tr.dirac.setflags(write=False)
     return tr
 
 
 def _step_blocks(n: HalfInteger, lam: float, n3: HalfInteger, pu: np.ndarray, pd: np.ndarray):
-    """Weights w and right-sector blocks of [D_q, pi(drho)] for one step n3 -> n3+1.
+    """Weights w and right-sector blocks of [D_q, pi(drho)] for a checked step n3 -> n3+1.
 
     drho = sum_l pu[l] |n3+1, l)(n3+1, l| - pd[l] |n3, l)(n3, l| = sum w[i, j] |i, j)(i, j|.
     D_q = D_c (x) I_right acts on the left index only, so right sector j
@@ -128,10 +139,12 @@ def _step_blocks(n: HalfInteger, lam: float, n3: HalfInteger, pu: np.ndarray, pd
     are skipped and the rest go through the commutator kernel as one stack.
     """
     dim = n.twice + 1
+    i = _row(n, n3)
     w = np.zeros((dim, dim))
-    w[_row(n, n3 + HalfInteger(2))] = pu
-    w[_row(n, n3)] = -pd
-    diags = w[:, np.any(w != 0.0, axis=0)].T[:, :, None] * np.eye(dim)
+    w[i - 1], w[i] = pu, -pd                        # n3 + 1 is the row above n3
+    cols = w[:, w.any(axis=0)].T
+    diags = np.zeros((len(cols), dim, dim))
+    diags.reshape(len(cols), dim * dim)[:, ::dim + 1] = cols    # diag(w[:, j]) per sector j
     return w, _commutator(_config_triple(n.twice, float(lam)), diags)
 
 
@@ -248,8 +261,9 @@ class ProbabilityProfile:
         return self.rows[t]
 
     def _path(self, labels) -> np.ndarray:
-        """Rows at the 2 n3 values in labels as one array, one row per label."""
-        return np.array([self.at(HalfInteger(t)) for t in labels])
+        """Rows at the 2 n3 values in labels as one array; at() raises for a missing row."""
+        rows = self.rows
+        return np.array([rows[t] if t in rows else self.at(HalfInteger(t)) for t in labels])
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +279,13 @@ def _step_functional(nn1: float, x: np.ndarray, t0: int):
     The step's distance is (lam sqrt(n(n+1))/2) Num/sqrt(S). Leading axes of
     x index independent paths, each computed exactly as if alone.
     """
-    n3 = t0 / 2.0 + np.arange(x.shape[-2] - 1)     # n3 of each step
-    cu, cd, cx = nn1 - (n3 + 1.0) ** 2, nn1 - n3 ** 2, nn1 - n3 * (n3 + 1.0)
+    n3 = np.arange(t0 / 2.0, t0 / 2.0 + x.shape[-2])   # n3 of each row
+    c = nn1 - n3 * n3
+    cu, cd, cx = c[1:], c[:-1], nn1 - n3[:-1] * n3[1:]
     sq = (x[..., None, :] @ x[..., :, None])[..., 0, 0]             # |P|^2 per row, as np.dot
     cross = (x[..., 1:, None, :] @ x[..., :-1, :, None])[..., 0, 0]  # pu.pd per step
-    return (sq[..., 1:] + sq[..., :-1], cu * sq[..., 1:] + cd * sq[..., :-1] + cx * cross,
-            (cu, cd, cx))
+    su, sd = sq[..., 1:], sq[..., :-1]
+    return su + sd, cu * su + cd * sd + cx * cross, (cu, cd, cx)
 
 
 def _path_labels(n: HalfInteger, n_i: HalfInteger, n_f: HalfInteger) -> range:
@@ -320,7 +335,7 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
 def mixed_distance_oracle(n, lam: float, n3, profile: ProbabilityProfile) -> float:
     """Distance recomputed from the explicit commutator, no closed forms and no SVD."""
     n, n3 = _adjacent_step(n, n3)
-    w, blocks = _step_blocks(n, lam, n3, profile.at(n3 + HalfInteger(2)), profile.at(n3))
+    w, blocks = _step_blocks(n, lam, n3, *profile._path((n3.twice + 2, n3.twice)))
     return float(np.sum(w * w)) / float(np.linalg.norm(blocks))
 
 
@@ -342,9 +357,7 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
     delta P_{l3} = 2 alpha with alpha independent of l3. The residual
     reports how far the given profile is from satisfying it.
     """
-    n = _halfint(n)
-    n_i = _halfint(n_i)
-    n_f = _halfint(n_f)
+    n, n_i, n_f = _halfint(n), _halfint(n_i), _halfint(n_f)
     labels = _path_labels(n, n_i, n_f)
     x = profile._path(labels)
     nn1 = float(n.times_self_plus_one())
@@ -370,9 +383,7 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
 
 def path_distance(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> float:
     """Sum of per-step distances along n_i -> n_f."""
-    n = _halfint(n)
-    n_i = _halfint(n_i)
-    n_f = _halfint(n_f)
+    n, n_i, n_f = _halfint(n), _halfint(n_i), _halfint(n_f)
     return float(_raw_path(float(n.times_self_plus_one()), _lam(lam),
                            profile._path(_path_labels(n, n_i, n_f)), n_i.twice))
 
@@ -409,9 +420,7 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     found is the uniform profile. If that start did not converge,
     MinimizationError carries its distance and rows.
     """
-    n = _halfint(n)
-    n_i = _halfint(n_i)
-    n_f = _halfint(n_f)
+    n, n_i, n_f = _halfint(n), _halfint(n_i), _halfint(n_f)
     lam = _lam(lam)
     labels = _path_labels(n, n_i, n_f)
     npts, m, t0 = len(labels), n.twice + 1, n_i.twice
@@ -456,7 +465,7 @@ def _raw_path(nn1, lam, x, t0):
     """Path distance for raw (unvalidated) probability rows x, row r at n3 = t0/2 + r;
     one value per path of the leading axes."""
     num, s, _ = _step_functional(nn1, x, t0)
-    return np.sum(lam * math.sqrt(nn1) / 2.0 * num / np.sqrt(s), axis=-1)
+    return (lam * math.sqrt(nn1) / 2.0 * num / np.sqrt(s)).sum(axis=-1)
 
 
 def _raw_path_grad(nn1, lam, x, t0) -> np.ndarray:

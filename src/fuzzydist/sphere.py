@@ -136,10 +136,11 @@ def _adjacent_step(n, n3):
     """(n, n3) as half-integers, checked to label a step n3 -> n3+1 at spin n."""
     n, n3 = _halfint(n), _halfint(n3)
     steps = _labels(n)[1:]
-    if not steps[-1] <= n3.twice <= steps[0]:
-        raise SphereDomainError("need -n <= n3 <= n-1 for a step, got n3 = %s at n = %s"
-                                % (n3, n))
-    _row(n, n3)  # in range but of the wrong parity, like n3 = 0 at n = 3/2
+    if n3.twice not in steps:
+        if not steps[-1] <= n3.twice <= steps[0]:
+            raise SphereDomainError("need -n <= n3 <= n-1 for a step, got n3 = %s at n = %s"
+                                    % (n3, n))
+        _row(n, n3)  # raises: in range but of the wrong parity, like n3 = 0 at n = 3/2
     return n, n3
 
 

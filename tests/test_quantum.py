@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -178,6 +182,63 @@ def test_oracles_never_build_the_dense_quantum_triple(monkeypatch):
     assert mixed_distance_oracle(n, 1.0, H(0), prof) == pytest.approx(
         trace_norm_distance(n, 1.0, H(0), prof), rel=1e-10)
     assert built == ["config"]   # one config triple per (2n, lam), shared by the three oracles
+
+
+def test_config_dirac_is_real_in_the_n3_basis():
+    """sigma.x has real bands in the |n3> basis, so build_dirac's complex D_c has an imaginary
+    part of exactly zero; the oracles' float64 D_c relies on it."""
+    for t in range(1, 41):
+        for lam in (0.3, 1.0, 2.7):
+            d = build_dirac(build_space(H(t), lam), "config").dirac
+            assert d.dtype == np.complex128
+            assert not np.any(d.imag), (t, lam)
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 8])
+def test_step_blocks_are_the_real_part_of_the_complex_stack(t):
+    """The real blocks equal, bitwise, the real part of the same diagonal stack put through
+    the commutator kernel with the complex D_c, and that stack's imaginary part is zero."""
+    n = H(t)
+    for lam in (1.0, 1.3):
+        tr = build_dirac(build_space(n, lam), "config")
+        for t3 in range(-t, t - 1, 2):
+            for prof in _profiles(t, np.random.default_rng(t)):
+                w, blocks = quantum._step_blocks(n, lam, H(t3), prof.at(H(t3 + 2)), prof.at(H(t3)))
+                diags = w[:, np.any(w != 0.0, axis=0)].T[:, :, None] * np.eye(t + 1)
+                c = triple._commutator(tr, diags)
+                assert blocks.dtype == np.float64 and c.dtype == np.complex128
+                assert not np.any(c.imag)
+                assert np.array_equal(blocks, c.real)
+
+
+def test_config_triple_is_real_and_read_only():
+    tr = quantum._config_triple(4, 1.0)
+    assert tr.dirac.dtype == np.float64 and tr.dirac.flags.c_contiguous
+    assert not tr.dirac.flags.writeable
+    with pytest.raises(ValueError):
+        tr.dirac[0, 0] = 1.0
+
+
+def test_config_triple_checks_the_imaginary_part():
+    """The imaginary part is checked, not assumed: a D_c with one nonzero imaginary entry is
+    refused, with and without python -O."""
+    code = textwrap.dedent("""
+        from fuzzydist import quantum, triple
+        build = triple.build_dirac
+        def tilted(sphere, representation):
+            tr = build(sphere, representation)
+            tr.dirac[0, -1] += 1e-300j
+            return tr
+        quantum.build_dirac = tilted
+        try:
+            quantum._config_triple(3, 1.0)
+        except quantum.SphereDomainError as err:
+            raise SystemExit(0 if "not real" in str(err) else 2)
+        raise SystemExit(1)
+        """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for flags in ([], ["-O"]):
+        assert subprocess.run([sys.executable, *flags, "-c", code], env=env).returncode == 0, flags
 
 
 def test_large_n_seminorm_oracle():
@@ -437,6 +498,20 @@ def test_path_gradient_matches_central_difference(twice_n):
         fd[idx] = (quantum._raw_path(nn1, 1.3, x + e, -twice_n)
                    - quantum._raw_path(nn1, 1.3, x - e, -twice_n)) / (2 * h)
     assert np.abs(quantum._raw_path_grad(nn1, 1.3, x, -twice_n) - fd).max() <= 1e-8
+
+
+@pytest.mark.parametrize("twice_n", [1, 2, 7, 40])
+def test_step_coefficients_match_the_per_step_formulas_bitwise(twice_n):
+    """cu, cd and cx are quarter-integers, exact in floats, so forming them from the rows'
+    n3^2 and neighbour products gives the per-step formulas bit for bit."""
+    nn1 = float(H(twice_n).times_self_plus_one())
+    for t0 in range(-twice_n, twice_n - 1, 2):
+        x = np.ones(((twice_n - t0) // 2 + 1, twice_n + 1))
+        _, _, (cu, cd, cx) = quantum._step_functional(nn1, x, t0)
+        n3 = t0 / 2.0 + np.arange(len(x) - 1)
+        for got, want in ((cu, nn1 - (n3 + 1.0) ** 2), (cd, nn1 - n3 ** 2),
+                          (cx, nn1 - n3 * (n3 + 1.0))):
+            assert np.array_equal(got, want)
 
 
 def test_path_distance_adds_steps():
