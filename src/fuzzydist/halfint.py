@@ -28,13 +28,17 @@ class HalfInteger:
 
     @classmethod
     def from_value(cls, value) -> "HalfInteger":
-        """Build from an int, float or Fraction that equals some p/2 exactly."""
+        """Build from an int, float or Fraction that equals some p/2 exactly; ValueError
+        for any other value, a bool or a non-finite float included."""
         if isinstance(value, HalfInteger):
             return cls(value.twice)
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return cls(2 * value)
-        frac = Fraction(value).limit_denominator(10**9)
-        if Fraction(value) != frac or frac.denominator not in (1, 2):
+        try:
+            frac = Fraction(value)
+        except (OverflowError, ValueError):  # inf, nan
+            frac = None
+        if isinstance(value, bool) or frac is None or frac.denominator not in (1, 2):
             raise ValueError("%r is not a half-integer" % (value,))
         return cls(int(frac * 2))
 

@@ -54,25 +54,14 @@ class FuzzySphere:
         self.dim = len(labels)
         self.casimir = float(n.times_self_plus_one())  # n(n+1)
         self.radius = self.lam * math.sqrt(self.casimir)
-        self._x3 = self.lam * np.array([t / 2.0 for t in labels])  # n3 of each row
-        # x+[i-1, i] from n(n+1) - n3(n3+1), n3 of column i, exact
-        self._xplus = self.lam * np.array(
-            [math.sqrt(float(ladder_radicand(n, HalfInteger(t)))) for t in labels[1:]])
-        self._check_invariants()
-
-    def _check_invariants(self):
-        # su(2) as three band identities under the dense Casimir bound; each commutator
-        # band is twice the dense closure entries, so at n(n+1) >= 3/4 none is looser
-        lam, d, a = self.lam, self._x3, self._xplus
-        with np.errstate(over="ignore", invalid="ignore"):  # huge lam: inf and nan fail below
-            aa = np.concatenate(([0.0], a * a, [0.0]))  # (x+ x-)_ii = aa[i + 1], (x- x+)_ii = aa[i]
-            devs = (("[x3, x+] = lam x+", (d[:-1] - d[1:]) * a - lam * a),
-                    ("[x+, x-] = 2 lam x3", aa[1:] - aa[:-1] - 2.0 * lam * d),
-                    ("Casimir", (aa[1:] + aa[:-1]) / 2.0 + d * d - lam * lam * self.casimir))
-        for what, dev in devs:
-            worst = float(np.abs(dev).max())
-            if not worst <= SYMMETRY_TOL * lam * lam * max(self.casimir, 1.0):
-                raise SphereDomainError("su(2) check %s failed: %.3e" % (what, worst))
+        d = np.array([t / 2.0 for t in labels])  # n3 of each row
+        # x+[i-1, i] / lam from n(n+1) - n3(n3+1), n3 of column i, exact
+        a = np.array([math.sqrt(float(ladder_radicand(n, HalfInteger(t)))) for t in labels[1:]])
+        _check_su2_bands(d, a, self.casimir)
+        # max a >= sqrt(n(n+1)) > n = max |d|, so both bands are finite when this product is
+        if not math.isfinite(self.lam * float(a.max())):
+            raise SphereDomainError("lambda = %r overflows the coordinates at n = %s" % (lam, n))
+        self._x3, self._xplus = self.lam * d, self.lam * a
 
     @property
     def x3(self) -> np.ndarray:
@@ -103,6 +92,21 @@ class FuzzySphere:
 
     def __repr__(self):
         return "FuzzySphere(n=%s, lam=%g)" % (self.n, self.lam)
+
+
+def _check_su2_bands(d, a, casimir):
+    """su(2) at lam = 1 as three band identities on n3 (d) and the x+ band (a), under the dense
+    Casimir bound; each commutator band is twice the dense closure entries, so at
+    n(n+1) >= 3/4 none is looser. lam scales them exactly, and leaving it out keeps every
+    term in range for any finite lam > 0."""
+    aa = np.concatenate(([0.0], a * a, [0.0]))  # (x+ x-)_ii = aa[i + 1], (x- x+)_ii = aa[i]
+    devs = (("[x3, x+] = lam x+", (d[:-1] - d[1:]) * a - a),
+            ("[x+, x-] = 2 lam x3", aa[1:] - aa[:-1] - 2.0 * d),
+            ("Casimir", (aa[1:] + aa[:-1]) / 2.0 + d * d - casimir))
+    for what, dev in devs:
+        worst = float(np.abs(dev).max())
+        if not worst <= SYMMETRY_TOL * max(casimir, 1.0):
+            raise SphereDomainError("su(2) check %s failed: %.3e" % (what, worst))
 
 
 def _labels(n) -> range:

@@ -1,5 +1,7 @@
 """Command-line behavior: output schema, determinism, exit codes, file IO."""
 
+import csv
+import io
 import json
 import re
 import subprocess
@@ -213,14 +215,18 @@ def test_output_matches_golden(name, capsys):
     ["quantum-mixed", "--n", "1", "--profile", "/does/not/exist"],
     ["thermal", "--n", "1", "--beta", "-1"],
     ["table", "--n-min", "3/2", "--n-max", "1/2"],
+    # below each coherent route's floor: tr(drho^2) underflowed to a distance of 0.0, and
+    # rounding swamped the finite-difference oracle, both with exit 0
+    ["coherent", "--n", "1", "--dz", "1e-200"],
+    ["coherent", "--n", "1", "--dz", "1e-12", "--oracle"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     try:
-        code = cli.main(argv)
+        code = cli.main(argv + ["--no-timestamp"])
     except SystemExit as exc:  # argparse rejects before the handler runs
         code = exc.code
-    capsys.readouterr()
-    assert code == 2
+    out, _ = capsys.readouterr()
+    assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize("command", ["discrete", "quantum-pure", "quantum-mixed", "thermal"])
@@ -272,6 +278,33 @@ def test_base_point_beyond_1e150_exit_2(capsys):
     assert code == 0
     row = json.loads(out)["results"][0]
     assert all(0.0 < row[k] < 1e-299 for k in ("distance", "closed_form", "fd_oracle"))
+
+
+def test_profile_path_with_comma_and_quote(tmp_path, capsys):
+    """The --profile path is echoed in every row: CSV quotes it, JSON escapes it."""
+    prof = tmp_path / 'a,b "c".txt'
+    prof.write_text("1 0 0\n1 0 0\n1 0 0\n")
+    argv = ["quantum-mixed", "--n", "1", "--profile", str(prof), "--no-timestamp"]
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 2
+    assert all(row[header.index("profile")] == str(prof) for row in rows)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["profile"] == str(prof)
+    assert [row["profile"] for row in doc["results"]] == [str(prof)] * 2
+
+
+def test_huge_lambda_pipeline_matches_the_closed_form(capsys):
+    """lam^2 = 1e400 overflowed the sphere's su(2) check, so --lambda 1e160 exited 2."""
+    code, out, _ = run_cli(["discrete", "--n", "1", "--lambda", "1e200", "--no-timestamp"],
+                           capsys)
+    assert code == 0
+    for row in json.loads(out)["results"]:
+        assert abs(row["norm_pipeline"] - row["distance"]) <= 1e-10 * row["distance"]
+        assert 1e199 < row["distance"] < 1e201
 
 
 def test_wrong_level_count_exit_2(tmp_path, capsys):

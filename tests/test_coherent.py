@@ -50,17 +50,6 @@ def test_amplitudes_match_binomial_law(twice_n):
                 assert np.abs(coherent_state(s, z).amplitudes - want).max() <= 1e-12
 
 
-def test_overlap_law():
-    """|<n,n|z>|^2 = (1+|z|^2)^(-2n) on a grid of z for several n."""
-    for t in (1, 2, 3, 4):
-        s = build_space(H(t), 1.0)
-        for re in np.linspace(-1, 1, 5):
-            for im in np.linspace(-1, 1, 5):
-                z = complex(re, im)
-                got = coherent_state(s, z).overlap_with_top()
-                assert got == pytest.approx((1 + abs(z) ** 2) ** (-t), abs=1e-10)
-
-
 def test_overlap_worked_values():
     s = build_space(H(1), 1.0)
     assert coherent_state(s, 1.0 + 0j).overlap_with_top() == pytest.approx(0.5, abs=1e-12)
@@ -139,6 +128,22 @@ def test_numeric_route_rejects_bad_dz():
         coherent_distance_numeric(H(2), 1.0, 2e-3)
 
 
+def test_each_coherent_route_raises_below_its_dz_floor():
+    """tr(drho^2) = 4n |dz|^2 underflowed to a distance of 0.0 at |dz| = 1e-200, so the numeric
+    route takes 1e-150 <= |dz|; rounding swamps the projector difference of the finite-difference
+    oracle below |dz| = 1e-8. At its floor each route is within its accuracy."""
+    for t in (1, 2, 4, 8):
+        c = coherent_metric_coefficient(H(t), 1.0, 0j)
+        for dz in (1e-150, 1e-150j):
+            assert abs(coherent_distance_numeric(H(t), 1.0, dz) / 1e-150 - c) <= 1e-14 * c
+        assert abs(coherent_distance_fd(H(t), 1.0, 1e-8) / 1e-8 - c) <= 3e-8 * c
+    for route, dz in ((coherent_distance_numeric, 9.9e-151), (coherent_distance_numeric, 1e-200),
+                      (coherent_distance_fd, 9.9e-9), (coherent_distance_fd, 1e-12j),
+                      (coherent_distance_fd, math.nan)):
+        with pytest.raises(SphereDomainError, match=r"\|dz\|"):
+            route(H(2), 1.0, dz)
+
+
 def test_fd_bias_orders():
     """Projector differences carry a linear bias at n = 1/2, quadratic above."""
     c_half = coherent_metric_coefficient(H(1), 1.0, 0j)
@@ -194,9 +199,6 @@ def test_large_n_deviation_law():
     assert large_n_scaling_deviation(H(100)) == pytest.approx(0.013333922053284653, rel=1e-9)
     assert large_n_scaling_deviation(H(134)) < 1e-2
     assert large_n_scaling_deviation(H(132)) > 1e-2
-    for t in (100, 200, 400):
-        nf = t / 2.0
-        assert large_n_scaling_deviation(H(t)) * 3 * nf / 2 == pytest.approx(1.0, abs=0.02)
 
 
 def test_resolution_of_identity_small_grid():

@@ -54,14 +54,17 @@ def test_su2_closure_and_casimir(twice_n):
 
 
 def test_construction_rejects_a_ladder_band_off_by_1e6(monkeypatch):
-    """A radicand 1e-6 off at one label breaks [x+, x-] = 2 lam x3 far beyond the bound."""
+    """A radicand 1e-6 off at one label breaks [x+, x-] = 2 lam x3 far beyond the bound, at
+    any lam: the bands are checked before lam scales them, so neither lam^2 = 1e-400 (every
+    term 0) nor lam^2 = 1e400 (inf - inf) hides it."""
     exact = sphere.ladder_radicand
-    monkeypatch.setattr(sphere, "ladder_radicand", lambda n, n3: exact(n, n3) + (
-        Fraction(1, 10 ** 6) if n3 == H(-1) else 0))
-    with pytest.raises(SphereDomainError, match=re.escape("su(2) check [x+, x-] = 2 lam x3")):
-        build_space(H(5), 0.7)
-    monkeypatch.undo()
-    build_space(H(5), 0.7)
+    for lam in (0.7, 1e-200, 1e200):
+        monkeypatch.setattr(sphere, "ladder_radicand", lambda n, n3: exact(n, n3) + (
+            Fraction(1, 10 ** 6) if n3 == H(-1) else 0))
+        with pytest.raises(SphereDomainError, match=re.escape("su(2) check [x+, x-] = 2 lam x3")):
+            build_space(H(5), lam)
+        monkeypatch.undo()
+        build_space(H(5), lam)
 
 
 def test_radius_and_dim():
@@ -113,14 +116,14 @@ def _nan_pair():
 @pytest.mark.parametrize("call", [
     lambda: FuzzySphere(H(2), math.inf),
     lambda: TwoModeFock(3, math.inf),
-    lambda: FuzzySphere(H(2), 1e200),  # lam^2 overflows, so the su(2) bands are nan
+    lambda: FuzzySphere(H(2), 1.7e308),  # lam x+ overflows, though lam itself is finite
     lambda: coherent.coherent_state(build_space(H(2)), math.nan),
     lambda: coherent.coherent_metric_coefficient(H(2), 1.0, math.nan),
     lambda: coherent.coherent_distance_numeric(H(2), 1.0, math.nan),
     lambda: lipschitz_seminorm(_nan_pair()[0], _nan_pair()[2]),
     lambda: distance.distance_lower_bound(*_nan_pair()),
     lambda: distance.connes_distance_optimized(*_nan_pair()),
-], ids=["sphere-inf", "fock-inf", "sphere-1e200", "coherent-nan-z", "metric-nan-z",
+], ids=["sphere-inf", "fock-inf", "sphere-band-overflow", "coherent-nan-z", "metric-nan-z",
         "numeric-nan-dz", "seminorm-nan", "lower-bound-nan", "supremum-nan"])
 def test_non_finite_inputs_raise_the_domain_error(call):
     # every guard is written so that nan fails it, rather than reaching LAPACK
@@ -165,6 +168,24 @@ def test_lambda_rule(entry, lam):
     shared check, whether or not it builds a FuzzySphere."""
     with pytest.raises(SphereDomainError, match="lambda must be positive and finite"):
         _LAMBDA_ENTRY_POINTS[entry](lam)
+
+
+@pytest.mark.parametrize("label, ok", [
+    ("3/2", True), (1.5, True), (Fraction(3, 2), True), (np.float64(1.5), True),
+    (1.3, False), ("1/3", False), (math.inf, False), (math.nan, False), (True, False),
+], ids=["str", "float", "fraction", "float64", "1.3", "1/3", "inf", "nan", "bool"])
+def test_spin_label_spellings(label, ok):
+    """Every spelling of n = 3/2 builds the sphere and gives the distances of H(3), bitwise;
+    any other value, a non-finite float or a bool included, raises ValueError."""
+    routes = (lambda n: FuzzySphere(n, 0.7)._xplus.tobytes(),
+              lambda n: adjacent_distance_closed_form(n, H(-1), 0.7),
+              lambda n: quantum_pure_distance(n, 0.7, H(-1), False))
+    for route in routes:
+        if ok:
+            assert route(label) == route(H(3))
+        else:
+            with pytest.raises(ValueError):
+                route(label)
 
 
 def test_pure_state_and_drho():
