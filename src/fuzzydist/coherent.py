@@ -18,7 +18,6 @@ rather than hiding it.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
@@ -80,7 +79,8 @@ def _rotated_amplitudes(two_n: int, theta, phi) -> np.ndarray:
 def coherent_state(sphere: FuzzySphere, z: complex) -> CoherentState:
     """Perelomov's rotation of |n,n> to the point with stereographic label z.
 
-    The rotation is _rotated_amplitudes with tan(theta/2) = |z| and phi = arg z;
+    The rotation is _rotated_amplitudes with tan(theta/2) = |z| and phi = arg z, read by
+    math.atan2: cmath.phase raises OverflowError where atan2 underflows (z = 2 + 5e-324j).
     z = 0 gives e_0 exactly.
     """
     z = complex(z)
@@ -88,8 +88,8 @@ def coherent_state(sphere: FuzzySphere, z: complex) -> CoherentState:
         e0 = np.zeros(sphere.dim, dtype=complex)
         e0[0] = 1.0
         return CoherentState(sphere, z, e0)
-    theta = 2.0 * math.atan(abs(z))
-    return CoherentState(sphere, z, _rotated_amplitudes(sphere.n.twice, theta, cmath.phase(z)))
+    theta, phi = 2.0 * math.atan(abs(z)), math.atan2(z.imag, z.real)
+    return CoherentState(sphere, z, _rotated_amplitudes(sphere.n.twice, theta, phi))
 
 
 def coherent_drho(sphere: FuzzySphere, dz: complex) -> HSOperator:

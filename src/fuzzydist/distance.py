@@ -15,6 +15,8 @@ Plus the quantized polar angle and the continuum arc-length comparator.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -186,7 +188,8 @@ def _diagonal_supremum(triple, drho, d, V) -> DistanceResult:
     diagonal. [D, pi(diag f)] is a one-step shift in the spinor off-diagonal blocks, so the
     ball is |f_k - f_(k+1)| <= w_k = 1/||[D, pi(P_k)]||, P_k = diag(1, .., 1, 0, .., 0) with
     k + 1 ones. [D, pi(P_k)] is x+[k, k+1]/(lam r) and its conjugate, so w_k = lam r/x+[k, k+1]
-    is read from the band, and summation by parts gives the value at a = sum_k w_k sign(F_k) P_k
+    is read from the band, the lam-free ratio r/x+ first (lam r leaves the float range at
+    lam = 1e+-200), and summation by parts gives the value at a = sum_k w_k sign(F_k) P_k
     (D'Andrea & Martinetti, SIGMA 6 (2010) 057). The SU(2) rotation U_(1/2) (x) U_n taking
     x3 to n.x also commutes with D, and V = U_n up to phases that drop out of V diag V^dag,
     so the potential for drho is V a V^dag; its dense ball residual checks the weights and V.
@@ -197,7 +200,7 @@ def _diagonal_supremum(triple, drho, d, V) -> DistanceResult:
     The supremum is the config sum over the columns, attained by sum_j a_j (x) |j><j|."""
     s = triple.sphere
     F = np.cumsum(d.reshape(s.dim, -1), axis=0)  # one column per right sector j
-    g = np.append(s.lam * s.radius / s._xplus, 0.0)[:, None] * np.sign(F)  # w_k sign(F_k)
+    g = np.append(s.radius / s._xplus * s.lam, 0.0)[:, None] * np.sign(F)  # w_k sign(F_k)
     a = np.diag(np.cumsum(g[::-1], axis=0)[::-1].ravel())  # sum_j a_j (x) |j><j|, row-major
     if V is not None:
         a = V @ a @ V.conj().T
@@ -206,13 +209,35 @@ def _diagonal_supremum(triple, drho, d, V) -> DistanceResult:
                           abs(lipschitz_seminorm(triple, a) - 1.0), 0, "exact")
 
 
+def _starts(drho, seed, restarts):
+    """The ascent's starts on the unit sphere of traceless Hermitian matrices: drho itself, then
+    ``restarts`` random directions from random.Random(seed), seed an integer >= 0.
+
+    Each restart takes dim^2 real parts, then dim^2 imaginary parts, in the shape
+    (restarts, 2, dim, dim). They are random.gauss's Box-Muller pairs, formed in numpy from
+    the uniforms random() would return, read in one randbytes call; numpy's cos, sin and log
+    may differ from the math module's in the last bit. A process that reaches the ascent
+    therefore need not import numpy.random."""
+    seed = operator.index(seed)
+    if seed < 0:  # Random(-s) repeats the stream of s
+        raise ValueError("seed must be >= 0, got %d" % seed)
+    dim = drho.shape[-1]
+    k = restarts * dim * dim  # gauss pairs: two uniforms, two 32-bit words each, per pair
+    w = np.frombuffer(random.Random(seed).randbytes(16 * k), dtype="<u4").reshape(k, 2, 2)
+    u = ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * 2.0 ** -53  # random(), bitwise
+    x2pi, g2rad = 2.0 * math.pi * u[:, 0], np.sqrt(-2.0 * np.log(1.0 - u[:, 1]))
+    z = np.stack([np.cos(x2pi) * g2rad, np.sin(x2pi) * g2rad], axis=-1)
+    z = z.reshape(restarts, 2, dim, dim)
+    return _normalize(_hermitize_traceless(np.concatenate([drho[None], z[:, 0] + 1j * z[:, 1]])))
+
+
 def _ascend(triple, drho, max_iters, seed, restarts) -> DistanceResult:
     """Maximize tr(drho a) over Hermitian a with ||[D, pi(a)]|| <= 1, for any drho.
 
     The objective is linear and the constraint positively homogeneous, so we
     ascend R(a) = tr(drho a)/||[D, pi(a)]|| on the unit Frobenius sphere of
     traceless Hermitian matrices and rescale at the end. Starts from the
-    displacement itself plus ``restarts`` seeded random directions.
+    displacement itself plus ``restarts`` seeded random directions (_starts).
 
     Each start keeps its own rule: a step of 0.1, times 1.3 on acceptance,
     up to 30 halvings per iteration, and a stop after 50 stalled iterations
@@ -241,11 +266,7 @@ def _ascend(triple, drho, max_iters, seed, restarts) -> DistanceResult:
     ("stalled" or "zero_gradient") are reported. If that start stopped at ``max_iters``,
     OptimizerError is raised with the rescaled value as ``best_value``.
     """
-    dim = triple.algebra_dim
-
-    # each restart draws dim^2 real parts, then dim^2 imaginary parts
-    z = np.random.default_rng(seed).standard_normal((restarts, 2, dim, dim))
-    a = _normalize(_hermitize_traceless(np.concatenate([drho[None], z[:, 0] + 1j * z[:, 1]])))
+    a = _starts(drho, seed, restarts)
     R, G, h, val = _ratio_batch(triple, drho, a)
     n = len(a)
     step, grad = np.full(n, 0.1), np.empty_like(a)

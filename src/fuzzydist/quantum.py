@@ -111,18 +111,19 @@ def quantum_seminorm_oracle(n, lam: float, n3, n3p, l3p) -> float:
     involved anywhere: the top singular value over its right-sector blocks.
     """
     n, n3 = _adjacent_step(n, n3)
+    lam = _lam(lam)
     e = np.eye(n.twice + 1)
-    _, blocks = _step_blocks(n, lam, n3, e[_row(n, l3p)], e[_row(n, n3p)])
-    return float(np.linalg.svd(blocks, compute_uv=False).max())
+    _, blocks = _step_blocks(n, n3, e[_row(n, l3p)], e[_row(n, n3p)])
+    return float(np.linalg.svd(blocks, compute_uv=False).max()) / lam
 
 
 @functools.lru_cache(maxsize=64)
-def _config_triple(two_n: int, lam: float) -> SpectralTriple:
-    """The config triple at spin two_n/2 and scale lam, D_c read-only float64, shared by
-    every oracle call at that (2n, lam); bounded, since lam is a float a caller may sweep.
+def _config_triple(two_n: int) -> SpectralTriple:
+    """The config triple at spin two_n/2 and lam = 1, D_c read-only float64, shared by every
+    oracle call at that 2n; D_c scales as 1/lam, so the oracles apply lam once, at the end.
     D_c's imaginary part is checked to be exactly zero before it is dropped. build_dirac
     stays complex while the ascent uses it: a real D slowed its real @ complex products."""
-    tr = build_dirac(FuzzySphere(HalfInteger(two_n), lam), "config")
+    tr = build_dirac(FuzzySphere(HalfInteger(two_n), 1.0), "config")
     if np.any(tr.dirac.imag):
         raise SphereDomainError("config Dirac operator at 2n = %d is not real" % two_n)
     tr.dirac = np.ascontiguousarray(tr.dirac.real)
@@ -130,8 +131,10 @@ def _config_triple(two_n: int, lam: float) -> SpectralTriple:
     return tr
 
 
-def _step_blocks(n: HalfInteger, lam: float, n3: HalfInteger, pu: np.ndarray, pd: np.ndarray):
-    """Weights w and right-sector blocks of [D_q, pi(drho)] for a checked step n3 -> n3+1.
+def _step_blocks(n: HalfInteger, n3: HalfInteger, pu: np.ndarray, pd: np.ndarray):
+    """Weights w and right-sector blocks of [D_q, pi(drho)] at lam = 1 for a checked step
+    n3 -> n3+1; at scale lam the blocks are these over lam. Forming them at lam kept powers
+    of lam that left the float range at lam = 1e+-200.
 
     drho = sum_l pu[l] |n3+1, l)(n3+1, l| - pd[l] |n3, l)(n3, l| = sum w[i, j] |i, j)(i, j|.
     D_q = D_c (x) I_right acts on the left index only, so right sector j
@@ -145,7 +148,7 @@ def _step_blocks(n: HalfInteger, lam: float, n3: HalfInteger, pu: np.ndarray, pd
     cols = w[:, w.any(axis=0)].T
     diags = np.zeros((len(cols), dim, dim))
     diags.reshape(len(cols), dim * dim)[:, ::dim + 1] = cols    # diag(w[:, j]) per sector j
-    return w, _commutator(_config_triple(n.twice, float(lam)), diags)
+    return w, _commutator(_config_triple(n.twice), diags)
 
 
 def distinct_branch_report(n) -> List[dict]:
@@ -317,16 +320,17 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
     display, frobenius, nuclear, operator, numerator, numerator_closed.
     """
     n, n3 = _adjacent_step(n, n3)
+    lam = _lam(lam)
     x = profile._path((n3.twice, n3.twice + 2))
-    w, blocks = _step_blocks(n, lam, n3, x[1], x[0])
+    w, blocks = _step_blocks(n, n3, x[1], x[0])
     sv = np.linalg.svd(blocks, compute_uv=False)
     nn1 = float(n.times_self_plus_one())
     num, s, _ = _step_functional(nn1, x, n3.twice)
     return {
         "display": 2.0 / (lam * math.sqrt(nn1)) * math.sqrt(s[0]),
-        "frobenius": float(np.sqrt(np.sum(sv * sv))),
-        "nuclear": float(sv.sum()),
-        "operator": float(sv.max()),
+        "frobenius": float(np.sqrt(np.sum(sv * sv))) / lam,
+        "nuclear": float(sv.sum()) / lam,
+        "operator": float(sv.max()) / lam,
         "numerator": float(np.sum(w * w)),
         "numerator_closed": float(num[0]),
     }
@@ -335,8 +339,9 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
 def mixed_distance_oracle(n, lam: float, n3, profile: ProbabilityProfile) -> float:
     """Distance recomputed from the explicit commutator, no closed forms and no SVD."""
     n, n3 = _adjacent_step(n, n3)
-    w, blocks = _step_blocks(n, lam, n3, *profile._path((n3.twice + 2, n3.twice)))
-    return float(np.sum(w * w)) / float(np.linalg.norm(blocks))
+    lam = _lam(lam)
+    w, blocks = _step_blocks(n, n3, *profile._path((n3.twice + 2, n3.twice)))
+    return float(np.sum(w * w)) / float(np.linalg.norm(blocks)) * lam
 
 
 # ---------------------------------------------------------------------------

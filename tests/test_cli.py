@@ -307,6 +307,25 @@ def test_huge_lambda_pipeline_matches_the_closed_form(capsys):
         assert 1e199 < row["distance"] < 1e201
 
 
+@pytest.mark.parametrize("lam", ["1e-200", "1e200"])
+@pytest.mark.parametrize("argv, column", [
+    (["discrete", "--n", "2"], "optimizer"),
+    (["quantum-mixed", "--n", "1"], "oracle"),
+    (["quantum-pure", "--n", "1"], "oracle"),
+], ids=["discrete", "quantum-mixed", "quantum-pure"])
+def test_oracle_columns_at_extreme_lambda(argv, column, lam, capsys):
+    """The oracles form their weights and blocks free of lam and apply it once: lam r and the
+    blocks' lam powers underflowed to an optimizer 0.0 and a frobenius inf at 1e-200, and
+    gave nan or a division by zero at 1e200. json.loads refuses the bare inf and nan the CLI
+    would print for a non-finite cell."""
+    code, out, _ = run_cli(argv + ["--lambda", lam, "--oracle", "--no-timestamp"], capsys)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert rows
+    for row in rows:
+        assert abs(row[column] - row["distance"]) <= 1e-12 * row["distance"], row
+
+
 def test_wrong_level_count_exit_2(tmp_path, capsys):
     en = tmp_path / "levels.txt"
     en.write_text("1.0 0.0\n")

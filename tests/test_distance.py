@@ -2,6 +2,11 @@
 
 import functools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from fuzzydist.distance import (
     _hermitize_traceless,
     _normalize,
     _ratio_batch,
+    _starts,
     adjacent_distance_closed_form,
     arc_length_step,
     connes_distance_optimized,
@@ -124,6 +130,47 @@ def test_optimizer_seed_determinism():
     assert a.method == "optimizer"
     assert (a.value, a.iterations, a.stop) == (b.value, b.iterations, b.stop)
     assert a.certificate.tobytes() == b.certificate.tobytes()
+
+
+def test_starts_are_the_gauss_stream_of_the_seed():
+    """Each restart is 2 dim^2 random.gauss draws from Random(seed), real parts first, up to
+    numpy's last-bit cos, sin and log; numpy integers are seeds, negatives and floats are not."""
+    drho = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    for seed in (0, 1, 7, 42, 2 ** 40):
+        rnd = random.Random(seed)
+        z = np.array([rnd.gauss(0.0, 1.0) for _ in range(4 * 2 * 9)]).reshape(4, 2, 3, 3)
+        want = _normalize(_hermitize_traceless(z[:, 0] + 1j * z[:, 1]))
+        got = _starts(drho, seed, 4)
+        assert got.shape == (5, 3, 3) and got[0].tobytes() == (drho / math.sqrt(2)).tobytes()
+        np.testing.assert_allclose(got[1:], want, rtol=0, atol=4e-16)
+    assert _starts(drho, np.int64(7), 4)[1:].tobytes() == _starts(drho, 7, 4)[1:].tobytes()
+    assert _starts(drho, 7, 0).shape == (1, 3, 3)
+    with pytest.raises(ValueError):
+        _starts(drho, -7, 4)
+    with pytest.raises(TypeError):
+        _starts(drho, 7.0, 4)
+
+
+def test_the_ascent_imports_no_numpy_random():
+    """The benchmark's coherent pairs reach the ascent at 2n = 2 and 3; drawing their restarts
+    loads no numpy.random, which numpy 2 imports on first use (numpy 1 at import)."""
+    code = ("import sys, numpy\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "from fuzzydist import build_dirac, build_space, coherent_state, HalfInteger\n"
+            "from fuzzydist import connes_distance_optimized\n"
+            "for t in (1, 2, 3):\n"
+            "    s = build_space(HalfInteger(t), 1.0)\n"
+            "    rho, rho2 = (coherent_state(s, z).projector() for z in (0j, 1e-4 + 0j))\n"
+            "    res = connes_distance_optimized(build_dirac(s, 'config'), rho, rho2, seed=1)\n"
+            "    print(res.method)\n"
+            "print(before == ('numpy.random' in sys.modules))\n")
+    src = str(Path(distance.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["diagonal_exact", "optimizer", "optimizer", "True"]
 
 
 def test_optimizer_max_iters_raises(monkeypatch):
@@ -310,6 +357,25 @@ def test_spin_half_distance_is_the_bloch_chord(z, z2, lam):
     assert low <= got.value * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("z, real", [(2 + 5e-324j, 2.0), (5e-324j, 5e-324)])
+def test_subnormal_imaginary_part_is_a_point(z, real):
+    """arg z by cmath.phase raised OverflowError on 2 + 5e-324j, where atan2 underflows to 0;
+    hypothesis drew that z2. The state is the real-z state (bitwise when arg z is 0), and
+    at n = 1/2 the distance is still the Bloch chord."""
+    for t in (1, 4):
+        s = build_space(H(t), 1.0)
+        got, want = (coherent_state(s, w).amplitudes for w in (z, complex(real)))
+        if z.real:
+            assert got.tobytes() == want.tobytes()
+        else:  # arg z = pi/2 rephases amplitudes of order 1e-16 beside the leading 1
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    s = build_space(H(1), 1.3)
+    rho, rho2 = (coherent_state(s, w).projector() for w in (-0.5 + 0.25j, z))
+    got = connes_distance_optimized(build_dirac(s, "config"), rho, rho2)
+    want = 1.3 * math.sqrt(3.0) / 4.0 * float(np.linalg.norm(_bloch(-0.5 + 0.25j) - _bloch(z)))
+    assert got.method == "diagonal_exact" and abs(got.value - want) <= 1e-12 * want
+
+
 def _rotation(s, theta, phi):
     """e^{-i phi J3} e^{-i theta Jy} on the spin of sphere s, J = x/lam."""
     mu, v = np.linalg.eigh(s.x2 / s.lam)
@@ -398,8 +464,7 @@ def _ladder_spec(triple, drho, max_iters, seed, restarts, svd_screen=False) -> D
     _ratio_batch on the same commutator stack, so only the rule is compared; a rung equal to
     the one before it (a third of them) reuses that rung's commutator and screen."""
     dim = triple.algebra_dim
-    z = np.random.default_rng(seed).standard_normal((restarts, 2, dim, dim))
-    a = _normalize(_hermitize_traceless(np.concatenate([drho[None], z[:, 0] + 1j * z[:, 1]])))
+    a = _starts(drho, seed, restarts)
     R, G, h, val = _ratio_batch(triple, drho, a)
     half = 0.5 ** np.arange(30)
     step, grad = np.full(len(a), 0.1), np.empty_like(a)

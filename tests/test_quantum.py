@@ -131,7 +131,7 @@ def test_block_route_matches_dense_quantum_triple(t):
                 w[up, s.index_of(l3p)] += 1.0
                 w[down, s.index_of(n3p)] -= 1.0
                 dense = _dense_norms(tr, np.diag(w.ravel()))
-                w, blocks = quantum._step_blocks(n, 1.0, n3, w[up], -w[down])
+                w, blocks = quantum._step_blocks(n, n3, w[up], -w[down])
                 sv = np.linalg.svd(blocks, compute_uv=False)
                 block = (quantum_seminorm_oracle(n, 1.0, n3, n3p, l3p),
                          np.sqrt(np.sum(sv * sv)), sv.sum(), np.sum(w * w))
@@ -167,7 +167,7 @@ def test_oracles_never_build_the_dense_quantum_triple(monkeypatch):
     assert mixed_commutator_norms(n, 1.0, H(0), prof)["operator"] > 0
     assert mixed_distance_oracle(n, 1.0, H(0), prof) == pytest.approx(
         trace_norm_distance(n, 1.0, H(0), prof), rel=1e-10)
-    assert built == ["config"]   # one config triple per (2n, lam), shared by the three oracles
+    assert built == ["config"]   # one config triple per 2n, shared by the three oracles
 
 
 def test_config_dirac_is_real_in_the_n3_basis():
@@ -183,22 +183,22 @@ def test_config_dirac_is_real_in_the_n3_basis():
 @pytest.mark.parametrize("t", [1, 2, 5, 8])
 def test_step_blocks_are_the_real_part_of_the_complex_stack(t):
     """The real blocks equal, bitwise, the real part of the same diagonal stack put through
-    the commutator kernel with the complex D_c, and that stack's imaginary part is zero."""
+    the commutator kernel with the complex D_c, and that stack's imaginary part is zero.
+    The blocks are formed at lam = 1 whatever lam the oracle is asked for."""
     n = H(t)
-    for lam in (1.0, 1.3):
-        tr = build_dirac(build_space(n, lam), "config")
-        for t3 in range(-t, t - 1, 2):
-            for prof in _profiles(t, np.random.default_rng(t)):
-                w, blocks = quantum._step_blocks(n, lam, H(t3), prof.at(H(t3 + 2)), prof.at(H(t3)))
-                diags = w[:, np.any(w != 0.0, axis=0)].T[:, :, None] * np.eye(t + 1)
-                c = triple._commutator(tr, diags)
-                assert blocks.dtype == np.float64 and c.dtype == np.complex128
-                assert not np.any(c.imag)
-                assert np.array_equal(blocks, c.real)
+    tr = build_dirac(build_space(n, 1.0), "config")
+    for t3 in range(-t, t - 1, 2):
+        for prof in _profiles(t, np.random.default_rng(t)):
+            w, blocks = quantum._step_blocks(n, H(t3), prof.at(H(t3 + 2)), prof.at(H(t3)))
+            diags = w[:, np.any(w != 0.0, axis=0)].T[:, :, None] * np.eye(t + 1)
+            c = triple._commutator(tr, diags)
+            assert blocks.dtype == np.float64 and c.dtype == np.complex128
+            assert not np.any(c.imag)
+            assert np.array_equal(blocks, c.real)
 
 
 def test_config_triple_is_real_and_read_only():
-    tr = quantum._config_triple(4, 1.0)
+    tr = quantum._config_triple(4)
     assert tr.dirac.dtype == np.float64 and tr.dirac.flags.c_contiguous
     assert not tr.dirac.flags.writeable
     with pytest.raises(ValueError):
@@ -217,7 +217,7 @@ def test_config_triple_checks_the_imaginary_part():
             return tr
         quantum.build_dirac = tilted
         try:
-            quantum._config_triple(3, 1.0)
+            quantum._config_triple(3)
         except quantum.SphereDomainError as err:
             raise SystemExit(0 if "not real" in str(err) else 2)
         raise SystemExit(1)
