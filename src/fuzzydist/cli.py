@@ -88,6 +88,17 @@ def _lambda_arg(text: str) -> float:
     return lam
 
 
+def _seed_arg(text: str) -> int:
+    """A seed is an integer >= 0: random.Random(-s) would repeat the stream of s."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError("not a non-negative integer: %r" % text)
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzydist",
@@ -111,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to this file")
         if seed:  # only the checks draw random numbers
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--seed", type=_seed_arg, default=42,
+                           help="seed of the checks' draws, an integer >= 0 (default 42)")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from metadata (reproducible bytes)")
 

@@ -15,8 +15,6 @@ Plus the quantized polar angle and the continuum arc-length comparator.
 from __future__ import annotations
 
 import math
-import operator
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from .halfint import ladder_radicand
 from .linalg import SYMMETRY_TOL
-from .sphere import SphereDomainError, _adjacent_step, _halfint, _lam, _matrix_of, _row
+from .sphere import SphereDomainError, _adjacent_step, _halfint, _lam, _matrix_of, _random, _row
 from .triple import SpectralTriple, _commutator, lipschitz_seminorm
 
 
@@ -211,19 +209,16 @@ def _diagonal_supremum(triple, drho, d, V) -> DistanceResult:
 
 def _starts(drho, seed, restarts):
     """The ascent's starts on the unit sphere of traceless Hermitian matrices: drho itself, then
-    ``restarts`` random directions from random.Random(seed), seed an integer >= 0.
+    ``restarts`` random directions from random.Random(seed), seed an integer >= 0 (_random).
 
     Each restart takes dim^2 real parts, then dim^2 imaginary parts, in the shape
     (restarts, 2, dim, dim). They are random.gauss's Box-Muller pairs, formed in numpy from
     the uniforms random() would return, read in one randbytes call; numpy's cos, sin and log
     may differ from the math module's in the last bit. A process that reaches the ascent
     therefore need not import numpy.random."""
-    seed = operator.index(seed)
-    if seed < 0:  # Random(-s) repeats the stream of s
-        raise ValueError("seed must be >= 0, got %d" % seed)
     dim = drho.shape[-1]
     k = restarts * dim * dim  # gauss pairs: two uniforms, two 32-bit words each, per pair
-    w = np.frombuffer(random.Random(seed).randbytes(16 * k), dtype="<u4").reshape(k, 2, 2)
+    w = np.frombuffer(_random(seed).randbytes(16 * k), dtype="<u4").reshape(k, 2, 2)
     u = ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * 2.0 ** -53  # random(), bitwise
     x2pi, g2rad = 2.0 * math.pi * u[:, 0], np.sqrt(-2.0 * np.log(1.0 - u[:, 1]))
     z = np.stack([np.cos(x2pi) * g2rad, np.sin(x2pi) * g2rad], axis=-1)

@@ -41,8 +41,8 @@ import numpy as np
 
 from .distance import adjacent_distance_closed_form
 from .halfint import HalfInteger, ladder_radicand
-from .sphere import (FuzzySphere, SphereDomainError, _adjacent_step, _halfint, _labels, _lam, _row,
-                     _steps)
+from .sphere import (FuzzySphere, SphereDomainError, _adjacent_step, _halfint, _labels, _lam,
+                     _random, _row, _steps)
 from .triple import SpectralTriple, _commutator, build_dirac
 
 
@@ -351,7 +351,7 @@ def mixed_distance_oracle(n, lam: float, n3, profile: ProbabilityProfile) -> flo
 class MinimizationCertificate:
     delta: np.ndarray          # symmetric tridiagonal, rows n3 descending n_f..n_i
     alpha: np.ndarray          # least-squares multipliers, one per row
-    residual: float            # max over l3 of ||delta P_l3 - 2 alpha||_inf
+    residual: float            # max over l3 of ||delta P_l3 - 2 alpha||_inf at lam = 1
 
 
 def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> MinimizationCertificate:
@@ -360,27 +360,31 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
     Diagonal a(n3) and couplings b(n3) are assembled from the per-step
     quadratics; the stationarity condition for a minimizing profile is
     delta P_{l3} = 2 alpha with alpha independent of l3. The residual
-    reports how far the given profile is from satisfying it.
+    reports how far the given profile is from satisfying it. delta and alpha
+    are linear in lam, so both are formed at lam = 1 and scaled once; the
+    residual is the lam = 1 one, which reads the same at every lam (lam times
+    it would overflow at lam = 1e200 and underflow at 1e-200).
     """
     n, n_i, n_f = _halfint(n), _halfint(n_i), _halfint(n_f)
+    lam = _lam(lam)
     labels = _path_labels(n, n_i, n_f)
     x = profile._path(labels)
     nn1 = float(n.times_self_plus_one())
     num, s, (_, _, cx) = _step_functional(nn1, x, n_i.twice)
-    lr = _lam(lam) * math.sqrt(nn1)
+    r1 = math.sqrt(nn1)                # the radius at lam = 1
 
     # per-step f and g, padded with a zero step below n_i and above n_f, so row
     # r (ascending) sees the step above it at r + 1 and the one below at r
     g = np.concatenate(([0.0], 1.0 / np.sqrt(s), [0.0]))
     f = np.concatenate(([0.0], (num / 2.0) / s ** 1.5, [0.0]))
     c0 = (n.twice * (n.twice + 2) - np.array(labels) ** 2) / 4.0   # n(n+1) - n3^2
-    b = -lr * cx * f[1:-1]          # coupling of the two rows of each step
-    D = np.diag(lr * (g[1:] + g[:-1] - c0 * (f[1:] + f[:-1]))) + np.diag(b, 1) + np.diag(b, -1)
+    b = -r1 * cx * f[1:-1]          # coupling of the two rows of each step
+    D = np.diag(r1 * (g[1:] + g[:-1] - c0 * (f[1:] + f[:-1]))) + np.diag(b, 1) + np.diag(b, -1)
     D = D[::-1, ::-1]                  # rows n3 descending, like every basis in the package
     prod = D @ x[::-1]                 # column l3 holds delta P_l3
     alpha = prod.mean(axis=1) / 2.0    # least-squares alpha is the l3 average
     residual = float(np.abs(prod - 2.0 * alpha[:, None]).max())
-    return MinimizationCertificate(D, alpha, residual)
+    return MinimizationCertificate(D * lam, alpha * lam, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +412,25 @@ _DESCENT_STOPS = ("", "small_step", "no_descent", "max_iters")  # stop code name
 _SMALL_STEP, _NO_DESCENT, _OUT_OF_ITERS = 1, 2, 3
 
 
+def _dirichlet_rows(seed, shape) -> np.ndarray:
+    """Dirichlet(1, ..., 1) draws along the last axis of an array of the given shape: the
+    expovariate(1.0) stream of random.Random(seed) (_random), in row-major order, each row
+    divided by its sum."""
+    rnd = _random(seed)
+    e = np.array([rnd.expovariate(1.0) for _ in range(math.prod(shape))]).reshape(shape)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int = 42) -> dict:
     """Minimize the path distance over profiles on the product of simplices.
 
     Projected gradient descent with Armijo backtracking on the analytic
     gradient _raw_path_grad, from the uniform profile and starts - 1 seeded
-    Dirichlet ones. Each start's rule: try its step t once per round; on the
-    Armijo test accept, t *= 1.5 and take a new gradient, else t *= 0.5. It
-    stops on an accepted step below 1e-12 ("small_step"), after 40 rejections
-    in a row ("no_descent"), or unconverged after _DESCENT_ITERS iterations.
+    Dirichlet ones (_dirichlet_rows). Each start's rule: try its step t once
+    per round; on the Armijo test accept, t *= 1.5 and take a new gradient,
+    else t *= 0.5. It stops on an accepted step below 1e-12 ("small_step"),
+    after 40 rejections in a row ("no_descent"), or unconverged after
+    _DESCENT_ITERS iterations.
     The starts run in lockstep as one (starts, npts, m) stack, each with its
     rule unchanged: the helpers keep leading axes independent, so every start
     takes bitwise the steps it would alone; stop reasons are integer codes
@@ -431,9 +445,8 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     npts, m, t0 = len(labels), n.twice + 1, n_i.twice
     nn1 = float(n.times_self_plus_one())
 
-    rng = np.random.default_rng(seed)
     x = np.concatenate([np.full((1, npts, m), 1.0 / m),
-                        rng.dirichlet(np.ones(m), size=(max(0, starts - 1), npts))])
+                        _dirichlet_rows(seed, (max(0, starts - 1), npts, m))])
     fx, g = _raw_path(nn1, lam, x, t0), _raw_path_grad(nn1, lam, x, t0)
     k = len(x)
     step, rungs, iters = np.ones(k), np.zeros(k, int), np.full(k, min(1, _DESCENT_ITERS))

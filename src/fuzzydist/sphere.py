@@ -15,6 +15,8 @@ bookkeeping for oscillator monomials.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,16 @@ def _lam(lam) -> float:
     if not 0 < lam < math.inf:
         raise SphereDomainError("lambda must be positive and finite, got %r" % lam)
     return float(lam)
+
+
+def _random(seed) -> random.Random:
+    """random.Random(seed) for an integer seed >= 0 (numpy integers included); a float raises
+    TypeError and a negative seed ValueError, since Random(-s) repeats the stream of s. Every
+    seeded draw in the package comes from here, so none imports numpy.random."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0, got %d" % seed)
+    return random.Random(seed)
 
 
 class FuzzySphere:

@@ -229,6 +229,24 @@ def test_usage_errors_exit_2(argv, capsys):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("command", ["validate", "continuum-check"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seed_must_be_a_non_negative_integer(command, seed, monkeypatch, capsys):
+    """A bad --seed is a usage error before any check runs: validate --seed -1 ran its checks
+    and exited 2 with no JSON, and random.Random(-s) would repeat the stream of s."""
+    from fuzzydist import validate
+
+    def no_checks(**kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(validate, "run_checks", no_checks)
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--seed", seed, "--no-timestamp"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert "argument --seed: not a non-negative integer: '%s'" % seed in err
+
+
 @pytest.mark.parametrize("command", ["discrete", "quantum-pure", "quantum-mixed", "thermal"])
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_spin_below_one_half_exit_2(command, n, capsys):

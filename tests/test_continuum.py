@@ -1,5 +1,6 @@
 """Commutative-limit geometry: Hopf map, round metric, monopoles, connections."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from fuzzydist.continuum import (
     GeometryDomainError,
     clifford_algebra_deviations,
     clifford_sigmas,
+    connection_fd_deviation,
     connection_mismatch_report,
     doubled_connection_form,
     euler_to_spinor,
@@ -129,3 +131,26 @@ def test_connection_normalization_mismatch_is_reported():
     rep = connection_mismatch_report(samples=25, seed=11)
     assert rep["mean_ratio"] == pytest.approx(-2.0, abs=1e-9)
     assert rep["spread"] <= 1e-9
+
+
+def test_connection_check_scale_survives_dz_parallel_to_z():
+    """With dz parallel to z the exact form is near zero, and the FD rounding relative to it
+    read as 2.7e-5 > 1e-6 (the continuum-connection check failed at some seeds); on the
+    form's scale |z||dz|/(1+|z|^2) it is below 1e-10."""
+    z = 0.6 + 0.8j
+    dz = 1e-6 * z * cmath.exp(1e-6j)
+    a, b = tautological_connection(z, dz), tautological_connection_fd(z, dz)
+    assert abs(a - b) / max(abs(a), 1e-12) > 1e-6  # the old measure
+    assert connection_fd_deviation(z, dz) <= 1e-10
+
+
+@pytest.mark.parametrize("z", [0.6 + 0.8j, 1.3 - 0.4j, -0.2 + 2.1j, 1e-3 + 0j, 40j])
+def test_connection_check_still_rejects_the_doubled_form(z):
+    """The doubled normalization, -2 times the form, lies 3|form| from FD: at least 0.3 on the
+    scale wherever |form| > 0.1 scale, against 1e-6 for the form itself."""
+    for k in range(24):
+        dz = 1e-6 * cmath.exp(1j * math.pi * k / 12)
+        scale = abs(z) * abs(dz) / (1.0 + abs(z) ** 2)
+        assert connection_fd_deviation(z, dz) <= 1e-6
+        if abs(tautological_connection(z, dz)) > 0.1 * scale:
+            assert connection_fd_deviation(z, dz, doubled_connection_form) >= 0.3

@@ -2,11 +2,7 @@
 
 import functools
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,28 +145,6 @@ def test_starts_are_the_gauss_stream_of_the_seed():
         _starts(drho, -7, 4)
     with pytest.raises(TypeError):
         _starts(drho, 7.0, 4)
-
-
-def test_the_ascent_imports_no_numpy_random():
-    """The benchmark's coherent pairs reach the ascent at 2n = 2 and 3; drawing their restarts
-    loads no numpy.random, which numpy 2 imports on first use (numpy 1 at import)."""
-    code = ("import sys, numpy\n"
-            "before = 'numpy.random' in sys.modules\n"
-            "from fuzzydist import build_dirac, build_space, coherent_state, HalfInteger\n"
-            "from fuzzydist import connes_distance_optimized\n"
-            "for t in (1, 2, 3):\n"
-            "    s = build_space(HalfInteger(t), 1.0)\n"
-            "    rho, rho2 = (coherent_state(s, z).projector() for z in (0j, 1e-4 + 0j))\n"
-            "    res = connes_distance_optimized(build_dirac(s, 'config'), rho, rho2, seed=1)\n"
-            "    print(res.method)\n"
-            "print(before == ('numpy.random' in sys.modules))\n")
-    src = str(Path(distance.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["diagonal_exact", "optimizer", "optimizer", "True"]
 
 
 def test_optimizer_max_iters_raises(monkeypatch):

@@ -44,6 +44,37 @@ def test_bare_import_loads_no_numpy():
     assert res.stdout.split() == ["False", "False", "False"]
 
 
+def test_no_seeded_draw_imports_numpy_random():
+    """Every seeded draw comes from random.Random, so none loads numpy.random, which numpy 2
+    imports on first use (numpy 1 at import): not the ascent on the benchmark's coherent
+    pairs (exact at 2n = 1, the ascent at 2n = 2 and 3), not the minimizer's Dirichlet starts,
+    and not the checks of continuum-check and validate."""
+    code = ("import contextlib, io, sys, numpy\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "from fuzzydist import HalfInteger as H, build_dirac, build_space, cli\n"
+            "from fuzzydist import coherent_state, connes_distance_optimized\n"
+            "from fuzzydist import minimize_path_distance\n"
+            "def same(): return before == ('numpy.random' in sys.modules)\n"
+            "for t in (1, 2, 3):\n"
+            "    s = build_space(H(t), 1.0)\n"
+            "    rho, rho2 = (coherent_state(s, z).projector() for z in (0j, 1e-4 + 0j))\n"
+            "    res = connes_distance_optimized(build_dirac(s, 'config'), rho, rho2, seed=1)\n"
+            "    print(res.method, same())\n"
+            "print(minimize_path_distance(H(2), 1.0, H(-2), H(2), starts=5)['stop'], same())\n"
+            "for command in ('continuum-check', 'validate'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main([command, '--seed', '1', '--no-timestamp'])\n"
+            "    print(code, same())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(fuzzydist.__file__).resolve().parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["diagonal_exact", "True", "optimizer", "True", "optimizer",
+                                  "True", "small_step", "True", "0", "True", "0", "True"]
+
+
 def test_every_public_class_and_function_is_a_package_attribute():
     owners = {}
     for modname, name, obj in _public_objects():

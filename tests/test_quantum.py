@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -371,6 +372,43 @@ def test_stationarity_residual():
     assert cert.residual > 1e-4
 
 
+@pytest.mark.parametrize("lam", [1e-200, 1e200])
+def test_stationarity_certificate_is_formed_at_lam_one(lam):
+    """delta and alpha are the lam = 1 ones times lam, bitwise, and the residual is the lam = 1
+    one: lam times it read 1e183 for an exactly stationary step at lam = 1e200."""
+    n = H(2)
+    rows = {-2: np.array([0.5, 0.3, 0.2]), 0: np.array([0.2, 0.5, 0.3]),
+            2: np.array([0.3, 0.2, 0.5])}
+    residuals = []
+    for prof, n_i, n_f in [(ProbabilityProfile.uniform(n), H(0), H(2)),
+                           (ProbabilityProfile(n, rows), H(-2), H(2))]:
+        one = delta_matrix(n, 1.0, prof, n_i, n_f)
+        got = delta_matrix(n, lam, prof, n_i, n_f)
+        assert got.delta.tobytes() == (one.delta * lam).tobytes()
+        assert got.alpha.tobytes() == (one.alpha * lam).tobytes()
+        assert got.residual == one.residual
+        residuals.append(got.residual)
+    assert residuals[0] == 0.0 and residuals[1] > 1e-4
+
+
+def test_dirichlet_rows_lie_on_the_simplex():
+    """Normalized expovariate(1.0) draws of Random(seed), row-major: the same seed gives the
+    same rows, and the seed rule is the ascent's (negatives and floats refused)."""
+    x = quantum._dirichlet_rows(7, (4, 3, 5))
+    assert x.shape == (4, 3, 5) and np.all(x >= 0)
+    np.testing.assert_allclose(x.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    assert x.tobytes() == quantum._dirichlet_rows(np.int64(7), (4, 3, 5)).tobytes()
+    rnd = random.Random(7)
+    e = np.array([rnd.expovariate(1.0) for _ in range(5)])
+    assert x[0, 0].tobytes() == (e / e.sum()).tobytes()
+    assert quantum._dirichlet_rows(8, (4, 3, 5)).tobytes() != x.tobytes()
+    assert quantum._dirichlet_rows(7, (0, 3, 5)).shape == (0, 3, 5)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        quantum._dirichlet_rows(-7, (2, 3))
+    with pytest.raises(TypeError):
+        quantum._dirichlet_rows(7.0, (2, 3))
+
+
 def test_minimizer_recovers_uniform():
     out = minimize_path_distance(H(2), 1.0, H(-2), H(2), starts=6, seed=42)
     prof = out["profile"]
@@ -400,10 +438,9 @@ def _serial_starts(n, lam, n_i, n_f, starts, seed):
     One (distance, rows, iterations, stop) per start, stop "max_iters" if it did not converge."""
     npts, m = len(quantum._path_labels(n, n_i, n_f)), n.twice + 1
     nn1, t0 = float(n.times_self_plus_one()), n_i.twice
-    rng = np.random.default_rng(seed)
     out = []
     for x in [np.full((npts, m), 1.0 / m),
-              *rng.dirichlet(np.ones(m), size=(max(0, starts - 1), npts))]:
+              *quantum._dirichlet_rows(seed, (max(0, starts - 1), npts, m))]:
         fx, t, iters, stop = quantum._raw_path(nn1, lam, x, t0), 1.0, 0, "max_iters"
         for iters in range(1, quantum._DESCENT_ITERS + 1):
             g = quantum._raw_path_grad(nn1, lam, x, t0)
@@ -460,7 +497,7 @@ def test_lockstep_minimizer_matches_serial_loop(monkeypatch):
         best, stops = _assert_lockstep_is_serial(*case)
         assert best == "small_step" and set(stops) == {"small_step", "max_iters"}
     monkeypatch.setattr(quantum, "_DESCENT_ITERS", 20)
-    best, stops = _assert_lockstep_is_serial(2, -2, 2, 20, 4)
+    best, stops = _assert_lockstep_is_serial(2, -2, 2, 20, 3)
     assert best == "max_iters" and stops[0] == "small_step"
 
 
