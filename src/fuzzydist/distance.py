@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .halfint import ladder_radicand
+from .halfint import _quarters, ladder_radicand
 from .linalg import SYMMETRY_TOL
 from .sphere import SphereDomainError, _adjacent_step, _halfint, _lam, _matrix_of, _random, _row
 from .triple import SpectralTriple, _commutator, lipschitz_seminorm
@@ -47,9 +47,7 @@ class DistanceResult:
 def adjacent_distance_closed_form(n, n3, lam: float = 1.0) -> float:
     """Distance between |n3+1> and |n3> pure states: lam sqrt(n(n+1)) / sqrt(n(n+1) - n3(n3+1))."""
     n, n3 = _adjacent_step(n, n3)
-    nn1 = float(n.times_self_plus_one())
-    rad = float(ladder_radicand(n, n3))
-    return _lam(lam) * math.sqrt(nn1) / math.sqrt(rad)
+    return _lam(lam) * math.sqrt(n.times_self_plus_one()) / math.sqrt(ladder_radicand(n, n3))
 
 
 def distance_lower_bound(triple: SpectralTriple, rho, rho2) -> DistanceResult:
@@ -77,21 +75,18 @@ def quantized_polar_angle(n, n3) -> float:
     Note this measures from the equator; the conventional polar angle would
     use arccos. Kept as is deliberately.
     """
-    n = _halfint(n)
-    n3 = _halfint(n3)
+    n, n3 = _halfint(n), _halfint(n3)
     _row(n, n3)
-    return math.asin(float(n3) / math.sqrt(float(n.times_self_plus_one())))
+    return math.asin(float(n3) / math.sqrt(n.times_self_plus_one()))
 
 
 def arc_length_step(n, n3, lam: float = 1.0) -> float:
     """Continuum arc length for a unit step in n3: lam sqrt(n(n+1)) / sqrt(n(n+1) - n3^2)."""
-    n = _halfint(n)
-    n3 = _halfint(n3)
-    nn1 = float(n.times_self_plus_one())
-    rad = nn1 - float(n3) ** 2
+    n, n3 = _halfint(n), _halfint(n3)
+    rad = (_quarters(n.twice) - n3.twice ** 2) / 4  # n(n+1) - n3^2, one integer numerator
     if rad <= 0:
         raise SphereDomainError("|n3| >= sqrt(n(n+1)): arc step undefined")
-    return _lam(lam) * math.sqrt(nn1) / math.sqrt(rad)
+    return _lam(lam) * math.sqrt(n.times_self_plus_one()) / math.sqrt(rad)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +206,10 @@ def _starts(drho, seed, restarts):
     """The ascent's starts on the unit sphere of traceless Hermitian matrices: drho itself, then
     ``restarts`` random directions from random.Random(seed), seed an integer >= 0 (_random).
 
-    Each restart takes dim^2 real parts, then dim^2 imaginary parts, in the shape
-    (restarts, 2, dim, dim). They are random.gauss's Box-Muller pairs, formed in numpy from
-    the uniforms random() would return, read in one randbytes call; numpy's cos, sin and log
-    may differ from the math module's in the last bit. A process that reaches the ascent
-    therefore need not import numpy.random."""
-    dim = drho.shape[-1]
-    k = restarts * dim * dim  # gauss pairs: two uniforms, two 32-bit words each, per pair
-    w = np.frombuffer(_random(seed).randbytes(16 * k), dtype="<u4").reshape(k, 2, 2)
-    u = ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * 2.0 ** -53  # random(), bitwise
-    x2pi, g2rad = 2.0 * math.pi * u[:, 0], np.sqrt(-2.0 * np.log(1.0 - u[:, 1]))
-    z = np.stack([np.cos(x2pi) * g2rad, np.sin(x2pi) * g2rad], axis=-1)
+    Each restart takes dim^2 random.gauss draws for its real parts, then dim^2 for its
+    imaginary parts, in the shape (restarts, 2, dim, dim); no numpy.random is involved."""
+    dim, gauss = drho.shape[-1], _random(seed).gauss
+    z = np.array([gauss(0.0, 1.0) for _ in range(restarts * 2 * dim * dim)])
     z = z.reshape(restarts, 2, dim, dim)
     return _normalize(_hermitize_traceless(np.concatenate([drho[None], z[:, 0] + 1j * z[:, 1]])))
 

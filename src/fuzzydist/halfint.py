@@ -1,14 +1,14 @@
-"""Exact half-integer arithmetic.
+"""Exact half-integer arithmetic in plain ints.
 
-Spin labels and magnetic quantum numbers live in Z/2. Storing twice the
-value as a plain int keeps products like n(n+1) - n3(n3+1) exact until the
-final float conversion, which avoids spurious ties between eigenvalues that
-differ by tiny rationals.
+Spin labels and magnetic quantum numbers live in Z/2. A HalfInteger stores t = 2v,
+so v(v+1) is the integer t(t+2) over 4, and so is each radicand such as
+n(n+1) - n3(n3+1). Python divides ints with one correct rounding at any size, so
+a radicand's float is its exact value rounded once: no spurious eigenvalue ties.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from functools import total_ordering
 
 
@@ -28,19 +28,21 @@ class HalfInteger:
 
     @classmethod
     def from_value(cls, value) -> "HalfInteger":
-        """Build from an int, float or Fraction that equals some p/2 exactly; ValueError
-        for any other value, a bool or a non-finite float included."""
+        """Build from an integer (numpy's too) or an exact ratio (float, numpy float, Fraction)
+        equal to some p/2, or parse a string; ValueError for any other value, a bool or a
+        non-finite float included."""
         if isinstance(value, HalfInteger):
-            return cls(value.twice)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return cls(2 * value)
-        try:
-            frac = Fraction(value)
-        except (OverflowError, ValueError):  # inf, nan
-            frac = None
-        if isinstance(value, bool) or frac is None or frac.denominator not in (1, 2):
+            return value
+        if isinstance(value, str):
+            return cls.parse(value)
+        try:  # integers by index, other numbers by their exact ratio
+            p, q = ((operator.index(value), 1) if hasattr(value, "__index__")
+                    else value.as_integer_ratio())
+        except (AttributeError, OverflowError, TypeError, ValueError):  # not a number; inf, nan
+            q = None
+        if isinstance(value, bool) or q not in (1, 2):
             raise ValueError("%r is not a half-integer" % (value,))
-        return cls(int(frac * 2))
+        return cls(p if q == 2 else 2 * p)
 
     @classmethod
     def parse(cls, text: str) -> "HalfInteger":
@@ -50,13 +52,10 @@ class HalfInteger:
             num, _, den = s.partition("/")
             if den.strip() != "2":
                 raise ValueError("half-integer strings use denominator 2: %r" % text)
-            p = int(num)
-            return cls(p)
+            return cls(int(num))
         if "." in s:
-            f = Fraction(s)
-            if f.denominator not in (1, 2):
-                raise ValueError("%r is not a half-integer" % text)
-            return cls(int(f * 2))
+            from fractions import Fraction  # a decimal string, read exactly
+            return cls.from_value(Fraction(s))
         return cls(2 * int(s))
 
     # ---- arithmetic (exact) -------------------------------------------
@@ -80,16 +79,17 @@ class HalfInteger:
         return self.twice < _twice(other)
 
     def __hash__(self):
-        return hash(Fraction(self.twice, 2))
+        # an integer value equals the int twice // 2, so it must hash like it
+        return hash(self.twice // 2) if self.twice % 2 == 0 else hash((self.twice, 2))
 
     # ---- views ---------------------------------------------------------
 
     def __float__(self):
         return self.twice / 2.0
 
-    def times_self_plus_one(self) -> Fraction:
-        """Exact value of v(v+1), as a Fraction (denominator divides 4)."""
-        return Fraction(self.twice * (self.twice + 2), 4)
+    def times_self_plus_one(self) -> float:
+        """v(v+1) = t(t+2)/4, t = 2v, rounded once to a float."""
+        return _quarters(self.twice) / 4
 
     def __repr__(self):
         return "HalfInteger(%s)" % str(self)
@@ -108,6 +108,12 @@ def _twice(other) -> int:
     raise TypeError("cannot mix HalfInteger with %r" % (other,))
 
 
-def ladder_radicand(n: HalfInteger, n3: HalfInteger) -> Fraction:
-    """n(n+1) - n3(n3+1) exactly; the square of a raising matrix element."""
-    return n.times_self_plus_one() - n3.times_self_plus_one()
+def _quarters(t: int) -> int:
+    """4 v(v+1) for v = t/2: the integer t(t+2)."""
+    return t * (t + 2)
+
+
+def ladder_radicand(n: HalfInteger, n3: HalfInteger) -> float:
+    """n(n+1) - n3(n3+1), the square of a raising matrix element: one integer numerator
+    over 4, rounded once to a float."""
+    return (_quarters(n.twice) - _quarters(n3.twice)) / 4

@@ -34,13 +34,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List
 
 import numpy as np
 
 from .distance import adjacent_distance_closed_form
-from .halfint import HalfInteger, ladder_radicand
+from .halfint import HalfInteger, _quarters, ladder_radicand
 from .sphere import (FuzzySphere, SphereDomainError, _adjacent_step, _halfint, _labels, _lam,
                      _random, _row, _steps)
 from .triple import SpectralTriple, _commutator, build_dirac
@@ -55,11 +54,21 @@ class MinimizationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # pure-state two-branch distance
 
+def _literal_radicand(n: HalfInteger, n3: HalfInteger) -> float:
+    """n(n+1) - n3^2 + |n3|, one integer numerator over 4 rounded once."""
+    return (_quarters(n.twice) - n3.twice ** 2 + 2 * abs(n3.twice)) / 4
+
+
+def _symmetrized_radicand(n: HalfInteger, n3: HalfInteger) -> float:
+    """n(n+1) - min v(v+1), v = n3 - 1, n3, n3 + 1: one integer numerator over 4 rounded once."""
+    return (_quarters(n.twice) - min(_quarters(n3.twice + d) for d in (-2, 0, 2))) / 4
+
+
 def same_sector_seminorm(n, lam: float, n3) -> float:
     """||[D, pi(drho_q)]|| when both states share the right sector."""
     n, n3 = _adjacent_step(n, n3)
-    rad = ladder_radicand(n, n3)
-    return 2.0 * math.sqrt(float(rad)) / (_lam(lam) * math.sqrt(float(n.times_self_plus_one())))
+    return (2.0 * math.sqrt(ladder_radicand(n, n3))
+            / (_lam(lam) * math.sqrt(n.times_self_plus_one())))
 
 
 def distinct_sector_seminorm_literal(n, lam: float, n3) -> float:
@@ -69,8 +78,7 @@ def distinct_sector_seminorm_literal(n, lam: float, n3) -> float:
     distinct_branch_report for the measured domain of validity.
     """
     n, n3 = _adjacent_step(n, n3)
-    rad = n.times_self_plus_one() - Fraction(n3.twice * n3.twice, 4) + Fraction(abs(n3.twice), 2)
-    return math.sqrt(float(rad)) / (_lam(lam) * math.sqrt(float(n.times_self_plus_one())))
+    return math.sqrt(_literal_radicand(n, n3)) / (_lam(lam) * math.sqrt(n.times_self_plus_one()))
 
 
 def distinct_sector_seminorm_symmetrized(n, lam: float, n3) -> float:
@@ -81,9 +89,8 @@ def distinct_sector_seminorm_symmetrized(n, lam: float, n3) -> float:
     n3 < -1 region where the literal form does not.
     """
     n, n3 = _adjacent_step(n, n3)
-    one = HalfInteger(2)
-    rad = n.times_self_plus_one() - min(v.times_self_plus_one() for v in (n3 - one, n3, n3 + one))
-    return math.sqrt(float(rad)) / (_lam(lam) * math.sqrt(float(n.times_self_plus_one())))
+    return (math.sqrt(_symmetrized_radicand(n, n3))
+            / (_lam(lam) * math.sqrt(n.times_self_plus_one())))
 
 
 def quantum_pure_distance(n, lam: float, n3, right_same: bool) -> float:
@@ -324,7 +331,7 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
     x = profile._path((n3.twice, n3.twice + 2))
     w, blocks = _step_blocks(n, n3, x[1], x[0])
     sv = np.linalg.svd(blocks, compute_uv=False)
-    nn1 = float(n.times_self_plus_one())
+    nn1 = n.times_self_plus_one()
     num, s, _ = _step_functional(nn1, x, n3.twice)
     return {
         "display": 2.0 / (lam * math.sqrt(nn1)) * math.sqrt(s[0]),
@@ -369,7 +376,7 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
     lam = _lam(lam)
     labels = _path_labels(n, n_i, n_f)
     x = profile._path(labels)
-    nn1 = float(n.times_self_plus_one())
+    nn1 = n.times_self_plus_one()
     num, s, (_, _, cx) = _step_functional(nn1, x, n_i.twice)
     r1 = math.sqrt(nn1)                # the radius at lam = 1
 
@@ -393,7 +400,7 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
 def path_distance(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> float:
     """Sum of per-step distances along n_i -> n_f."""
     n, n_i, n_f = _halfint(n), _halfint(n_i), _halfint(n_f)
-    return float(_raw_path(float(n.times_self_plus_one()), _lam(lam),
+    return float(_raw_path(n.times_self_plus_one(), _lam(lam),
                            profile._path(_path_labels(n, n_i, n_f)), n_i.twice))
 
 
@@ -443,7 +450,7 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     lam = _lam(lam)
     labels = _path_labels(n, n_i, n_f)
     npts, m, t0 = len(labels), n.twice + 1, n_i.twice
-    nn1 = float(n.times_self_plus_one())
+    nn1 = n.times_self_plus_one()
 
     x = np.concatenate([np.full((1, npts, m), 1.0 / m),
                         _dirichlet_rows(seed, (max(0, starts - 1), npts, m))])
@@ -501,16 +508,20 @@ def _raw_path_grad(nn1, lam, x, t0) -> np.ndarray:
     return g
 
 
+def _uniform_radicand(n: HalfInteger, n3: HalfInteger) -> float:
+    """3[n(n+1) - n3(n3+1) - 1/3] = 3 rad - 1, one integer numerator over 4 rounded once."""
+    return (3 * (_quarters(n.twice) - _quarters(n3.twice)) - 4) / 4
+
+
 def uniform_minimized_distance(n, lam: float, n3) -> float:
     """Per-step distance with the uniform profile P = 1/(2n+1):
 
     (1/sqrt(2n+1)) lam sqrt(n(n+1)) / sqrt(3[n(n+1) - n3(n3+1) - 1/3]).
     """
     n, n3 = _adjacent_step(n, n3)
-    nn1 = n.times_self_plus_one()
-    rad = 3 * ladder_radicand(n, n3) - 1   # 3[n(n+1) - n3(n3+1) - 1/3], exact
     m = n.twice + 1
-    return (_lam(lam) * math.sqrt(float(nn1))) / (math.sqrt(m) * math.sqrt(float(rad)))
+    return (_lam(lam) * math.sqrt(n.times_self_plus_one())
+            / (math.sqrt(m) * math.sqrt(_uniform_radicand(n, n3))))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +589,5 @@ def thermal_distance(n, lam: float, n3, spectrum: EnergySpectrum, beta: float) -
     if spectrum.levels.size != n.twice + 1:
         raise SphereDomainError("spectrum has %d levels, sphere needs %d"
                                 % (spectrum.levels.size, n.twice + 1))
-    nn1 = n.times_self_plus_one()
-    rad = 3 * ladder_radicand(n, n3) - 1
-    return (thermal_prefactor(spectrum, beta) * _lam(lam) * math.sqrt(float(nn1))
-            / math.sqrt(float(rad)))
+    return (thermal_prefactor(spectrum, beta) * _lam(lam) * math.sqrt(n.times_self_plus_one())
+            / math.sqrt(_uniform_radicand(n, n3)))

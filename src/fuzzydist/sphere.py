@@ -29,12 +29,7 @@ class SphereDomainError(ValueError):
     pass
 
 
-def _halfint(value) -> HalfInteger:
-    if isinstance(value, HalfInteger):
-        return value
-    if isinstance(value, str):
-        return HalfInteger.parse(value)
-    return HalfInteger.from_value(value)
+_halfint = HalfInteger.from_value
 
 
 def _lam(lam) -> float:
@@ -64,11 +59,11 @@ class FuzzySphere:
         self.n = n
         self.lam = _lam(lam)
         self.dim = len(labels)
-        self.casimir = float(n.times_self_plus_one())  # n(n+1)
+        self.casimir = n.times_self_plus_one()  # n(n+1)
         self.radius = self.lam * math.sqrt(self.casimir)
         d = np.array([t / 2.0 for t in labels])  # n3 of each row
-        # x+[i-1, i] / lam from n(n+1) - n3(n3+1), n3 of column i, exact
-        a = np.array([math.sqrt(float(ladder_radicand(n, HalfInteger(t)))) for t in labels[1:]])
+        # x+[i-1, i] / lam from n(n+1) - n3(n3+1), n3 of column i, rounded once
+        a = np.array([math.sqrt(ladder_radicand(n, HalfInteger(t))) for t in labels[1:]])
         _check_su2_bands(d, a, self.casimir)
         # max a >= sqrt(n(n+1)) > n = max |d|, so both bands are finite when this product is
         if not math.isfinite(self.lam * float(a.max())):

@@ -92,5 +92,5 @@ def dirac_eigenvalue_pattern(n, lam: float = 1.0):
     """
     n = _halfint(n)
     nf = n.twice / 2.0
-    r = lam * np.sqrt(float(n.times_self_plus_one()))
+    r = lam * np.sqrt(n.times_self_plus_one())
     return ((nf / r, n.twice + 2), (-(nf + 1.0) / r, n.twice))

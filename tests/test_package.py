@@ -75,6 +75,23 @@ def test_no_seeded_draw_imports_numpy_random():
                                   "True", "small_step", "True", "0", "True", "0", "True"]
 
 
+def test_validate_imports_no_fractions_or_decimal():
+    """Spin arithmetic runs in plain ints, and only HalfInteger.parse reads a decimal string
+    through a local Fraction import, so a validate run loads neither fractions nor decimal."""
+    code = ("import contextlib, io, sys\n"
+            "from fuzzydist import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['validate', '--no-timestamp'])\n"
+            "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(fuzzydist.__file__).resolve().parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "False", "False"]
+
+
 def test_every_public_class_and_function_is_a_package_attribute():
     owners = {}
     for modname, name, obj in _public_objects():

@@ -60,7 +60,7 @@ def test_construction_rejects_a_ladder_band_off_by_1e6(monkeypatch):
     exact = sphere.ladder_radicand
     for lam in (0.7, 1e-200, 1e200):
         monkeypatch.setattr(sphere, "ladder_radicand", lambda n, n3: exact(n, n3) + (
-            Fraction(1, 10 ** 6) if n3 == H(-1) else 0))
+            1e-6 if n3 == H(-1) else 0.0))
         with pytest.raises(SphereDomainError, match=re.escape("su(2) check [x+, x-] = 2 lam x3")):
             build_space(H(5), lam)
         monkeypatch.undo()
@@ -172,11 +172,14 @@ def test_lambda_rule(entry, lam):
 
 @pytest.mark.parametrize("label, ok", [
     ("3/2", True), (1.5, True), (Fraction(3, 2), True), (np.float64(1.5), True),
-    (1.3, False), ("1/3", False), (math.inf, False), (math.nan, False), (True, False),
-], ids=["str", "float", "fraction", "float64", "1.3", "1/3", "inf", "nan", "bool"])
+    (np.float32(1.5), True), (np.float16(1.5), True), (1.3, False), ("1/3", False),
+    (np.float32(0.3), False), (math.inf, False), (math.nan, False), (True, False),
+], ids=["str", "float", "fraction", "float64", "float32", "float16", "1.3", "1/3", "float32-0.3",
+        "inf", "nan", "bool"])
 def test_spin_label_spellings(label, ok):
-    """Every spelling of n = 3/2 builds the sphere and gives the distances of H(3), bitwise;
-    any other value, a non-finite float or a bool included, raises ValueError."""
+    """Every spelling of n = 3/2, numpy floats of every width included, builds the sphere and
+    gives the distances of H(3), bitwise; any other value, a non-finite float or a bool
+    included, raises ValueError."""
     routes = (lambda n: FuzzySphere(n, 0.7)._xplus.tobytes(),
               lambda n: adjacent_distance_closed_form(n, H(-1), 0.7),
               lambda n: quantum_pure_distance(n, 0.7, H(-1), False))
