@@ -6,8 +6,7 @@ Run with:  python3 demos/01_fuzzy_sphere_tour.py
 import numpy as np
 
 from fuzzydist import (FockMonomial, HalfInteger, build_dirac, build_space,
-                       dirac_eigenvalue_pattern, hermitian_eigvals,
-                       jordan_schwinger_check, winding_number)
+                       dirac_eigenvalue_pattern, jordan_schwinger_check, winding_number)
 
 
 def main():
@@ -27,7 +26,7 @@ def main():
     # The Dirac operator on configuration space has a two-value spectrum:
     # n/r with multiplicity 2n+2 and -(n+1)/r with multiplicity 2n.
     tr = build_dirac(s, "config")
-    eigs = hermitian_eigvals(tr.dirac)
+    eigs = np.linalg.eigvalsh(tr.dirac)
     vals, counts = np.unique(np.round(eigs, 10), return_counts=True)
     print("Dirac spectrum:", dict(zip(vals.tolist(), counts.tolist())))
     pat = dirac_eigenvalue_pattern(s.n, s.lam)

@@ -3,7 +3,7 @@
 Submodules:
 
 * halfint: exact half-integer arithmetic for spin labels
-* linalg: thin checked wrappers over the dense numpy kernels
+* linalg: the shared tolerances and the operator norm
 * sphere: matrix coordinates, pure states, the two-mode oscillator picture
 * triple: Dirac operators and the Lipschitz seminorm
 * distance: closed forms, the norm pipeline, the constrained-ascent optimizer

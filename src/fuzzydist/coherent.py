@@ -24,8 +24,8 @@ import math
 import numpy as np
 
 from .halfint import HalfInteger
-from .linalg import DECOMP_TOL, LinalgDomainError, hermitian_eigh, operator_norm
-from .sphere import FuzzySphere, HSOperator, SphereDomainError, _halfint, _labels, _lam, _matrix_of
+from .linalg import DECOMP_TOL, operator_norm
+from .sphere import FuzzySphere, HSOperator, SphereDomainError, _halfint, _labels, _lam, _square
 
 
 class CoherentState:
@@ -48,10 +48,10 @@ class CoherentState:
 def _jy_eigh(two_n: int):
     """(mu, V) with J_y = V diag(mu) V^dag at spin two_n/2; J_y = x2/lam is lam-free."""
     jy = FuzzySphere(HalfInteger(two_n), 1.0).x2
-    mu, v = hermitian_eigh(jy)
+    mu, v = np.linalg.eigh(jy)
     resid = np.abs((v * mu) @ v.conj().T - jy).max()
-    if resid > DECOMP_TOL:
-        raise LinalgDomainError("J_y eigendecomposition residual %.3e" % resid)
+    if not resid <= DECOMP_TOL:
+        raise SphereDomainError("J_y eigendecomposition residual %.3e" % resid)
     mu.setflags(write=False)  # shared by every caller through the cache
     v.setflags(write=False)
     return mu, v
@@ -133,7 +133,7 @@ def ladder_commutator_norm(sphere: FuzzySphere, op) -> float:
     three coordinates against the Pauli matrices and comes out strictly
     larger for the same displacement.
     """
-    op = _matrix_of(op)
+    op = _square(op, sphere.dim)
     j = sphere.xplus / sphere.lam
     return operator_norm(j @ op - op @ j)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfint import HalfInteger, ladder_radicand
-from .linalg import SYMMETRY_TOL, as_matrix
+from .linalg import SYMMETRY_TOL
 
 
 class SphereDomainError(ValueError):
@@ -168,16 +168,20 @@ class HSOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape != (self.sphere.dim, self.sphere.dim):
-            raise SphereDomainError(
-                "operator shape %r does not match sphere dim %d" % (m.shape, self.sphere.dim))
-        self.matrix = m
+        self.matrix = _square(self.matrix, self.sphere.dim)
 
 
 def _matrix_of(op) -> np.ndarray:
     """The matrix of an HSOperator, or any matrix-like as a complex array."""
     return op.matrix if isinstance(op, HSOperator) else np.asarray(op, dtype=complex)
+
+
+def _square(op, dim: int) -> np.ndarray:
+    """_matrix_of(op), checked to be dim x dim; SphereDomainError otherwise."""
+    m = _matrix_of(op)
+    if m.shape != (dim, dim):
+        raise SphereDomainError("operator shape %r does not match dimension %d" % (m.shape, dim))
+    return m
 
 
 def pure_state(sphere: FuzzySphere, n3) -> HSOperator:
@@ -261,9 +265,7 @@ class TwoModeFock:
     def embed_sphere_operator(self, sphere: FuzzySphere, op) -> np.ndarray:
         """Lift a dim x dim sphere operator into the full Fock space."""
         idx = self.sphere_block_indices(sphere.n)
-        m = as_matrix(op)
-        if m.shape != (sphere.dim, sphere.dim):
-            raise SphereDomainError("operator does not match the sphere dimension")
+        m = _square(op, sphere.dim)
         out = np.zeros((self.cutoff ** 2, self.cutoff ** 2), dtype=complex)
         for a, ia in enumerate(idx):
             for b, ib in enumerate(idx):
@@ -301,10 +303,7 @@ def k_adjoint_action(cutoff: int, op, lam: float = 1.0) -> np.ndarray:
     k*(lam/2)*op there.
     """
     fock = TwoModeFock(cutoff, lam)
-    m = as_matrix(op)
-    if m.shape != (cutoff ** 2, cutoff ** 2):
-        raise SphereDomainError(
-            "operator shape %r does not match Fock dimension %d" % (m.shape, cutoff ** 2))
+    m = _square(op, cutoff ** 2)
     return fock.number_op @ m - m @ fock.number_op
 
 

@@ -42,10 +42,11 @@ def check_names():
 
 
 def run_checks(names=None, seed: int = 42):
-    wanted = set(names) if names else None
+    """Run the named checks in registry order; names=None runs them all, [] none."""
+    wanted = None if names is None else set(names)
     out = []
     for name, fn in _REGISTRY:
-        if wanted and name not in wanted:
+        if wanted is not None and name not in wanted:
             continue
         out.append(CheckResult(name, *fn(seed)))
     if wanted:
@@ -53,6 +54,11 @@ def run_checks(names=None, seed: int = 42):
         if missing:
             raise sphere.SphereDomainError("unknown checks: %s" % ", ".join(sorted(missing)))
     return out
+
+
+def _worst(*values, pick=max):
+    """pick(values), or nan if any value is nan: max and min drop a nan that is not first."""
+    return math.nan if any(map(math.isnan, values)) else pick(values)
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +74,13 @@ def _sphere_algebra(seed):
             xs = (s.x1, s.x2, s.x3)
             for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
                 dev = np.abs(xs[i] @ xs[j] - xs[j] @ xs[i] - 1j * lam * xs[k]).max() / lam2
-                worst = max(worst, float(dev))
+                worst = _worst(worst, float(dev))
             cas = xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2]
             dev = np.abs(cas - lam2 * s.casimir * np.eye(s.dim)).max() / (lam2 * s.casimir)
-            worst = max(worst, float(dev))
+            worst = _worst(worst, float(dev))
             # ladder annihilation at the poles is exact
-            worst = max(worst, float(np.abs(s.xplus[:, 0]).max()),
-                        float(np.abs(s.xminus[:, -1]).max()))
+            worst = _worst(worst, float(np.abs(s.xplus[:, 0]).max()),
+                           float(np.abs(s.xminus[:, -1]).max()))
     return worst <= 1e-12, worst, "su(2) closure, Casimir, pole annihilation for n <= 25/2"
 
 
@@ -94,12 +100,12 @@ def _sphere_winding(seed):
                 op[a, b] = 1.0
                 emb = fock.embed_sphere_operator(s, op)
                 comm = sphere.k_adjoint_action(cutoff, emb, 1.0)
-                worst = max(worst, float(np.abs(comm[np.ix_(interior, interior)]).max()))
+                worst = _worst(worst, float(np.abs(comm[np.ix_(interior, interior)]).max()))
         # a single creation operator has winding 1: [N, chi1dag] = (lam/2) chi1dag
         chi1dag = fock.chi1.conj().T
         comm = sphere.k_adjoint_action(cutoff, chi1dag, 1.0)
         dev = np.abs((comm - 0.5 * chi1dag)[np.ix_(interior, interior)]).max()
-        worst = max(worst, float(dev))
+        worst = _worst(worst, float(dev))
     mono = sphere.winding_number(sphere.FockMonomial(2, 1, 0, 0))
     passed = worst <= 1e-12 and mono == 3
     return (passed, worst,
@@ -111,7 +117,7 @@ def _jordan_schwinger(seed):
     worst = 0.0
     for t, lam in ((1, 1.0), (2, 1.0), (3, 0.7), (4, 0.5)):
         rep = sphere.jordan_schwinger_check(HalfInteger(t), lam, cutoff=10)
-        worst = max(worst, rep["max_deviation"] / lam)
+        worst = _worst(worst, rep["max_deviation"] / lam)
         if rep["block_dim"] != t + 1:
             return False, worst, "wrong block dimension"
     return (worst <= 1e-12, worst,
@@ -130,7 +136,7 @@ def _dirac_spectrum(seed):
         vals = np.linalg.eigvalsh(tr.dirac)
         (pos, mpos), (neg, mneg) = triple.dirac_eigenvalue_pattern(HalfInteger(t), 1.0)
         expect = np.sort(np.concatenate([np.full(mpos, pos), np.full(mneg, neg)]))
-        worst = max(worst, float(np.abs(vals - expect).max()))
+        worst = _worst(worst, float(np.abs(vals - expect).max()))
     return worst <= 1e-10, worst, "k=0 spectrum is (1/r){n, -(n+1)} with multiplicities 2n+2, 2n"
 
 
@@ -146,7 +152,7 @@ def _distance_pipeline(seed):
             closed = distance.adjacent_distance_closed_form(n, n3, 1.0)
             lb = distance.distance_lower_bound(
                 tr, sphere.pure_state(s, n3), sphere.pure_state(s, n3 + HalfInteger(2)))
-            worst = max(worst, abs(lb.value - closed) / closed)
+            worst = _worst(worst, abs(lb.value - closed) / closed)
             pairs += 1
     return (worst <= 1e-10, worst,
             "closed form vs norm pipeline, %d adjacent pairs, n <= 8" % pairs)
@@ -159,9 +165,9 @@ def _distance_symmetries(seed):
         n, n3 = HalfInteger(t), HalfInteger(t3)
         d1 = distance.adjacent_distance_closed_form(n, n3, 1.0)
         d2 = distance.adjacent_distance_closed_form(n, n3, 2.0)
-        worst = max(worst, abs(d2 - 2.0 * d1) / d2)
+        worst = _worst(worst, abs(d2 - 2.0 * d1) / d2)
         refl = distance.adjacent_distance_closed_form(n, -n3 - HalfInteger(2), 1.0)
-        worst = max(worst, abs(refl - d1) / d1)
+        worst = _worst(worst, abs(refl - d1) / d1)
         s = sphere.build_space(n, 1.0)
         tr = triple.build_dirac(s, "config")
         lb1 = distance.distance_lower_bound(
@@ -170,7 +176,7 @@ def _distance_symmetries(seed):
         tr2 = triple.build_dirac(s2, "config")
         lb2 = distance.distance_lower_bound(
             tr2, sphere.pure_state(s2, n3), sphere.pure_state(s2, n3 + HalfInteger(2)))
-        worst = max(worst, abs(lb2.value - 2.0 * lb1.value) / lb2.value)
+        worst = _worst(worst, abs(lb2.value - 2.0 * lb1.value) / lb2.value)
     return worst <= 1e-10, worst, "lambda linearity and n3 reflection, closed form and pipeline"
 
 
@@ -191,8 +197,8 @@ def _distance_optimizer(seed):
             if opt.method != "diagonal_exact" or abs(opt.value - lb.value) > 1e-12 * lb.value:
                 return (False, abs(opt.value - lb.value),
                         "exact route missed the lower bound at n=%s n3=%s" % (n, n3))
-            worst_gap = max(worst_gap, abs(opt.value - lb.value))
-            worst_ball = max(worst_ball, opt.ball_residual)
+            worst_gap = _worst(worst_gap, abs(opt.value - lb.value))
+            worst_ball = _worst(worst_ball, opt.ball_residual)
             if t == 1:
                 spin_half_value = opt.value
     target = math.sqrt(3.0) / 2.0
@@ -217,7 +223,7 @@ def _coherent_overlap(seed):
                 z = complex(re, im)
                 st = coherent.coherent_state(s, z)
                 expect = (1.0 + abs(z) ** 2) ** (-t)  # (1+|z|^2)^(-2n)
-                worst = max(worst, abs(st.overlap_with_top() - expect))
+                worst = _worst(worst, abs(st.overlap_with_top() - expect))
     return worst <= 1e-10, worst, "|<n,n|z>|^2 = (1+|z|^2)^(-2n) on a 5x5 grid, n <= 2"
 
 
@@ -231,7 +237,7 @@ def _coherent_block_norm(seed):
         got = coherent.ladder_commutator_norm(s, drho)
         nf = t / 2.0
         expect = math.sqrt(4.0 * nf * (3.0 * nf - 1.0)) * dz
-        worst = max(worst, abs(got - expect) / expect)
+        worst = _worst(worst, abs(got - expect) / expect)
     return worst <= 1e-10, worst, "ladder commutator norm sqrt(4n(3n-1))|dz| at the north pole"
 
 
@@ -243,7 +249,7 @@ def _coherent_distance(seed):
         for z in (0j, 0.5 + 0j, 0.3 + 0.4j):
             num = coherent.coherent_distance_numeric(n, 1.0, 1e-4, z)
             expect = coherent.coherent_metric_coefficient(n, 1.0, z) * 1e-4
-            worst = max(worst, abs(num - expect) / expect)
+            worst = _worst(worst, abs(num - expect) / expect)
     # projector finite differences carry a real discretization bias:
     # linear in |dz| at n = 1/2, quadratic for n >= 1
     fd_half = coherent.coherent_distance_fd(HalfInteger(1), 1.0, 1e-4) / 1e-4
@@ -268,7 +274,7 @@ def _coherent_sup_gap(seed):
     dev_half = abs(ratios[1] - 0.5)
     dev_one = abs(ratios[2] - 1.0)
     passed = dev_half <= 1e-5 and dev_one <= 1e-5 and 1.10 < ratios[3] < 1.20
-    return (passed, max(dev_half, dev_one),
+    return (passed, _worst(dev_half, dev_one),
             "sup/closed = %.6f, %.6f, %.6f at n = 1/2, 1, 3/2" % (ratios[1], ratios[2], ratios[3]))
 
 
@@ -288,7 +294,7 @@ def _coherent_large_n(seed):
     for t in (100, 200, 400):
         nf = t / 2.0
         dev = coherent.large_n_scaling_deviation(HalfInteger(t))
-        law = max(law, abs(dev * 3.0 * nf / 2.0 - 1.0))
+        law = _worst(law, abs(dev * 3.0 * nf / 2.0 - 1.0))
     passed = dev50 > 1e-2 and dev67 < 1e-2 and law < 0.02
     return (passed, dev50,
             "deviation 2/(3n): %.4f%% at n=50, %.4f%% at n=67" % (100 * dev50, 100 * dev67))
@@ -306,7 +312,7 @@ def _quantum_same_branch(seed):
             r3 = min(n3 + HalfInteger(2), n)  # any shared right sector
             oracle = quantum.quantum_seminorm_oracle(n, 1.0, n3, r3, r3)
             closed = quantum.same_sector_seminorm(n, 1.0, n3)
-            worst = max(worst, abs(oracle - closed) / closed)
+            worst = _worst(worst, abs(oracle - closed) / closed)
     return (worst <= 1e-10, worst,
             "shared right sector reproduces the configuration-space norm, n <= 4")
 
@@ -322,7 +328,7 @@ def _quantum_distinct_branch(seed):
             if not row["symmetrized_matches"]:
                 return (False, abs(row["symmetrized"] - row["oracle"]),
                         "symmetrized form missed the oracle at n=%s n3=%s" % (n, row["n3"]))
-            worst_sym = max(worst_sym, abs(row["symmetrized"] - row["oracle"]))
+            worst_sym = _worst(worst_sym, abs(row["symmetrized"] - row["oracle"]))
             n3 = HalfInteger.parse(row["n3"])
             if not row["literal_matches"]:
                 mismatch.append((str(n), row["n3"]))
@@ -345,8 +351,8 @@ def _quantum_monotonicity(seed):
             lit = quantum.quantum_pure_distance(n, 1.0, n3, False)
             sym = quantum.quantum_pure_distance_symmetrized(n, 1.0, n3)
             ok = ok and (lit >= same - 1e-12) and (sym >= same - 1e-12)
-            worst = max(worst, same - min(lit, sym))
-    return (ok, max(worst, 0.0),
+            worst = _worst(worst, same - lit, same - sym)
+    return (ok, _worst(worst, 0.0),
             "distinct-sector distance dominates the shared-sector one, n <= 8")
 
 
@@ -364,13 +370,14 @@ def _mixed_norms(seed):
         for prof in profs:
             for n3 in sphere._steps(n):
                 norms = quantum.mixed_commutator_norms(n, 1.0, n3, prof)
-                worst = max(worst, abs(norms["display"] - norms["frobenius"])
-                            / norms["frobenius"])
-                nuclear_gap = min(nuclear_gap,
-                                  abs(norms["nuclear"] - norms["display"]) / norms["display"])
+                worst = _worst(worst, abs(norms["display"] - norms["frobenius"])
+                               / norms["frobenius"])
+                nuclear_gap = _worst(nuclear_gap,
+                                     abs(norms["nuclear"] - norms["display"]) / norms["display"],
+                                     pick=min)
                 d_closed = quantum.trace_norm_distance(n, 1.0, n3, prof)
                 d_oracle = quantum.mixed_distance_oracle(n, 1.0, n3, prof)
-                worst = max(worst, abs(d_closed - d_oracle) / d_oracle)
+                worst = _worst(worst, abs(d_closed - d_oracle) / d_oracle)
     passed = worst <= 1e-10 and nuclear_gap > 0.1
     return (passed, worst,
             "display equals the Frobenius norm of the commutator; "
@@ -385,7 +392,7 @@ def _mixed_worked(seed):
     uni = quantum.ProbabilityProfile.uniform(n)
     v1 = quantum.trace_norm_distance(n, 1.0, HalfInteger(0), delta)
     v2 = quantum.trace_norm_distance(n, 1.0, HalfInteger(0), uni)
-    dev = max(abs(v1 - math.sqrt(2.0 / 5.0)), abs(v2 - math.sqrt(2.0 / 15.0)))
+    dev = _worst(abs(v1 - math.sqrt(2.0 / 5.0)), abs(v2 - math.sqrt(2.0 / 15.0)))
     return dev <= 1e-12, dev, "delta profile 0.632456, uniform 0.365148 at n=1, n3=0"
 
 
@@ -396,7 +403,7 @@ def _stationarity(seed):
         n = HalfInteger(t)
         uni = quantum.ProbabilityProfile.uniform(n)
         cert = quantum.delta_matrix(n, 1.0, uni, HalfInteger(-t), HalfInteger(t))
-        worst_uniform = max(worst_uniform, cert.residual)
+        worst_uniform = _worst(worst_uniform, cert.residual)
         if np.abs(cert.delta - cert.delta.T).max() > 1e-14:
             return False, worst_uniform, "certificate matrix lost symmetry"
     n = HalfInteger(2)
@@ -413,7 +420,7 @@ def _stationarity(seed):
 def _minimizer(seed):
     res = quantum.minimize_path_distance(HalfInteger(2), 1.0, HalfInteger(-2), HalfInteger(2),
                                          starts=20, seed=seed)
-    dev = max(float(np.abs(row - 1.0 / 3.0).max()) for row in res["profile"].rows.values())
+    dev = _worst(*(float(np.abs(row - 1.0 / 3.0).max()) for row in res["profile"].rows.values()))
     expect = 2.0 * quantum.uniform_minimized_distance(HalfInteger(2), 1.0, HalfInteger(0))
     # the path -1 -> 1 has steps at n3 = -1 and n3 = 0, same radicand by symmetry
     gap = abs(res["distance"] - expect)
@@ -434,7 +441,7 @@ def _uniform_closed(seed):
         for n3 in sphere._steps(n):
             a = quantum.uniform_minimized_distance(n, 1.0, n3)
             b = quantum.trace_norm_distance(n, 1.0, n3, uni)
-            worst = max(worst, abs(a - b) / b)
+            worst = _worst(worst, abs(a - b) / b)
     return (worst <= 1e-10, worst,
             "uniform-profile closed form equals the distance functional, n <= 3")
 
@@ -479,11 +486,11 @@ def _thermal_distance(seed):
             for n3 in sphere._steps(n):
                 a = quantum.thermal_distance(n, 1.0, n3, sp, b)
                 c = quantum.trace_norm_distance(n, 1.0, n3, prof)
-                worst = max(worst, abs(a - c) / c)
+                worst = _worst(worst, abs(a - c) / c)
     u = quantum.uniform_minimized_distance(HalfInteger(2), 1.0, HalfInteger(0))
     t0 = quantum.thermal_distance(HalfInteger(2), 1.0, HalfInteger(0),
                                   quantum.EnergySpectrum.default(HalfInteger(2), 1.0), 0.0)
-    worst = max(worst, abs(t0 - u))
+    worst = _worst(worst, abs(t0 - u))
     return (worst <= 1e-10, worst,
             "partition-function form equals the profile functional; beta=0 is uniform")
 
@@ -498,9 +505,9 @@ def _continuum_hopf(seed):
     for _ in range(100):
         p = continuum.EulerPoint(rng.uniform(0.5, 2.0), rng.uniform(0.05, math.pi - 0.05),
                                  rng.uniform(0, 2 * math.pi), rng.uniform(0, 4 * math.pi))
-        worst = max(worst, continuum.hopf_deviation(p))
+        worst = _worst(worst, continuum.hopf_deviation(p))
         chi = continuum.euler_to_spinor(p)
-        worst = max(worst, abs(float(np.real(np.vdot(chi, chi))) - p.r))
+        worst = _worst(worst, abs(float(np.real(np.vdot(chi, chi))) - p.r))
     rep = continuum.spinor_convention_report(samples=20, seed=seed)
     passed = worst <= 1e-12 and rep["conjugated"] > 0.1
     return (passed, worst,
@@ -517,10 +524,10 @@ def _continuum_metric(seed):
         ph = rng.uniform(0, 2 * math.pi)
         ps = rng.uniform(0, 4 * math.pi)
         g = continuum.s3_metric_fd(th, ph, ps)
-        worst = max(worst, float(np.abs(g - continuum.s3_metric(th)).max()))
+        worst = _worst(worst, float(np.abs(g - continuum.s3_metric(th)).max()))
         det = np.linalg.det(continuum.s3_metric(th))
         worst_det = abs(det - math.sin(th) ** 2 / 64.0)
-        worst = max(worst, worst_det)
+        worst = _worst(worst, worst_det)
     return (worst <= 1e-8, worst,
             "finite-difference reconstruction of the round metric, 100 points")
 
@@ -532,10 +539,10 @@ def _continuum_killing(seed):
     for _ in range(100):
         th = rng.uniform(0.1, math.pi - 0.1)
         ph = rng.uniform(0, 2 * math.pi)
-        worst = max(worst, continuum.killing_orthonormality_deviation(th, ph))
+        worst = _worst(worst, continuum.killing_orthonormality_deviation(th, ph))
         g = continuum.s3_metric(th)
         k = continuum.killing_fields(th, ph)[3]
-        worst = max(worst, abs(complex(np.einsum("mn,m,n->", g, k, k.conj())) - 0.25))
+        worst = _worst(worst, abs(complex(np.einsum("mn,m,n->", g, k, k.conj())) - 0.25))
     return worst <= 1e-12, worst, "g(J_i, J_j) = delta_ij/4 and g(K, K) = 1/4 at 100 points"
 
 
@@ -547,7 +554,7 @@ def _continuum_clifford(seed):
         th = rng.uniform(0.1, math.pi - 0.1)
         ph = rng.uniform(0, 2 * math.pi)
         devs = continuum.clifford_algebra_deviations(th, ph)
-        worst = max(worst, max(devs.values()))
+        worst = _worst(worst, *devs.values())
     return (worst <= 1e-12, worst,
             "hermiticity, anticommutation, squares (csc^2 sits with sigma^theta)")
 
@@ -561,8 +568,8 @@ def _continuum_monopole(seed):
             th = rng.uniform(0.1, math.pi - 0.1)
             diff = (continuum.monopole_connection(k, th, "plus")
                     - continuum.monopole_connection(k, th, "minus"))
-            worst = max(worst, abs(diff + k))
-            worst = max(worst, continuum.monopole_section_residual(k, th))
+            worst = _worst(worst, abs(diff + k))
+            worst = _worst(worst, continuum.monopole_section_residual(k, th))
     return (worst <= 1e-8, worst,
             "chart difference is the pure gauge -k; sections rebuild both components")
 
@@ -574,7 +581,7 @@ def _continuum_connection(seed):
     for _ in range(50):
         z = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         dz = 1e-6 * complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        worst = max(worst, continuum.connection_fd_deviation(z, dz))
+        worst = _worst(worst, continuum.connection_fd_deviation(z, dz))
     rep = continuum.connection_mismatch_report(seed=seed)
     passed = worst <= 1e-6 and abs(rep["mean_ratio"] + 2.0) <= 1e-9 and rep["spread"] <= 1e-9
     return (passed, worst,

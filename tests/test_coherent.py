@@ -102,6 +102,14 @@ def test_ladder_commutator_norm_law():
             assert got == pytest.approx(math.sqrt(4 * nf * (3 * nf - 1)) * abs(dz), rel=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 2)), np.ones((2, 3, 3))],
+                         ids=["vector", "wrong-dim", "stack"])
+def test_ladder_commutator_norm_takes_only_a_dim_by_dim_matrix(bad):
+    # without the shape check a vector broadcasts through j @ op - op @ j to a norm
+    with pytest.raises(SphereDomainError):
+        ladder_commutator_norm(build_space(H(2), 1.0), bad)
+
+
 @pytest.mark.parametrize("twice_n", [1, 2, 4])
 @pytest.mark.parametrize("z", [0j, 0.5 + 0j, 0.3 + 0.4j])
 def test_numeric_route_matches_coefficient(twice_n, z):

@@ -101,10 +101,8 @@ def test_every_public_class_and_function_is_a_package_attribute():
     submodules = {info.name for info in pkgutil.iter_modules(fuzzydist.__path__)}
     assert set(fuzzydist.__all__) == {"__version__"} | submodules | set(owners)
     assert len(fuzzydist.__all__) == len(set(fuzzydist.__all__))
-    # helpers the hand-kept export table used to leave out
-    for name in ("as_matrix", "is_hermitian", "hermitian_eigh",
-                 "tautological_connection_fd"):
-        assert owners.get(name) in ("fuzzydist.linalg", "fuzzydist.continuum"), name
+    # a helper the hand-kept export table used to leave out
+    assert owners.get("tautological_connection_fd") == "fuzzydist.continuum"
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "_labels", "UsageError", "main"])

@@ -23,6 +23,7 @@ from fuzzydist.quantum import (
 from fuzzydist.sphere import (
     FockMonomial,
     FuzzySphere,
+    HSOperator,
     SphereDomainError,
     TwoModeFock,
     build_space,
@@ -196,6 +197,13 @@ def test_pure_state_and_drho():
     rho = pure_state(s, H(1))
     i = s.index_of(H(1))
     assert rho.matrix[i, i] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((0, 2)), np.zeros((3, 3, 3))],
+                         ids=["vector", "empty", "stack"])
+def test_hs_operator_takes_only_a_dim_by_dim_matrix(bad):
+    with pytest.raises(SphereDomainError):
+        HSOperator(build_space(H(2), 1.0), bad)
 
 
 _STEP_ENTRY_POINTS = {

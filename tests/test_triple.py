@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzydist.halfint import HalfInteger
-from fuzzydist.linalg import hermitian_eigvals
 from fuzzydist.sphere import HSOperator, SphereDomainError, build_space, pure_state
 from fuzzydist.triple import (
     build_dirac,
@@ -23,7 +22,8 @@ def test_config_dirac_spectrum(twice_n, lam):
     """Eigenvalues are n/r (multiplicity 2n+2) and -(n+1)/r (multiplicity 2n)."""
     s = build_space(H(twice_n), lam)
     tr = build_dirac(s, "config")
-    vals = hermitian_eigvals(tr.dirac)
+    assert np.array_equal(tr.dirac, tr.dirac.conj().T)  # eigvalsh reads one triangle only
+    vals = np.linalg.eigvalsh(tr.dirac)
     (v_plus, m_plus), (v_minus, m_minus) = dirac_eigenvalue_pattern(H(twice_n), lam)
     expect = np.sort(np.concatenate([np.full(m_plus, v_plus), np.full(m_minus, v_minus)]))
     assert np.allclose(vals, expect, atol=1e-10)
@@ -34,7 +34,8 @@ def test_spin_half_spectrum_values():
     # at n = 1/2, lam = 1: one eigenvalue -sqrt(3), three at 1/sqrt(3)
     s = build_space(H(1), 1.0)
     tr = build_dirac(s, "config")
-    vals = hermitian_eigvals(tr.dirac)
+    assert np.array_equal(tr.dirac, tr.dirac.conj().T)
+    vals = np.linalg.eigvalsh(tr.dirac)
     assert vals[0] == pytest.approx(-np.sqrt(3.0))
     assert np.allclose(vals[1:], 1.0 / np.sqrt(3.0))
 
