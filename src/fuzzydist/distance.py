@@ -5,9 +5,11 @@ Three routes to the spectral distance between states:
 * the closed form for neighbouring basis states,
 * the general lower-bound formula tr(drho^2)/||[D, pi(drho)]||, and
 * the true supremum over the Lipschitz ball: exact, as a 1-D Kantorovich sum,
-  for displacements diagonal in the n.x eigenbasis (n along their spin-1 part),
+  for displacements diagonal in the n.x eigenbasis (n along their spin-1 part v),
   which covers every pair at n = 1/2, and from a projected subgradient ascent
-  otherwise. A displacement whose trace exceeds rounding is at infinite distance.
+  otherwise. Diagonal means off-diagonal within SYMMETRY_TOL max|drho| times the rounding
+  of n, min(dim max(1, lam max|drho|/|v|), 1e3), capped so that a rounding-sized v, whose
+  frame is arbitrary, goes to the ascent. A trace above rounding is at infinite distance.
 
 Plus the quantized polar angle and the continuum arc-length comparator.
 """
@@ -135,6 +137,7 @@ _MAX_ITERS = 20000  # iterations per start; the best start reaching it raises Op
 _RESTARTS = 8  # seeded random starts beside the displacement itself
 _STOPS = ("", "stalled", "zero_gradient", "max_iters")  # a start's stop code names; "" runs
 _STALLED, _ZERO_GRADIENT, _OUT_OF_ITERS = 1, 2, 3
+_FRAME_SLACK = 1e3  # the most the n.x frame test widens SYMMETRY_TOL for rounding in n
 
 
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, seed: int = 42) -> DistanceResult:
@@ -168,7 +171,9 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, seed: int = 42)
         if any(v):  # columns by descending eigenvalue, the row order of n3
             V = np.linalg.eigh(np.tensordot(v, xs, 1))[1][:, ::-1]
             r = V.conj().T @ drho0 @ V
-        if V is None or np.abs(r - np.diag(np.diagonal(r))).max() > SYMMETRY_TOL * scale:
+            # rounding in n = v/|v| and V grows as dim lam scale/|v| (measured at 2n <= 40)
+            slack = min(len(r) * max(1.0, triple.sphere.lam * scale / math.hypot(*v)), _FRAME_SLACK)
+        if V is None or np.abs(r - np.diag(np.diagonal(r))).max() > SYMMETRY_TOL * scale * slack:
             return _ascend(triple, drho, _MAX_ITERS, seed, _RESTARTS)
     return _diagonal_supremum(triple, drho0, np.diagonal(r).real, V)
 

@@ -23,10 +23,8 @@ distance is +infinity and the values here are the lower-bound formula
 2/seminorm.
 
 sigma.x is real in the |n3> basis: x3 and x+- are real bands, and sigma2 and
-x2 are both imaginary. So D_c is real symmetric, w is real, and every block
-is real antisymmetric; _config_triple keeps D_c as float64 and the SVDs run
-in real arithmetic. build_dirac stays complex while the ascent uses it, since
-a real D slows the ascent's real @ complex products.
+x2 are both imaginary. So build_dirac's D_c is real symmetric float64, w is
+real, every block is real antisymmetric, and the SVDs run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -126,14 +124,9 @@ def quantum_seminorm_oracle(n, lam: float, n3, n3p, l3p) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _config_triple(two_n: int) -> SpectralTriple:
-    """The config triple at spin two_n/2 and lam = 1, D_c read-only float64, shared by every
-    oracle call at that 2n; D_c scales as 1/lam, so the oracles apply lam once, at the end.
-    D_c's imaginary part is checked to be exactly zero before it is dropped. build_dirac
-    stays complex while the ascent uses it: a real D slowed its real @ complex products."""
+    """The config triple at spin two_n/2 and lam = 1, its float64 D_c made read-only, shared
+    by every oracle call at that 2n; D_c scales as 1/lam, so the oracles apply lam at the end."""
     tr = build_dirac(FuzzySphere(HalfInteger(two_n), 1.0), "config")
-    if np.any(tr.dirac.imag):
-        raise SphereDomainError("config Dirac operator at 2n = %d is not real" % two_n)
-    tr.dirac = np.ascontiguousarray(tr.dirac.real)
     tr.dirac.setflags(write=False)
     return tr
 

@@ -1,7 +1,7 @@
 """Spectral triples on the fuzzy sphere.
 
 Both representations use D = sigma.x/(lam r), with sigma.x = [[x3, x-], [x+, -x3]]
-written from the ladder bands of the coordinates:
+written from the real ladder bands of the coordinates, so D is real symmetric, float64:
 
 * config: dim x dim matrices acting by left multiplication on the
   configuration space tensored with a C^2 spinor factor; D_c = sigma.x/(lam r).
@@ -13,7 +13,7 @@ written from the ladder bands of the coordinates:
   closed-form commutator norms between vectorized basis states.
 
 Every [D, pi(a)], with pi(a) = I_2 (x) a, is formed by _commutator as
-D pi(a) - (D pi(a))^dag, which holds for Hermitian a (D is Hermitian by
+D pi(a) - (D pi(a))^dag, which holds for Hermitian a (D is symmetric by
 construction): dirac_commutator checks a, internal callers pass Hermitian stacks.
 """
 
@@ -48,8 +48,9 @@ def build_dirac(sphere: FuzzySphere, representation: str = "config", k: int = 0)
         raise SphereDomainError("representation must be 'config' or 'quantum'")
     if k != 0:
         raise SphereDomainError("monopole index k = %r is not supported, only k = 0" % (k,))
-    x3 = sphere.x3
-    D = np.block([[x3, sphere.xminus], [sphere.xplus, -x3]]) / sphere.lam / sphere.radius
+    x3, xplus = np.diag(sphere._x3), np.diag(sphere._xplus, 1)
+    # times reciprocals, the bits D had as a complex array: the ascent's work hangs on them
+    D = np.block([[x3, xplus.T], [xplus, -x3]]) * (1.0 / sphere.lam) * (1.0 / sphere.radius)
     if representation == "config":
         return SpectralTriple(sphere, representation, D)
     return SpectralTriple(sphere, representation, np.kron(D, np.eye(sphere.dim)))

@@ -609,7 +609,7 @@ def _representation_choice(seed):
     dev_left = abs(got - expect) / expect
 
     eye = np.eye(s.dim)
-    adj = np.zeros_like(left.dirac)
+    adj = np.zeros(left.dirac.shape, dtype=complex)
     for sig, x in zip(sphere._pauli(), (s.x1, s.x2, s.x3)):
         adj += np.kron(sig, np.kron(x, eye) - np.kron(eye, x.T))
     adj /= s.radius

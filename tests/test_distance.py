@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzydist import distance
@@ -360,10 +360,13 @@ def _rotation(s, theta, phi):
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.integers(1, 8), st.floats(0.5, 2.0), st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi),
        st.integers(0, 2**32 - 1))
+@example(twice_n=5, lam=1.0, theta=1.0, phi=0.0, seed=400)
 def test_rotated_diagonal_pair_is_exact(twice_n, lam, theta, phi, seed):
     """U_(1/2) (x) U_n commutes with D_c, so rotating both states of a diagonal pair keeps
-    their distance: the public call finds the rotated frame from the spin-1 part of drho
-    and returns the unrotated diagonal_exact value."""
+    their distance: the public call finds the rotated frame from the spin-1 part v of drho
+    and returns the unrotated diagonal_exact value. In the example |v| is 0.021 max|drho|,
+    and rounding in n = v/|v| leaves off-diagonal entries of 1.02 SYMMETRY_TOL max|drho| in
+    that frame; with no slack for it the ascent answers, 14% short (0.2517 for 0.2937)."""
     p, q = np.random.default_rng(seed).dirichlet(np.ones(twice_n + 1), size=2)
     s = build_space(H(twice_n), lam)
     tr = build_dirac(s, "config")
@@ -374,6 +377,33 @@ def test_rotated_diagonal_pair_is_exact(twice_n, lam, theta, phi, seed):
     assert (got.method, got.stop, got.iterations) == ("diagonal_exact", "exact", 0)
     assert abs(got.value - want) <= 1e-12 * want
     assert got.ball_residual <= 1e-12
+
+
+@pytest.mark.parametrize("twice_n, lam, theta, phi, p, q", [
+    (5, 1.0, 1.0, 0.0, *np.random.default_rng(400).dirichlet(np.ones(6), size=2)),
+    # |v| = 2e-5 lam for max|drho| = 0.5: the rounding slack dim lam max|drho|/|v| would be
+    # 7.5e4, above the 1e3 cap, and wide enough to pass the perturbation below
+    (2, 1.0, 1.0, 0.0, np.array([0.5, 0.0, 0.5]), np.array([0.25 + 1e-5, 0.5, 0.25 - 1e-5])),
+    (2, 1.9, 0.3, 1.3, np.array([0.5, 0.0, 0.5]), np.array([0.25 + 1e-5, 0.5, 0.25 - 1e-5])),
+])
+def test_off_diagonal_perturbation_leaves_the_exact_route(monkeypatch, twice_n, lam, theta, phi,
+                                                          p, q):
+    """A rotated diagonal pair is exact; adding to rho2, in the rotated frame, an off-diagonal
+    Hermitian term of 1e-8 max|drho| that couples n3 to n3 - 2, and so leaves the spin-1 part
+    and the frame as they are, sends it to the ascent. Only the route is under test, so the
+    ascent is stubbed."""
+    monkeypatch.setattr(distance, "_ascend", lambda *args: DistanceResult(math.nan, "optimizer"))
+    s = build_space(H(twice_n), lam)
+    tr = build_dirac(s, "config")
+    want = connes_distance_optimized(tr, np.diag(p), np.diag(q)).value
+    rot = _rotation(s, theta, phi)
+    e = np.zeros((s.dim, s.dim))
+    e[0, 2] = e[2, 0] = 1e-8 * np.abs(q - p).max()
+    rho = rot @ np.diag(p) @ rot.conj().T
+    got = connes_distance_optimized(tr, rho, rot @ np.diag(q) @ rot.conj().T)
+    assert got.method == "diagonal_exact" and abs(got.value - want) <= 1e-12 * want
+    got = connes_distance_optimized(tr, rho, rot @ (np.diag(q) + e) @ rot.conj().T)
+    assert got.method == "optimizer"
 
 
 def test_su2_invariance_routes():

@@ -55,16 +55,19 @@ def _hermitian(rng, *shape):
 @pytest.mark.parametrize("lam", [0.7, 1.3])
 def test_dirac_and_commutator_match_pauli_sums(representation, twice_n, lam):
     """D = sum_i sigma_i (x) x_i/(lam r), with (x) I on the right for the quantum
-    triple, and [D, pi(a)] with pi(a) = I_2 (x) a, both assembled densely here."""
+    triple, and [D, pi(a)] with pi(a) = I_2 (x) a, both assembled densely here. The sum is
+    real in the |n3> basis: its imaginary part cancels exactly, and its real part is scaled
+    by 1/lam and 1/r in real arithmetic, as build_dirac scales, so D matches bitwise."""
     s = build_space(H(twice_n), lam)
     tr = build_dirac(s, representation)
     eye = np.eye(s.dim)
     want = np.zeros((2 * tr.algebra_dim, 2 * tr.algebra_dim), dtype=complex)
     for sig, x in zip(PAULI, (s.x1, s.x2, s.x3)):
-        want += np.kron(sig, x if representation == "config" else np.kron(x, eye)) / lam
-    want /= s.radius
-    assert np.array_equal(tr.dirac, want)
-    assert np.array_equal(tr.dirac, tr.dirac.conj().T)   # Hermitian exactly, with no check
+        want += np.kron(sig, x if representation == "config" else np.kron(x, eye))
+    assert not np.any(want.imag)
+    want = want.real * (1.0 / lam) * (1.0 / s.radius)
+    assert tr.dirac.dtype == np.float64 and np.array_equal(tr.dirac, want)
+    assert np.array_equal(tr.dirac, tr.dirac.T)   # symmetric exactly, with no check
 
     rng = np.random.default_rng(twice_n)
     dim = tr.algebra_dim
