@@ -44,7 +44,7 @@ class CoherentState:
         return float(abs(self.amplitudes[0]) ** 2)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _jy_eigh(two_n: int):
     """(mu, V) with J_y = V diag(mu) V^dag at spin two_n/2; J_y = x2/lam is lam-free."""
     jy = FuzzySphere(HalfInteger(two_n), 1.0).x2

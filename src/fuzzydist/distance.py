@@ -25,7 +25,7 @@ import numpy as np
 from .halfint import _quarters, ladder_radicand
 from .linalg import SYMMETRY_TOL
 from .sphere import SphereDomainError, _adjacent_step, _halfint, _lam, _matrix_of, _random, _row
-from .triple import SpectralTriple, _commutator, lipschitz_seminorm
+from .triple import SpectralTriple, _commutator, _hermitian_element, lipschitz_seminorm
 
 
 class OptimizerError(RuntimeError):
@@ -53,12 +53,13 @@ def adjacent_distance_closed_form(n, n3, lam: float = 1.0) -> float:
 
 
 def distance_lower_bound(triple: SpectralTriple, rho, rho2) -> DistanceResult:
-    """tr(drho^2)/||[D, pi(drho)]|| with drho = rho2 - rho.
+    """tr(drho^2)/||[D, pi(drho)]|| with drho = rho2 - rho, under the seminorm's input rule
+    (_hermitian_element).
 
     Also returns the scaled displacement as a certificate sitting exactly on
     the Lipschitz ball boundary.
     """
-    drho = _matrix_of(rho2) - _matrix_of(rho)
+    drho = _hermitian_element(triple, _matrix_of(rho2) - _matrix_of(rho))
     num = float(np.real(np.trace(drho @ drho)))
     if num == 0.0 and np.abs(drho).max() == 0.0:
         return DistanceResult(0.0, "norm_pipeline", None, None)
@@ -143,15 +144,15 @@ _FRAME_SLACK = 1e3  # the most the n.x frame test widens SYMMETRY_TOL for roundi
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, seed: int = 42) -> DistanceResult:
     """Maximize tr(drho a) over Hermitian a, ||[D, pi(a)]|| <= 1, drho = rho2 - rho: exactly if
     drho is diagonal in the n.x eigenbasis (_diagonal_supremum), else by _ascend, the one user
-    of seed. ArithmeticError if |tr drho| exceeds rounding: a + t I then raises
+    of seed. drho obeys the seminorm's input rule: SphereDomainError unless it is dim x dim,
+    finite and Hermitian within SYMMETRY_TOL (_hermitian_element), as in distance_lower_bound.
+    ArithmeticError if |tr drho| exceeds rounding: a + t I then raises
     tr(drho a) without bound, so the distance is infinite. On the quantum triple the same
     holds for its right marginal, the partial trace over the left index, as I (x) B
     commutes with D_q. drho = 0 is exact at 0, with no potential."""
     m, m2 = _matrix_of(rho), _matrix_of(rho2)
-    drho = m2 - m
+    drho = _hermitian_element(triple, m2 - m)
     scale = np.abs(drho).max()
-    if not np.isfinite(scale):
-        raise SphereDomainError("displacement has a non-finite entry")
     if scale == 0.0:
         return DistanceResult(0.0, "diagonal_exact", None, None, 0, "exact")
     t = np.trace(drho)

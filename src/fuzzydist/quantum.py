@@ -426,11 +426,11 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
 
     Projected gradient descent with Armijo backtracking on the analytic
     gradient _raw_path_grad, from the uniform profile and starts - 1 seeded
-    Dirichlet ones (_dirichlet_rows). Each start's rule: try its step t once
-    per round; on the Armijo test accept, t *= 1.5 and take a new gradient,
-    else t *= 0.5. It stops on an accepted step below 1e-12 ("small_step"),
-    after 40 rejections in a row ("no_descent"), or unconverged after
-    _DESCENT_ITERS iterations.
+    Dirichlet ones (_dirichlet_rows); starts < 1 raises SphereDomainError.
+    Each start's rule: try its step t once per round; on the Armijo test
+    accept, t *= 1.5 and take a new gradient, else t *= 0.5. It stops on an
+    accepted step below 1e-12 ("small_step"), after 40 rejections in a row
+    ("no_descent"), or unconverged after _DESCENT_ITERS iterations.
     The starts run in lockstep as one (starts, npts, m) stack, each with its
     rule unchanged: the helpers keep leading axes independent, so every start
     takes bitwise the steps it would alone; stop reasons are integer codes
@@ -441,12 +441,14 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     """
     n, n_i, n_f = _halfint(n), _halfint(n_i), _halfint(n_f)
     lam = _lam(lam)
+    if starts < 1:
+        raise SphereDomainError("starts must be >= 1, got %r" % (starts,))
     labels = _path_labels(n, n_i, n_f)
     npts, m, t0 = len(labels), n.twice + 1, n_i.twice
     nn1 = n.times_self_plus_one()
 
     x = np.concatenate([np.full((1, npts, m), 1.0 / m),
-                        _dirichlet_rows(seed, (max(0, starts - 1), npts, m))])
+                        _dirichlet_rows(seed, (starts - 1, npts, m))])
     fx, g = _raw_path(nn1, lam, x, t0), _raw_path_grad(nn1, lam, x, t0)
     k = len(x)
     step, rungs, iters = np.ones(k), np.zeros(k, int), np.full(k, min(1, _DESCENT_ITERS))
@@ -562,13 +564,8 @@ def thermal_profile(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
 
 
 def thermal_prefactor(spectrum: EnergySpectrum, beta: float) -> float:
-    """sqrt(Z(2 beta))/Z(beta), shift-normalized. Lives in [1/sqrt(M), 1]."""
-    if not (beta >= 0 and np.isfinite(beta)):
-        raise SphereDomainError("beta must be finite and >= 0")
-    e = spectrum.levels - spectrum.levels.min()
-    w1 = np.exp(-beta * e).sum()
-    w2 = np.exp(-2.0 * beta * e).sum()
-    return float(math.sqrt(w2) / w1)
+    """sqrt(Z(2 beta))/Z(beta), the l2 norm of thermal_profile. Lives in [1/sqrt(M), 1]."""
+    return float(np.linalg.norm(thermal_profile(spectrum, beta)))
 
 
 def thermal_distance(n, lam: float, n3, spectrum: EnergySpectrum, beta: float) -> float:

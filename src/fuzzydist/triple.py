@@ -14,7 +14,8 @@ written from the real ladder bands of the coordinates, so D is real symmetric, f
 
 Every [D, pi(a)], with pi(a) = I_2 (x) a, is formed by _commutator as
 D pi(a) - (D pi(a))^dag, which holds for Hermitian a (D is symmetric by
-construction): dirac_commutator checks a, internal callers pass Hermitian stacks.
+construction): _hermitian_element checks a for dirac_commutator and the distance routes,
+internal callers pass Hermitian stacks.
 """
 
 from __future__ import annotations
@@ -65,18 +66,26 @@ def _commutator(triple: SpectralTriple, a: np.ndarray) -> np.ndarray:
     return np.subtract(da, c, out=c)
 
 
-def dirac_commutator(triple: SpectralTriple, a) -> np.ndarray:
-    """[D, pi(a)] for a Hermitian algebra element or a stack of them; SphereDomainError
-    unless a is dim x dim and Hermitian within SYMMETRY_TOL of its largest entry."""
+def _hermitian_element(triple: SpectralTriple, a) -> np.ndarray:
+    """_matrix_of(a), checked to be dim x dim (or a stack of them), finite, and Hermitian within
+    SYMMETRY_TOL of its largest entry; SphereDomainError otherwise."""
     m = _matrix_of(a)
     dim = triple.algebra_dim
     if m.shape[-2:] != (dim, dim):
         raise SphereDomainError("algebra element shape %r does not match representation dim %d"
                                 % (m.shape, dim))
+    big = np.abs(m).max(initial=0.0)
+    if not np.isfinite(big):
+        raise SphereDomainError("algebra element has a non-finite entry")
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if not dev <= SYMMETRY_TOL * max(np.abs(m).max(initial=0.0), 1.0):
+    if not dev <= SYMMETRY_TOL * max(big, 1.0):
         raise SphereDomainError("algebra element is not Hermitian (max |a - a^dag| = %.3e)" % dev)
-    return _commutator(triple, m)
+    return m
+
+
+def dirac_commutator(triple: SpectralTriple, a) -> np.ndarray:
+    """[D, pi(a)] for a Hermitian algebra element or a stack of them (_hermitian_element)."""
+    return _commutator(triple, _hermitian_element(triple, a))
 
 
 def lipschitz_seminorm(triple: SpectralTriple, a) -> float:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -219,6 +220,8 @@ def test_output_matches_golden(name, capsys):
     # rounding swamped the finite-difference oracle, both with exit 0
     ["coherent", "--n", "1", "--dz", "1e-200"],
     ["coherent", "--n", "1", "--dz", "1e-12", "--oracle"],
+    # n3 = 0 labels no step at n = 3/2: the label's parity must match n's
+    ["quantum-pure", "--n", "3/2", "--n3", "0"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     try:
@@ -382,11 +385,15 @@ def test_non_positive_or_non_finite_lambda_exit_2(command, lam, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["discrete", "--n", "3"],
+    ["discrete", "--n", "6"],
+    ["discrete", "--n", "40"],
     ["table", "--n-min", "1/2", "--n-max", "3/2"],
-], ids=["discrete", "table"])
+], ids=["discrete", "discrete-6", "discrete-40", "table"])
 def test_oracle_rows_are_exact_and_seed_free(argv, monkeypatch, capsys):
-    # every oracle row is an adjacent pair, answered by the exact Kantorovich route:
-    # the ascent, the only reader of a seed, is never reached, and --seed is no option
+    """Every oracle row is an adjacent pair, answered by the exact Kantorovich route: the
+    ascent, the only reader of a seed, is never reached, and --seed is no option. The 80 steps
+    at n = 40 read their weights from the x+ band: 21 s with the eigvalsh projector stack it
+    replaced, about 1.2 s with the band."""
     from fuzzydist import distance
 
     def boom(*args, **kwargs):
@@ -408,6 +415,100 @@ def test_oracle_rows_are_exact_and_seed_free(argv, monkeypatch, capsys):
     assert code == 0
     assert len(methods) == len(json.loads(out)["results"]) > 0
     assert set(methods) == {"diagonal_exact"}
+
+
+# ---------------------------------------------------------------------------
+# whole commands: wide grids, extreme lam, file profiles, random seeds
+
+def _finite_rows(out):
+    """The rows of a JSON document: at least one, every float cell finite."""
+    rows = json.loads(out)["results"]
+    assert rows
+    for row in rows:
+        assert all(math.isfinite(v) for v in row.values() if isinstance(v, float)), row
+    return rows
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["quantum-mixed", "--n", "2"], "distance"),
+    (["quantum-pure", "--n", "2", "--right-sector", "distinct"], "symmetrized"),
+], ids=["quantum-mixed", "quantum-pure-distinct"])
+def test_right_sector_block_route_columns(argv, column, capsys):
+    """The right-sector block route, through the shared commutator kernel, fills every column
+    of the four steps at n = 2 with a finite number. Its oracle equals the closed form, or
+    on the distinct sector the symmetrized completion."""
+    code, out, _ = run_cli(argv + ["--oracle", "--no-timestamp"], capsys)
+    assert code == 0
+    rows = _finite_rows(out)
+    assert len(rows) == 4
+    for row in rows:
+        assert row["oracle"] == pytest.approx(row[column], rel=1e-10), row
+
+
+def test_stationarity_residual_is_zero_at_huge_lambda(capsys):
+    """The stationarity certificate is formed at lam = 1, so its residual reads 0.0 on the
+    exactly stationary uniform steps at every lam: 1.06e183 at lam = 1e200 before."""
+    code, out, _ = run_cli(["quantum-mixed", "--n", "1", "--lambda", "1e200", "--oracle",
+                            "--no-timestamp"], capsys)
+    assert code == 0
+    assert [row["stationarity_residual"] for row in _finite_rows(out)] == [0.0, 0.0]
+
+
+def test_table_oracle_column_is_the_discrete_row(capsys):
+    """table's oracle column and discrete's rows go through the same config row: at every
+    step of n = 1/2 .. 2 table prints discrete's closed form, pipeline and optimizer."""
+    code, out, _ = run_cli(["table", "--n-min", "1/2", "--n-max", "2", "--oracle",
+                            "--no-timestamp"], capsys)
+    assert code == 0
+    got = [(r["n"], r["n3"], r["closed_form"], r["norm_pipeline"], r["optimizer"])
+           for r in _finite_rows(out)]
+    want = []
+    for n in ("1/2", "1", "3/2", "2"):
+        code, out, _ = run_cli(["discrete", "--n", n, "--oracle", "--no-timestamp"], capsys)
+        assert code == 0
+        want += [(r["n"], r["n3"], r["distance"], r["norm_pipeline"], r["optimizer"])
+                 for r in json.loads(out)["results"]]
+    assert got == want and len(got) == 10
+
+
+def test_discrete_oracle_csv_matches_json(capsys):
+    """discrete --oracle's CSV carries its JSON cells, the route names among them."""
+    argv = ["discrete", "--n", "3/2", "--oracle", "--no-timestamp"]
+    code, jout, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, cout, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    jrows = _finite_rows(jout)
+    header, *rows = csv.reader(io.StringIO(cout))
+    assert header == list(jrows[0]) and len(rows) == len(jrows) == 3
+    for row, jrow in zip(rows, jrows):
+        for key, cell in zip(header, row):
+            assert (float(cell) if isinstance(jrow[key], float) else cell) == jrow[key], key
+
+
+def test_non_uniform_profile_file_with_oracle(tmp_path, capsys):
+    """A non-uniform 3 x 3 profile read from a file: the eigensolver oracle matches the
+    closed form on both steps, which are not stationary."""
+    prof = tmp_path / "profile.txt"
+    prof.write_text("0.5 0.25 0.25\n0.2 0.3 0.5\n1 0 0\n")
+    code, out, _ = run_cli(["quantum-mixed", "--n", "1", "--profile", str(prof), "--oracle",
+                            "--no-timestamp"], capsys)
+    assert code == 0
+    rows = _finite_rows(out)
+    for row, want in zip(rows, [0.66395280956806957, 0.4053052359567394], strict=True):
+        assert row["distance"] == pytest.approx(want, rel=1e-12)
+        assert row["oracle"] == pytest.approx(want, rel=1e-12)
+        assert row["stationarity_residual"] > 0.1
+
+
+@pytest.mark.parametrize("seed", ["21", "3058"])
+def test_continuum_check_passes_at_hard_seeds(seed, capsys):
+    """Seeds at which continuum-connection measured finite-difference rounding against a
+    near-zero form."""
+    code, out, _ = run_cli(["continuum-check", "--seed", seed, "--no-timestamp"], capsys)
+    assert code == 0
+    rows = _finite_rows(out)
+    assert len(rows) == 6 and all(row["passed"] for row in rows)
 
 
 # ---------------------------------------------------------------------------

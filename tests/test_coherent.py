@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fuzzydist.coherent import (
+    _jy_eigh,
     coherent_distance_fd,
     coherent_distance_numeric,
     coherent_drho,
@@ -200,6 +201,14 @@ def test_route_report_sup_ratios():
 
     rep = coherent_route_report(H(3), 1.0, seed=42)
     assert rep["sup_method"] == "optimizer"
+
+
+def test_jy_cache_is_bounded():
+    """One J_y eigendecomposition is cached per spin: coherent states at 2n = 1..300 kept all
+    300 of them, 140 MB of eigenvectors, before the cache was bounded at 64 entries."""
+    for t in range(1, 101):
+        coherent_state(build_space(H(t), 1.0), 0.3 + 0.4j)
+    assert _jy_eigh.cache_info().currsize <= 64
 
 
 def test_large_n_deviation_law():

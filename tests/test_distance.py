@@ -28,7 +28,7 @@ from fuzzydist.distance import (
     quantized_polar_angle,
 )
 from fuzzydist.halfint import HalfInteger
-from fuzzydist.sphere import HSOperator, build_space, pure_state
+from fuzzydist.sphere import HSOperator, SphereDomainError, build_space, pure_state
 from fuzzydist.triple import _commutator, build_dirac, dirac_commutator, lipschitz_seminorm
 
 H = HalfInteger
@@ -260,6 +260,34 @@ def test_nonzero_trace_is_infinite_distance():
     rho = coherent_state(s, 0.3 + 0.4j).projector()
     with pytest.raises(ArithmeticError, match="infinite distance"):
         connes_distance_optimized(tr, rho, 1.5 * coherent_state(s, -0.5 + 0.1j).projector())
+
+
+@pytest.mark.parametrize("case", ["imaginary_diagonal", "lone_off_diagonal", "wrong_shape",
+                                  "wrong_shape_zero", "nan_entry"])
+def test_both_routes_share_the_seminorm_input_rule(case):
+    """drho must be dim x dim, finite and Hermitian on both routes. At 2n = 2 the supremum
+    route checked only finiteness: it returned 1.0 as diagonal_exact for the imaginary
+    diagonal, ran the ascent 2245 iterations to 1.00997 for the lone off-diagonal entry, and
+    failed inside numpy's reshape on a 4 x 4 pair, while the lower bound raised; on a zero
+    4 x 4 displacement the lower bound returned 0.0."""
+    tr = build_dirac(build_space(H(2), 1.0), "config")
+    rho, rho2 = np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 0.0]).astype(complex)
+    if case == "imaginary_diagonal":
+        rho2 += 0.3j * np.diag([1.0, 0.0, -1.0])
+    elif case == "lone_off_diagonal":
+        rho2[0, 1] = 0.2
+    elif case == "wrong_shape":
+        rho, rho2 = np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0, 0.0])
+    elif case == "wrong_shape_zero":
+        rho = rho2 = np.diag([1.0, 0.0, 0.0, 0.0])
+    else:
+        rho2[2, 2] = np.nan
+    with pytest.raises(SphereDomainError) as seminorm:
+        lipschitz_seminorm(tr, rho2 - rho)
+    for route in (connes_distance_optimized, distance_lower_bound):
+        with pytest.raises(SphereDomainError) as info:
+            route(tr, rho, rho2)
+        assert str(info.value) == str(seminorm.value), route.__name__
 
 
 def test_quantum_triple_sums_the_config_route_over_right_sectors():

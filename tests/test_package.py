@@ -100,6 +100,7 @@ def test_every_public_class_and_function_is_a_package_attribute():
         assert getattr(fuzzydist, name) is obj, name
     submodules = {info.name for info in pkgutil.iter_modules(fuzzydist.__path__)}
     assert set(fuzzydist.__all__) == {"__version__"} | submodules | set(owners)
+    assert all(hasattr(fuzzydist, name) for name in fuzzydist.__all__)  # submodules load lazily
     assert len(fuzzydist.__all__) == len(set(fuzzydist.__all__))
     # a helper the hand-kept export table used to leave out
     assert owners.get("tautological_connection_fd") == "fuzzydist.continuum"

@@ -375,6 +375,13 @@ def test_minimizer_recovers_uniform():
     assert out["distance"] <= want + 1e-8
 
 
+@pytest.mark.parametrize("starts", [0, -3])
+def test_minimizer_needs_a_start(starts):
+    """starts = 0 and starts = -3 each ran the uniform start alone without a word."""
+    with pytest.raises(SphereDomainError, match="starts must be >= 1, got %d" % starts):
+        minimize_path_distance(H(2), 1.0, H(-2), H(2), starts=starts)
+
+
 def test_minimizer_raises_with_the_best_rows(monkeypatch):
     """No start converges within zero iterations; the error carries the best start's rows.
 
@@ -557,6 +564,19 @@ def test_thermal_prefactor_bounds_and_monotonicity():
             if prev is not None:
                 assert pf >= prev - 1e-12  # nonincreasing in temperature
             prev = pf
+
+
+def test_thermal_prefactor_is_the_profile_norm():
+    """sqrt(Z(2 beta))/Z(beta) is read from the Boltzmann weights of thermal_profile, bitwise,
+    up to beta = 1e4 and with negative levels, and stays in [1/sqrt(M), 1] up to rounding."""
+    rng = np.random.default_rng(3)
+    for levels in (np.array([0.0, 1.0]), np.array([1.0, 0.0, -1.0]),
+                   np.array([-3.0, -7.5, 2.0, 0.25]), 5.0 * rng.normal(size=6)):
+        spectrum_ = EnergySpectrum(levels)
+        for beta in np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 29)]):
+            pf = thermal_prefactor(spectrum_, beta)
+            assert pf == np.linalg.norm(thermal_profile(spectrum_, beta)), beta
+            assert (1.0 - 1e-15) / math.sqrt(levels.size) <= pf <= 1.0
 
 
 def test_thermal_distance_is_profile_functional():
