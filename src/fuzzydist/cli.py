@@ -348,7 +348,7 @@ def _cmd_quantum_mixed(args):
         row = {"profile": args.profile, "distance": d, "value": d, "method": "closed_form"}
         if args.oracle:
             norms = quantum.mixed_commutator_norms(n, lam, n3, profile)
-            row["oracle"] = norms["numerator"] / norms["frobenius"]
+            row["oracle"] = quantum.mixed_distance_oracle(n, lam, n3, profile)
             row["ratio"] = row["oracle"] / d
             row["frobenius"] = norms["frobenius"]
             row["nuclear"] = norms["nuclear"]

@@ -118,7 +118,7 @@ def quantum_seminorm_oracle(n, lam: float, n3, n3p, l3p) -> float:
     n, n3 = _adjacent_step(n, n3)
     lam = _lam(lam)
     e = np.eye(n.twice + 1)
-    _, blocks = _step_blocks(n, n3, e[_row(n, l3p)], e[_row(n, n3p)])
+    _, blocks = _step_blocks(n, n3, e[_row(n, l3p, "l3p")], e[_row(n, n3p, "n3p")])
     return float(np.linalg.svd(blocks, compute_uv=False).max()) / lam
 
 
@@ -263,8 +263,11 @@ class ProbabilityProfile:
             raise SphereDomainError("profile has no row at n3 = %s" % HalfInteger(t))
         return self.rows[t]
 
-    def _path(self, labels) -> np.ndarray:
-        """Rows at the 2 n3 values in labels as one array; at() raises for a missing row."""
+    def _path(self, n: HalfInteger, labels) -> np.ndarray:
+        """Rows at the 2 n3 values in labels of spin n as one array; raises unless the profile
+        is one of spin n, and at() raises for a missing row."""
+        if self.n.twice != n.twice:
+            raise SphereDomainError("profile is for n = %s, not n = %s" % (self.n, n))
         rows = self.rows
         return np.array([rows[t] if t in rows else self.at(HalfInteger(t)) for t in labels])
 
@@ -321,7 +324,7 @@ def mixed_commutator_norms(n, lam: float, n3, profile: ProbabilityProfile) -> di
     """
     n, n3 = _adjacent_step(n, n3)
     lam = _lam(lam)
-    x = profile._path((n3.twice, n3.twice + 2))
+    x = profile._path(n, (n3.twice, n3.twice + 2))
     w, blocks = _step_blocks(n, n3, x[1], x[0])
     sv = np.linalg.svd(blocks, compute_uv=False)
     nn1 = n.times_self_plus_one()
@@ -340,7 +343,7 @@ def mixed_distance_oracle(n, lam: float, n3, profile: ProbabilityProfile) -> flo
     """Distance recomputed from the explicit commutator, no closed forms and no SVD."""
     n, n3 = _adjacent_step(n, n3)
     lam = _lam(lam)
-    w, blocks = _step_blocks(n, n3, *profile._path((n3.twice + 2, n3.twice)))
+    w, blocks = _step_blocks(n, n3, *profile._path(n, (n3.twice + 2, n3.twice)))
     return float(np.sum(w * w)) / float(np.linalg.norm(blocks)) * lam
 
 
@@ -357,30 +360,19 @@ class MinimizationCertificate:
 def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> MinimizationCertificate:
     """Stationarity matrix for the path distance from n_i to n_f.
 
-    Diagonal a(n3) and couplings b(n3) are assembled from the per-step
-    quadratics; the stationarity condition for a minimizing profile is
-    delta P_{l3} = 2 alpha with alpha independent of l3. The residual
-    reports how far the given profile is from satisfying it. delta and alpha
-    are linear in lam, so both are formed at lam = 1 and scaled once; the
-    residual is the lam = 1 one, which reads the same at every lam (lam times
-    it would overflow at lam = 1e200 and underflow at 1e-200).
+    delta is the gradient's operator: _path_grad with the profile's step terms held
+    fixed is linear in the rows, delta is that map, and delta P_l3 is the gradient's
+    column l3. The stationarity condition for a minimizing profile is
+    delta P_{l3} = 2 alpha with alpha independent of l3; the residual reports how far
+    the given profile is from it. delta and alpha are linear in lam, so both are formed
+    at lam = 1 and scaled once; the residual is the lam = 1 one, which reads the same at
+    every lam (lam times it would overflow at lam = 1e200 and underflow at 1e-200).
     """
     n, n_i, n_f = _halfint(n), _halfint(n_i), _halfint(n_f)
     lam = _lam(lam)
-    labels = _path_labels(n, n_i, n_f)
-    x = profile._path(labels)
-    nn1 = n.times_self_plus_one()
-    num, s, (_, _, cx) = _step_functional(nn1, x, n_i.twice)
-    r1 = math.sqrt(nn1)                # the radius at lam = 1
-
-    # per-step f and g, padded with a zero step below n_i and above n_f, so row
-    # r (ascending) sees the step above it at r + 1 and the one below at r
-    g = np.concatenate(([0.0], 1.0 / np.sqrt(s), [0.0]))
-    f = np.concatenate(([0.0], (num / 2.0) / s ** 1.5, [0.0]))
-    c0 = (n.twice * (n.twice + 2) - np.array(labels) ** 2) / 4.0   # n(n+1) - n3^2
-    b = -r1 * cx * f[1:-1]          # coupling of the two rows of each step
-    D = np.diag(r1 * (g[1:] + g[:-1] - c0 * (f[1:] + f[:-1]))) + np.diag(b, 1) + np.diag(b, -1)
-    D = D[::-1, ::-1]                  # rows n3 descending, like every basis in the package
+    x = profile._path(n, _path_labels(n, n_i, n_f))
+    _, k, h, cs = _path_terms(n.times_self_plus_one(), 1.0, x, n_i.twice)
+    D = _path_grad(np.eye(len(x)), k, h, cs)[::-1, ::-1]   # rows n3 descending, like every basis
     prod = D @ x[::-1]                 # column l3 holds delta P_l3
     alpha = prod.mean(axis=1) / 2.0    # least-squares alpha is the l3 average
     residual = float(np.abs(prod - 2.0 * alpha[:, None]).max())
@@ -393,8 +385,32 @@ def delta_matrix(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> Minimi
 def path_distance(n, lam: float, profile: ProbabilityProfile, n_i, n_f) -> float:
     """Sum of per-step distances along n_i -> n_f."""
     n, n_i, n_f = _halfint(n), _halfint(n_i), _halfint(n_f)
-    return float(_raw_path(n.times_self_plus_one(), _lam(lam),
-                           profile._path(_path_labels(n, n_i, n_f)), n_i.twice))
+    x = profile._path(n, _path_labels(n, n_i, n_f))
+    return float(_path_terms(n.times_self_plus_one(), _lam(lam), x, n_i.twice)[0])
+
+
+def _path_terms(nn1, lam, x, t0):
+    """One evaluation of the path functional on raw (unvalidated) probability rows x, row r
+    at n3 = t0/2 + r: (distance, k, h, (cu, cd, cx)), the distance one value per path of the
+    leading axes. Each step adds d = c Num/sqrt(S) with c = lam r/2; k = c/sqrt(S) and
+    h = c Num/(2 S^{3/2}) are its terms in dd/dp = 2k p - h dS/dp (_path_grad)."""
+    num, s, cs = _step_functional(nn1, x, t0)
+    c = lam * math.sqrt(nn1) / 2.0
+    cn, rs = c * num, np.sqrt(s)
+    return (cn / rs).sum(axis=-1), c / rs, cn / (2.0 * s ** 1.5), cs
+
+
+def _path_grad(x, k, h, cs) -> np.ndarray:
+    """Gradient of the path distance at rows x from its terms (_path_terms): each step adds
+    2k p - h dS/dp to its two rows p = pu, pd, with dS/dpu = 2 cu pu + cx pd and
+    dS/dpd = 2 cd pd + cx pu. Linear in x for fixed terms, so delta_matrix is this map."""
+    cu, cd, cx = (c[:, None] for c in cs)
+    k, h = k[..., None], h[..., None]
+    pu, pd = x[..., 1:, :], x[..., :-1, :]
+    g = np.zeros_like(x)
+    g[..., 1:, :] += 2.0 * k * pu - h * (2.0 * cu * pu + cx * pd)
+    g[..., :-1, :] += 2.0 * k * pd - h * (2.0 * cd * pd + cx * pu)
+    return g
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -425,7 +441,7 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     """Minimize the path distance over profiles on the product of simplices.
 
     Projected gradient descent with Armijo backtracking on the analytic
-    gradient _raw_path_grad, from the uniform profile and starts - 1 seeded
+    gradient _path_grad, from the uniform profile and starts - 1 seeded
     Dirichlet ones (_dirichlet_rows); starts < 1 raises SphereDomainError.
     Each start's rule: try its step t once per round; on the Armijo test
     accept, t *= 1.5 and take a new gradient, else t *= 0.5. It stops on an
@@ -449,14 +465,15 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
 
     x = np.concatenate([np.full((1, npts, m), 1.0 / m),
                         _dirichlet_rows(seed, (starts - 1, npts, m))])
-    fx, g = _raw_path(nn1, lam, x, t0), _raw_path_grad(nn1, lam, x, t0)
-    k = len(x)
-    step, rungs, iters = np.ones(k), np.zeros(k, int), np.full(k, min(1, _DESCENT_ITERS))
-    stop = np.full(k, 0 if _DESCENT_ITERS > 0 else _OUT_OF_ITERS)  # codes into _DESCENT_STOPS
+    fx, k, h, cs = _path_terms(nn1, lam, x, t0)
+    g = _path_grad(x, k, h, cs)
+    ns = len(x)
+    step, rungs, iters = np.ones(ns), np.zeros(ns, int), np.full(ns, min(1, _DESCENT_ITERS))
+    stop = np.full(ns, 0 if _DESCENT_ITERS > 0 else _OUT_OF_ITERS)  # codes into _DESCENT_STOPS
     while (live := np.flatnonzero(stop == 0)).size:
         xl, tl = x[live], step[live]
         cand = _project_simplex(xl - tl[:, None, None] * g[live])
-        fc = _raw_path(nn1, lam, cand, t0)
+        fc, k, h, _ = _path_terms(nn1, lam, cand, t0)
         gap = xl - cand
         ok = fc <= fx[live] - 1e-4 * np.sum(gap * gap, axis=(-2, -1)) / np.maximum(tl, 1e-16)
         acc, rej = live[ok], live[~ok]
@@ -468,9 +485,10 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
         stop[rej[rungs[rej] == 40]] = _NO_DESCENT
         stop[acc[np.abs(gap[ok]).max(axis=(-2, -1)) < 1e-12]] = _SMALL_STEP
         stop[acc[(stop[acc] == 0) & (iters[acc] == _DESCENT_ITERS)]] = _OUT_OF_ITERS
-        more = acc[stop[acc] == 0]
+        keep = stop[acc] == 0
+        more = acc[keep]
         iters[more] += 1
-        g[more] = _raw_path_grad(nn1, lam, x[more], t0)
+        g[more] = _path_grad(x[more], k[ok][keep], h[ok][keep], cs)
 
     b = int(np.argmin(fx))
     if stop[b] == _OUT_OF_ITERS:
@@ -479,28 +497,6 @@ def minimize_path_distance(n, lam: float, n_i, n_f, starts: int = 20, seed: int 
     profile = ProbabilityProfile(n, {t: x[b, r] for r, t in enumerate(labels)})
     return {"profile": profile, "distance": float(fx[b]), "iterations": int(iters[b]),
             "stop": _DESCENT_STOPS[stop[b]]}
-
-
-def _raw_path(nn1, lam, x, t0):
-    """Path distance for raw (unvalidated) probability rows x, row r at n3 = t0/2 + r;
-    one value per path of the leading axes."""
-    num, s, _ = _step_functional(nn1, x, t0)
-    return (lam * math.sqrt(nn1) / 2.0 * num / np.sqrt(s)).sum(axis=-1)
-
-
-def _raw_path_grad(nn1, lam, x, t0) -> np.ndarray:
-    """Gradient of _raw_path: each step adds d = c Num/sqrt(S) with c = lam r/2, so
-    dd/dp = c (2p/sqrt(S) - Num (dS/dp)/(2 S^{3/2})) for its two rows p = pu, pd."""
-    num, s, (cu, cd, cx) = _step_functional(nn1, x, t0)
-    c = lam * math.sqrt(nn1) / 2.0
-    k = (c / np.sqrt(s))[..., None]
-    h = (c * num / (2.0 * s ** 1.5))[..., None]
-    cu, cd, cx = cu[:, None], cd[:, None], cx[:, None]
-    pu, pd = x[..., 1:, :], x[..., :-1, :]
-    g = np.zeros_like(x)
-    g[..., 1:, :] += 2.0 * k * pu - h * (2.0 * cu * pu + cx * pd)
-    g[..., :-1, :] += 2.0 * k * pd - h * (2.0 * cd * pd + cx * pu)
-    return g
 
 
 def _uniform_radicand(n: HalfInteger, n3: HalfInteger) -> float:
@@ -549,17 +545,27 @@ class EnergySpectrum:
         return cls(np.array(rows[0][1]))
 
 
+def _beta(beta: float) -> float:
+    """beta, unless it is not finite or below 0 (SphereDomainError)."""
+    if not (beta >= 0 and np.isfinite(beta)):
+        raise SphereDomainError("beta must be finite and >= 0")
+    return beta
+
+
 def partition_function(spectrum: EnergySpectrum, beta: float) -> float:
-    """Z(beta) = sum exp(-beta E). Plain evaluation; fine for moderate beta*E."""
-    return float(np.exp(-beta * spectrum.levels).sum())
+    """Z(beta) = sum exp(-beta E), plain evaluation; SphereDomainError where Z leaves the float
+    range (overflows, or underflows to 0)."""
+    with np.errstate(over="ignore"):
+        z = float(np.exp(-_beta(beta) * spectrum.levels).sum())
+    if not 0.0 < z < math.inf:
+        raise SphereDomainError("Z(beta) at beta = %r leaves the float range" % (beta,))
+    return z
 
 
 def thermal_profile(spectrum: EnergySpectrum, beta: float) -> np.ndarray:
     """Boltzmann weights exp(-beta E)/Z, computed with a max shift so large
     beta*E never overflows."""
-    if not (beta >= 0 and np.isfinite(beta)):
-        raise SphereDomainError("beta must be finite and >= 0")
-    w = np.exp(-beta * (spectrum.levels - spectrum.levels.min()))
+    w = np.exp(-_beta(beta) * (spectrum.levels - spectrum.levels.min()))
     return w / w.sum()
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from fuzzydist import cli
+from fuzzydist import cli, quantum
+from fuzzydist.halfint import HalfInteger
 
 
 def run_cli(argv, capsys):
@@ -499,6 +500,22 @@ def test_non_uniform_profile_file_with_oracle(tmp_path, capsys):
         assert row["distance"] == pytest.approx(want, rel=1e-12)
         assert row["oracle"] == pytest.approx(want, rel=1e-12)
         assert row["stationarity_residual"] > 0.1
+
+
+@pytest.mark.parametrize("lam", ["1", "1.3", "1e200"])
+def test_mixed_oracle_column_is_the_library_oracle(tmp_path, lam, capsys):
+    """quantum-mixed --oracle prints quantum.mixed_distance_oracle as its oracle column; it
+    re-derived the number as numerator / frobenius before."""
+    prof = tmp_path / "profile.txt"
+    prof.write_text("0.5 0.25 0.25\n0.2 0.3 0.5\n1 0 0\n")
+    code, out, _ = run_cli(["quantum-mixed", "--n", "1", "--lambda", lam, "--profile", str(prof),
+                            "--oracle", "--no-timestamp"], capsys)
+    assert code == 0
+    profile = quantum.ProbabilityProfile.from_text(prof.read_text(), HalfInteger(2))
+    for row in _finite_rows(out):
+        n3 = HalfInteger.parse(row["n3"])
+        assert row["oracle"] == quantum.mixed_distance_oracle(HalfInteger(2), float(lam), n3,
+                                                              profile)
 
 
 @pytest.mark.parametrize("seed", ["21", "3058"])

@@ -145,6 +145,15 @@ def test_block_route_matches_dense_quantum_triple(t):
             assert mixed_distance_oracle(n, 1.0, n3, prof) == pytest.approx(num / frob, rel=1e-12)
 
 
+def test_seminorm_oracle_error_names_the_bad_label():
+    """The right labels were checked under the name n3: l3p = 2 at n = 1 was reported as
+    "n3 = 2" although n3 was 0."""
+    with pytest.raises(SphereDomainError, match=r"^l3p = 2: no basis state at n = 1$"):
+        quantum_seminorm_oracle(H(2), 1.0, H(0), H(0), H(4))
+    with pytest.raises(SphereDomainError, match=r"^n3p = -2: no basis state at n = 1$"):
+        quantum_seminorm_oracle(H(2), 1.0, H(0), H(-4), H(0))
+
+
 def test_oracles_never_build_the_dense_quantum_triple(monkeypatch):
     built = []
 
@@ -278,6 +287,27 @@ def test_profile_rejects_rows_with_no_basis_state(bad):
         ProbabilityProfile(H(2), rows)
 
 
+_PROFILE_ROUTES = {
+    "trace_norm_distance": lambda n, p: trace_norm_distance(n, 1.0, H(0), p),
+    "path_distance": lambda n, p: path_distance(n, 1.0, p, H(-2), H(2)),
+    "delta_matrix": lambda n, p: delta_matrix(n, 1.0, p, H(-2), H(2)),
+    "mixed_distance_oracle": lambda n, p: mixed_distance_oracle(n, 1.0, H(0), p),
+    "mixed_commutator_norms": lambda n, p: mixed_commutator_norms(n, 1.0, H(0), p),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_PROFILE_ROUTES))
+@pytest.mark.parametrize("twice_n, twice_p", [(2, 4), (4, 2)])
+def test_profile_of_another_spin_is_refused(route, twice_n, twice_p):
+    """A profile built for n = 2 read at n = 1 gave 0.2828 for the step 0 -> 1 (0.3651 is
+    right) or failed inside numpy's broadcast, and one built for n = 1 read at n = 2 gave
+    0.3430 without a word."""
+    prof = ProbabilityProfile.uniform(H(twice_p))
+    with pytest.raises(SphereDomainError, match="profile is for n = %s, not n = %s"
+                       % (H(twice_p), H(twice_n))):
+        _PROFILE_ROUTES[route](H(twice_n), prof)
+
+
 # ---------------------------------------------------------------------------
 # mixed-state distance functional
 
@@ -348,6 +378,27 @@ def test_stationarity_certificate_is_formed_at_lam_one(lam):
     assert residuals[0] == 0.0 and residuals[1] > 1e-4
 
 
+@pytest.mark.parametrize("lam", [1.0, 1.3])
+@pytest.mark.parametrize("twice_n", [1, 2, 3, 4, 5])
+def test_delta_times_profile_is_the_path_gradient(twice_n, lam):
+    """delta P is the central-difference gradient of the path distance over the full path.
+    delta's coupling of a step's two rows was twice the gradient's, which put delta P up to
+    0.376 from the gradient on these profiles; the uniform profile hid it."""
+    n = H(twice_n)
+    labels = range(-twice_n, twice_n + 1, 2)
+    prof = ProbabilityProfile(n, dict(zip(labels, quantum._dirichlet_rows(3, (twice_n + 1,) * 2))))
+    x = prof._path(n, labels)                   # rows ascending in n3
+    nn1, h = float(n.times_self_plus_one()), 1e-6
+    fd = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        e = np.zeros_like(x)
+        e[idx] = h
+        fd[idx] = (quantum._path_terms(nn1, lam, x + e, -twice_n)[0]
+                   - quantum._path_terms(nn1, lam, x - e, -twice_n)[0]) / (2 * h)
+    cert = delta_matrix(n, lam, prof, H(-twice_n), n)
+    assert np.abs(cert.delta @ x[::-1] - fd[::-1]).max() <= 1e-8
+
+
 def test_dirichlet_rows_lie_on_the_simplex():
     """Normalized expovariate(1.0) draws of Random(seed), row-major: the same seed gives the
     same rows, and the seed rule is the ascent's (negatives and floats refused)."""
@@ -405,12 +456,12 @@ def _serial_starts(n, lam, n_i, n_f, starts, seed):
     out = []
     for x in [np.full((npts, m), 1.0 / m),
               *quantum._dirichlet_rows(seed, (max(0, starts - 1), npts, m))]:
-        fx, t, iters, stop = quantum._raw_path(nn1, lam, x, t0), 1.0, 0, "max_iters"
+        fx, t, iters, stop = quantum._path_terms(nn1, lam, x, t0)[0], 1.0, 0, "max_iters"
         for iters in range(1, quantum._DESCENT_ITERS + 1):
-            g = quantum._raw_path_grad(nn1, lam, x, t0)
+            g = quantum._path_grad(x, *quantum._path_terms(nn1, lam, x, t0)[1:])
             for _ in range(40):
                 cand = quantum._project_simplex(x - t * g)
-                fc = quantum._raw_path(nn1, lam, cand, t0)
+                fc = quantum._path_terms(nn1, lam, cand, t0)[0]
                 gap = x - cand
                 if fc <= fx - 1e-4 * float(np.sum(gap * gap)) / max(t, 1e-16):
                     x, fx, t = cand, fc, t * 1.5
@@ -474,9 +525,10 @@ def test_path_gradient_matches_central_difference(twice_n):
     for idx in np.ndindex(x.shape):
         e = np.zeros_like(x)
         e[idx] = h
-        fd[idx] = (quantum._raw_path(nn1, 1.3, x + e, -twice_n)
-                   - quantum._raw_path(nn1, 1.3, x - e, -twice_n)) / (2 * h)
-    assert np.abs(quantum._raw_path_grad(nn1, 1.3, x, -twice_n) - fd).max() <= 1e-8
+        fd[idx] = (quantum._path_terms(nn1, 1.3, x + e, -twice_n)[0]
+                   - quantum._path_terms(nn1, 1.3, x - e, -twice_n)[0]) / (2 * h)
+    terms = quantum._path_terms(nn1, 1.3, x, -twice_n)[1:]
+    assert np.abs(quantum._path_grad(x, *terms) - fd).max() <= 1e-8
 
 
 @pytest.mark.parametrize("twice_n", [1, 2, 7, 40])
@@ -549,6 +601,25 @@ def test_partition_function_and_profile():
     w = thermal_profile(spectrum_, beta)
     assert w.sum() == pytest.approx(1.0)
     assert w[0] == pytest.approx(2.0 / 3.0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
+def test_partition_function_takes_the_profile_beta_rule(beta):
+    """nan gave nan and -1 gave 1.0 on the levels [-1000, 0], where thermal_profile raised."""
+    spectrum_ = EnergySpectrum(np.array([-1000.0, 0.0]))
+    for f in (partition_function, thermal_profile):
+        with pytest.raises(SphereDomainError, match="beta must be finite and >= 0"):
+            f(spectrum_, beta)
+
+
+@pytest.mark.parametrize("levels", [[-1000.0, 0.0], [1000.0, 2000.0]])
+def test_partition_function_outside_the_float_range(levels):
+    """Z(1) overflowed to inf with a RuntimeWarning on [-1000, 0] and underflowed to 0.0 on
+    [1000, 2000]; the shifted Boltzmann weights are finite on both."""
+    spectrum_ = EnergySpectrum(np.array(levels))
+    with pytest.raises(SphereDomainError, match=r"Z\(beta\) at beta = 1.0 leaves the float"):
+        partition_function(spectrum_, 1.0)
+    assert np.array_equal(thermal_profile(spectrum_, 1.0), [1.0, 0.0])
 
 
 def test_thermal_prefactor_bounds_and_monotonicity():
