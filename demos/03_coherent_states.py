@@ -38,13 +38,14 @@ def main():
     # The closed-form route measures the displacement against a single
     # ladder commutator. The full Connes supremum over the Lipschitz ball is
     # a different functional: the two agree at n = 1, and the ratio drifts
-    # away from 1 on either side. Both numbers are reported, not reconciled.
-    print("\n%6s  %14s  %14s  %12s" % ("n", "closed/|dz|", "sup/|dz|", "ratio"))
+    # away from 1 on either side. The supremum is a certified interval, a
+    # point at n = 1/2. Both numbers are reported, not reconciled.
+    print("\n%6s  %14s  %30s  %28s" % ("n", "closed/|dz|", "sup/|dz| interval", "ratio interval"))
     for t in (1, 2, 3, 4):
-        rep = coherent_route_report(HalfInteger(t), lam, seed=3)
-        print("%6s  %14.8f  %14.8f  %12.8f"
-              % (HalfInteger(t), rep["pipeline"],
-                 rep["optimizer_sup_per_dz"], rep["sup_to_closed_ratio"]))
+        rep = coherent_route_report(HalfInteger(t), lam)
+        print("%6s  %14.8f  [%13.10f, %13.10f]  [%12.10f, %12.10f]"
+              % (HalfInteger(t), rep["pipeline"], rep["sup_per_dz"], rep["sup_upper_per_dz"],
+                 rep["sup_to_closed_ratio"], rep["sup_upper_to_closed_ratio"]))
 
     # Large n: the equator-scale distance approaches 2 lam / sqrt(3) from
     # above, with relative deviation 2/(3n). It crosses 1% at n = 67.

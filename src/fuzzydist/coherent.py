@@ -12,8 +12,9 @@ derivation: one commutator block with the dimensionless ladder matrix, one
 overall radius factor. A separate finite-difference oracle builds the
 displaced projector exactly and extrapolates in |dz|. The route is not the
 same functional as the constrained supremum over the spectral triple's
-Lipschitz ball; coherent_route_report measures both and reports the gap
-rather than hiding it.
+Lipschitz ball; coherent_route_report measures both, the supremum as a
+certified interval from a log-barrier method, and reports the gap rather than
+hiding it.
 """
 
 from __future__ import annotations
@@ -217,20 +218,22 @@ def resolution_of_identity_residual(n, grid: int = 200) -> float:
     return float(np.abs(acc - np.eye(dim)).max())
 
 
-def coherent_route_report(n, lam: float = 1.0, seed: int = 42) -> dict:
-    """Reconcile the closed-form route against the constrained-supremum oracle.
+def coherent_route_report(n, lam: float = 1.0) -> dict:
+    """Reconcile the closed-form route against the constrained supremum.
 
     The closed-form derivation divides tr(drho^2) by the ladder commutator
     norm and multiplies by the radius. The Connes distance is instead the
     supremum of tr((rho' - rho) a) over the Lipschitz ball of the config
     triple. Both are computed here per unit |dz| at dz = 1e-4, together with
-    the two commutator norms involved, and the ratio is reported as-is: the
-    routes agree at n = 1, the supremum is half the closed form at n = 1/2,
-    and strictly larger for n >= 3/2. "sup_method" names the route behind the
-    supremum: "diagonal_exact" at n = 1/2, where every displacement is diagonal
-    in the n.x eigenbasis, and the ascent ("optimizer") from n = 1 on.
+    the two commutator norms involved. The supremum is a certified interval,
+    [sup_per_dz, sup_upper_per_dz], and both ends are reported against the
+    closed form as they are: the routes agree at n = 1, the supremum is half
+    the closed form at n = 1/2, and strictly larger for n >= 3/2. "sup_method"
+    names the route behind the interval: "diagonal_exact" at n = 1/2, where every
+    displacement is diagonal in the n.x eigenbasis and the interval is a point,
+    and the log-barrier method ("barrier") from n = 1 on.
     """
-    from .distance import connes_distance_optimized
+    from .distance import _certified_supremum
     from .triple import build_dirac, lipschitz_seminorm
 
     n = _halfint(n)
@@ -241,7 +244,7 @@ def coherent_route_report(n, lam: float = 1.0, seed: int = 42) -> dict:
     triple = build_dirac(sphere, "config")
     rho0 = HSOperator(sphere, coherent_state(sphere, 0j).projector())
     rho1 = HSOperator(sphere, coherent_state(sphere, complex(dz)).projector())
-    sup = connes_distance_optimized(triple, rho0, rho1, seed=seed)
+    sup = _certified_supremum(triple, rho0, rho1)
     closed = coherent_metric_coefficient(n, lam, 0j)
     return {
         "closed_form": closed,
@@ -249,8 +252,10 @@ def coherent_route_report(n, lam: float = 1.0, seed: int = 42) -> dict:
         "ladder_norm_per_dz": ladder_commutator_norm(sphere, drho) / dz,
         "ladder_norm_closed": math.sqrt(4.0 * nf * (3.0 * nf - 1.0)),
         "dirac_seminorm_per_dz": lipschitz_seminorm(triple, drho) / dz,
-        "optimizer_sup_per_dz": sup.value / dz,
+        "sup_per_dz": sup.value / dz,
+        "sup_upper_per_dz": sup.upper / dz,
         "sup_to_closed_ratio": sup.value / dz / closed,
+        "sup_upper_to_closed_ratio": sup.upper / dz / closed,
         "sup_method": sup.method,
     }
 

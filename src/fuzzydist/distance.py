@@ -6,10 +6,12 @@ Three routes to the spectral distance between states:
 * the general lower-bound formula tr(drho^2)/||[D, pi(drho)]||, and
 * the true supremum over the Lipschitz ball: exact, as a 1-D Kantorovich sum,
   for displacements diagonal in the n.x eigenbasis (n along their spin-1 part v),
-  which covers every pair at n = 1/2, and from a projected subgradient ascent
-  otherwise. Diagonal means off-diagonal within SYMMETRY_TOL max|drho| times the rounding
-  of n, min(dim max(1, lam max|drho|/|v|), 1e3), capped so that a rounding-sized v, whose
-  frame is arbitrary, goes to the ascent. A trace above rounding is at infinite distance.
+  which covers every pair at n = 1/2, and otherwise from a projected subgradient ascent
+  (connes_distance_optimized) or, on the config triple, as a certified interval from a
+  log-barrier method (_certified_supremum). Diagonal means off-diagonal within SYMMETRY_TOL
+  max|drho| times the rounding of n, min(dim max(1, lam max|drho|/|v|), 1e3), capped so that
+  a rounding-sized v, whose frame is arbitrary, goes to the ascent or the barrier. A trace
+  above rounding is at infinite distance.
 
 Plus the quantized polar angle and the continuum arc-length comparator.
 """
@@ -29,7 +31,7 @@ from .triple import SpectralTriple, _commutator, _hermitian_element, lipschitz_s
 
 
 class OptimizerError(RuntimeError):
-    """Ascent failed to converge; .best_value still holds a valid lower bound."""
+    """Ascent or barrier failed to converge; .best_value still holds a valid lower bound."""
 
     def __init__(self, message, best_value=None):
         super().__init__(message)
@@ -38,12 +40,13 @@ class OptimizerError(RuntimeError):
 
 @dataclass
 class DistanceResult:
-    value: float
-    method: str  # norm_pipeline | diagonal_exact | optimizer (the ascent)
+    value: float  # the supremum, or a lower bound on it (norm_pipeline, optimizer, barrier)
+    method: str  # norm_pipeline | diagonal_exact | optimizer (the ascent) | barrier
     certificate: Optional[np.ndarray] = None
     ball_residual: Optional[float] = None
-    iterations: Optional[int] = None  # the ascent's best start's iterations; 0 if exact
-    stop: Optional[str] = None  # "stalled" or "zero_gradient" (ascent), "exact" (diagonal)
+    iterations: Optional[int] = None  # ascent: its best start's iterations; barrier: Newton steps
+    stop: Optional[str] = None  # "stalled"/"zero_gradient" (ascent), "exact", "certified" (barrier)
+    upper: Optional[float] = None  # value if exact, the dual bound (barrier), else None
 
 
 def adjacent_distance_closed_form(n, n3, lam: float = 1.0) -> float:
@@ -143,18 +146,33 @@ _FRAME_SLACK = 1e3  # the most the n.x frame test widens SYMMETRY_TOL for roundi
 
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, seed: int = 42) -> DistanceResult:
     """Maximize tr(drho a) over Hermitian a, ||[D, pi(a)]|| <= 1, drho = rho2 - rho: exactly if
-    drho is diagonal in the n.x eigenbasis (_diagonal_supremum), else by _ascend, the one user
-    of seed. drho obeys the seminorm's input rule: SphereDomainError unless it is dim x dim,
-    finite and Hermitian within SYMMETRY_TOL (_hermitian_element), as in distance_lower_bound.
-    ArithmeticError if |tr drho| exceeds rounding: a + t I then raises
-    tr(drho a) without bound, so the distance is infinite. On the quantum triple the same
-    holds for its right marginal, the partial trace over the left index, as I (x) B
-    commutes with D_q. drho = 0 is exact at 0, with no potential."""
+    drho is diagonal in the n.x eigenbasis, else by _ascend, the one user of seed; the input
+    rules are _supremum's."""
+    return _supremum(triple, rho, rho2,
+                     lambda drho: _ascend(triple, drho, _MAX_ITERS, seed, _RESTARTS))
+
+
+def _certified_supremum(triple: SpectralTriple, rho, rho2) -> DistanceResult:
+    """The supremum of connes_distance_optimized as a certified interval [value, upper]: exact
+    if drho is diagonal in the n.x eigenbasis, else by _barrier (config triple only); the input
+    rules are _supremum's."""
+    return _supremum(triple, rho, rho2, lambda drho: _barrier(triple, drho))
+
+
+def _supremum(triple, rho, rho2, fallback) -> DistanceResult:
+    """The supremum of tr(drho a) over the Lipschitz ball, drho = rho2 - rho: _diagonal_supremum
+    if drho is diagonal in the n.x eigenbasis, else fallback(drho). drho obeys the seminorm's
+    input rule: SphereDomainError unless it is dim x dim, finite and Hermitian within
+    SYMMETRY_TOL (_hermitian_element), as in distance_lower_bound. ArithmeticError if
+    |tr drho| exceeds rounding: a + t I then raises tr(drho a) without bound, so the distance
+    is infinite. On the quantum triple the same holds for its right marginal, the partial
+    trace over the left index, as I (x) B commutes with D_q. drho = 0 is exact at 0, with no
+    potential."""
     m, m2 = _matrix_of(rho), _matrix_of(rho2)
     drho = _hermitian_element(triple, m2 - m)
     scale = np.abs(drho).max()
     if scale == 0.0:
-        return DistanceResult(0.0, "diagonal_exact", None, None, 0, "exact")
+        return DistanceResult(0.0, "diagonal_exact", None, None, 0, "exact", 0.0)
     t = np.trace(drho)
     if abs(t) > SYMMETRY_TOL * max(1.0, abs(np.trace(m)), abs(np.trace(m2))):
         raise ArithmeticError("displacement of trace %.3e: infinite distance" % abs(t))
@@ -167,7 +185,7 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, seed: int = 42)
     V, r = None, drho0  # exactly diagonal: the n3 basis itself, V = I with no eigh
     if (drho - np.diag(np.diagonal(drho))).any():
         xs = (triple.sphere.x1, triple.sphere.x2, triple.sphere.x3)
-        # v_i = Re tr(drho x_i); the quantum triple's algebra M_(dim^2) keeps the ascent
+        # v_i = Re tr(drho x_i); the quantum triple's algebra M_(dim^2) keeps the fallback
         v = [np.vdot(x, drho).real for x in xs] if triple.representation == "config" else []
         if any(v):  # columns by descending eigenvalue, the row order of n3
             V = np.linalg.eigh(np.tensordot(v, xs, 1))[1][:, ::-1]
@@ -175,7 +193,7 @@ def connes_distance_optimized(triple: SpectralTriple, rho, rho2, seed: int = 42)
             # rounding in n = v/|v| and V grows as dim lam scale/|v| (measured at 2n <= 40)
             slack = min(len(r) * max(1.0, triple.sphere.lam * scale / math.hypot(*v)), _FRAME_SLACK)
         if V is None or np.abs(r - np.diag(np.diagonal(r))).max() > SYMMETRY_TOL * scale * slack:
-            return _ascend(triple, drho, _MAX_ITERS, seed, _RESTARTS)
+            return fallback(drho)
     return _diagonal_supremum(triple, drho0, np.diagonal(r).real, V)
 
 
@@ -204,8 +222,9 @@ def _diagonal_supremum(triple, drho, d, V) -> DistanceResult:
     if V is not None:
         a = V @ a @ V.conj().T
         a = (a + a.conj().T) / 2.0
-    return DistanceResult(float(np.real(np.trace(drho @ a))), "diagonal_exact", a,
-                          abs(lipschitz_seminorm(triple, a) - 1.0), 0, "exact")
+    value = float(np.real(np.trace(drho @ a)))
+    return DistanceResult(value, "diagonal_exact", a, abs(lipschitz_seminorm(triple, a) - 1.0), 0,
+                          "exact", value)
 
 
 def _starts(drho, seed, restarts):
@@ -327,3 +346,108 @@ def _ascend(triple, drho, max_iters, seed, restarts) -> DistanceResult:
                              % max_iters, best_value=value)
     residual = abs(lipschitz_seminorm(triple, a_star) - 1.0)
     return DistanceResult(value, "optimizer", a_star, residual, int(iters[best]), _STOPS[stop[best]])
+
+
+# ---------------------------------------------------------------------------
+# log-barrier path following: a certified interval for the Connes supremum
+
+_GROW = 8.0  # the barrier weight t grows by this factor at every centred point
+_CENTRED = 0.25  # Newton decrement below which a point is centred: full steps, and t grows
+_GAP = 1e-9  # stop once upper - lower <= _GAP lower
+_NEWTON_CAP = 200  # Newton steps before OptimizerError; the coherent pairs at 2n <= 4 take < 80
+
+
+def _traceless_basis(dim, real):
+    """Orthonormal basis of the traceless Hermitian dim x dim matrices, or of the real symmetric
+    ones if real: (E_ij + E_ji)/sqrt 2 for i < j, then i(E_ji - E_ij)/sqrt 2 unless real, then
+    diag(1, .., 1, -k, 0, .., 0)/sqrt(k(k + 1)) with k ones, k = 1..dim-1."""
+    i, j = np.triu_indices(dim, 1)
+    r = np.arange(len(i))
+    sym = np.zeros((len(i), dim, dim), dtype=complex)
+    sym[r, i, j] = sym[r, j, i] = math.sqrt(0.5)
+    parts = [sym]
+    if not real:
+        anti = np.zeros_like(sym)
+        anti[r, i, j], anti[r, j, i] = -1j * math.sqrt(0.5), 1j * math.sqrt(0.5)
+        parts.append(anti)
+    k = np.arange(1, dim)[:, None]
+    cols = np.arange(dim)
+    diag = ((cols < k) - k * (cols == k)) / np.sqrt(k * (k + 1.0))
+    parts.append(diag[:, :, None] * np.eye(dim))
+    return np.concatenate(parts)
+
+
+def _barrier(triple, drho) -> DistanceResult:
+    """Certified supremum of tr(drho a) over the config triple's Lipschitz ball, drho traceless
+    within rounding, by log-barrier path following (Vandenberghe & Boyd, SIAM Rev. 38 (1996)).
+
+    a = sum_k x_k B_k over _traceless_basis, real symmetric if drho is real: D is real, so for
+    real drho, Re a is as good as a. The problem is max c.x, c_k = tr(drho B_k)/s with
+    s = max|drho|, subject to -I <= K(x) <= I, K(x) = sum_k x_k M_k, M_k = i[D, pi(B_k)].
+    Newton steps minimize -t c.x - log det(I - K) - log det(I + K), damped by 1/(1 + decrement)
+    until the decrement is below _CENTRED, where t grows by _GROW. Every iterate is strictly
+    feasible, so c.x/||K|| is a lower bound, attained by a/||K||.
+
+    The upper bound is the barrier dual (P - Q)/t, P = (I - K)^-1 and Q = (I + K)^-1, taken at
+    the Newton point x + dx to first order, (P - Q + P dK P + Q dK Q)/t with dK = K(dx): by
+    the Newton equation it satisfies <Z, M_k> = c_k, and the Gram pseudo-inverse moves it back
+    onto that plane after rounding. Then c.x' = <Z, K(x')> <= ||Z||_* for every feasible x', so
+    the nuclear norm ||Z||_* bounds the supremum. It is formed at each centred point and the
+    smallest is kept. (P - Q)/t itself, projected, left gaps up to 1.7e-8 when each stage ended
+    at a decrement of 1e-3, and Newton stalls on rounding before a decrement of 1e-6.) Stops once
+    upper - lower <= _GAP lower, and raises OptimizerError, the lower bound as best_value, if
+    that takes more than _NEWTON_CAP Newton steps.
+
+    Returns the lower bound as value, its potential a/||[D, pi(a)]|| (rescaled by the dense
+    seminorm) with its ball residual, the Newton steps taken, and the upper bound as upper."""
+    if triple.representation != "config":
+        raise SphereDomainError("the certified supremum is for the config triple only")
+    scale = np.abs(drho).max()
+    B = _traceless_basis(len(drho), not drho.imag.any())
+    M = 1j * _commutator(triple, B)
+    c = np.einsum("ij,kji->k", drho, B).real / scale
+    N = len(M[0])
+    flat = M.reshape(len(B), -1)
+    gram_inv = np.linalg.pinv((flat.conj() @ flat.T).real)  # <M_k, M_l> in every basis
+    x = best = np.zeros(len(B))
+    lam, U = np.zeros(N), np.eye(N)
+    t, lower, upper = 1.0, -math.inf, math.inf
+    for steps in range(_NEWTON_CAP + 1):
+        norm = np.abs(lam).max()
+        if norm > 0.0 and c @ x / norm > lower:
+            lower, best = c @ x / norm, x
+        p, q = 1.0 / (1.0 - lam), 1.0 / (1.0 + lam)  # P and Q in the eigenbasis U of K
+        Mt = U.conj().T @ M @ U
+        dphi = np.diagonal(Mt, axis1=1, axis2=2).real @ (p - q)  # <P - Q, M_k>
+        Mt = Mt.reshape(len(B), -1)
+        w = (np.outer(p, p) + np.outer(q, q)).ravel()
+        hess = ((Mt * w) @ Mt.conj().T).real  # tr(P M_k P M_l) + tr(Q M_k Q M_l)
+        g = dphi - t * c
+        dx = np.linalg.solve(hess, -g)
+        dec = math.sqrt(max(-(g @ dx), 0.0))  # the Newton decrement
+        if dec <= _CENTRED:  # bound the supremum from the dual at x + dx
+            Z = np.diag(p - q).ravel() + w * (dx @ Mt)  # t Z, in the eigenbasis of K
+            Z = (Z + (gram_inv @ (t * c - (Mt.conj() @ Z).real)) @ Mt) / t
+            upper = min(upper, np.abs(np.linalg.eigvalsh(Z.reshape(N, N))).sum())
+        if upper - lower <= _GAP * lower or steps == _NEWTON_CAP:
+            break
+        if dec <= _CENTRED:  # then move t on along the path
+            t *= _GROW
+            g = dphi - t * c
+            dx = np.linalg.solve(hess, -g)
+            dec = math.sqrt(max(-(g @ dx), 0.0))
+        step = 1.0 / (1.0 + dec) if dec > _CENTRED else 1.0
+        while True:  # in exact arithmetic the first step is feasible; x itself always is
+            lam, U = np.linalg.eigh(((x + step * dx) @ flat).reshape(N, N))
+            if np.abs(lam).max() < 1.0:
+                break
+            step /= 2.0
+        x = x + step * dx
+    a = np.tensordot(best, B, 1)
+    a_star = a / lipschitz_seminorm(triple, a)
+    value = float(np.real(np.trace(drho @ a_star)))
+    if not upper - lower <= _GAP * lower:
+        raise OptimizerError("barrier gap still open after %d Newton steps: upper - lower = "
+                             "%.1e lower" % (_NEWTON_CAP, (upper - lower) / lower), best_value=value)
+    return DistanceResult(value, "barrier", a_star, abs(lipschitz_seminorm(triple, a_star) - 1.0),
+                          steps, "certified", float(upper * scale))

@@ -266,16 +266,21 @@ def _coherent_distance(seed):
 def _coherent_sup_gap(seed):
     # the closed form divides by the ladder commutator norm, the Connes
     # distance takes a supremum over the full Lipschitz ball; the two
-    # functionals coincide only at n = 1
-    ratios = {}
+    # functionals coincide only at n = 1. At n = 3/2 the certified interval
+    # must meet [1.2342597834, 1.2342597838], the value two independent
+    # log-barrier solvers certified
+    lo, hi = {}, {}
     for t in (1, 2, 3):
-        rep = coherent.coherent_route_report(HalfInteger(t), 1.0, seed=seed)
-        ratios[t] = rep["sup_to_closed_ratio"]
-    dev_half = abs(ratios[1] - 0.5)
-    dev_one = abs(ratios[2] - 1.0)
-    passed = dev_half <= 1e-5 and dev_one <= 1e-5 and 1.10 < ratios[3] < 1.20
+        rep = coherent.coherent_route_report(HalfInteger(t), 1.0)
+        lo[t], hi[t] = rep["sup_to_closed_ratio"], rep["sup_upper_to_closed_ratio"]
+    dev_half = abs(lo[1] - 0.5)
+    dev_one = _worst(abs(lo[2] - 1.0), abs(hi[2] - 1.0))
+    width = (hi[3] - lo[3]) / lo[3]
+    passed = (dev_half <= 1e-5 and dev_one <= 1e-5 and width <= 1e-8
+              and lo[3] <= 1.2342597838 and hi[3] >= 1.2342597834)
     return (passed, _worst(dev_half, dev_one),
-            "sup/closed = %.6f, %.6f, %.6f at n = 1/2, 1, 3/2" % (ratios[1], ratios[2], ratios[3]))
+            "sup/closed = %.6f at n = 1/2, in [%.10f, %.10f] at n = 1, [%.10f, %.10f] at n = 3/2"
+            % (lo[1], lo[2], hi[2], lo[3], hi[3]))
 
 
 @_check("coherent-resolution-identity")
@@ -404,16 +409,30 @@ def _stationarity(seed):
         uni = quantum.ProbabilityProfile.uniform(n)
         cert = quantum.delta_matrix(n, 1.0, uni, HalfInteger(-t), HalfInteger(t))
         worst_uniform = _worst(worst_uniform, cert.residual)
-        if np.abs(cert.delta - cert.delta.T).max() > 1e-14:
-            return False, worst_uniform, "certificate matrix lost symmetry"
     n = HalfInteger(2)
+    labels = sphere._labels(n)
     raw = quantum._dirichlet_rows(seed, (3, 3))
-    pert = quantum.ProbabilityProfile(n, dict(zip(sphere._labels(n), raw)))
+    pert = quantum.ProbabilityProfile(n, dict(zip(labels, raw)))
     cert_p = quantum.delta_matrix(n, 1.0, pert, HalfInteger(-2), HalfInteger(2))
-    passed = worst_uniform <= 1e-10 and cert_p.residual > 1e-4
+    # delta P is the path distance's gradient: along a random direction that keeps every row
+    # on the simplex, it must match a central difference of path_distance
+    gauss = sphere._random(seed).gauss
+    g = np.array([gauss(0.0, 1.0) for _ in range(raw.size)]).reshape(raw.shape)
+    e = raw * (g - (raw * g).sum(axis=1, keepdims=True))  # zero row sums, zero where P is
+
+    def path(rows):
+        prof = quantum.ProbabilityProfile(n, dict(zip(labels, rows)))
+        return quantum.path_distance(n, 1.0, prof, HalfInteger(-2), HalfInteger(2))
+
+    h = 1e-6
+    fd = (path(raw + h * e) - path(raw - h * e)) / (2.0 * h)
+    grad = float(np.sum((cert_p.delta @ raw) * e))  # delta's rows run n3 descending, as labels do
+    grad_dev = abs(grad - fd) / max(abs(fd), 1.0)
+    passed = worst_uniform <= 1e-10 and cert_p.residual > 1e-4 and grad_dev <= 1e-7
     return (passed, worst_uniform,
-            "uniform profile stationary (residual %.1e); perturbed profile not (%.3f)"
-            % (worst_uniform, cert_p.residual))
+            "uniform profile stationary (residual %.1e); perturbed profile not (%.3f), "
+            "its delta P the central-difference gradient within %.1e"
+            % (worst_uniform, cert_p.residual, grad_dev))
 
 
 @_check("minimizer-recovers-uniform")

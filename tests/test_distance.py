@@ -29,7 +29,13 @@ from fuzzydist.distance import (
 )
 from fuzzydist.halfint import HalfInteger
 from fuzzydist.sphere import HSOperator, SphereDomainError, build_space, pure_state
-from fuzzydist.triple import _commutator, build_dirac, dirac_commutator, lipschitz_seminorm
+from fuzzydist.triple import (
+    _commutator,
+    _hermitian_element,
+    build_dirac,
+    dirac_commutator,
+    lipschitz_seminorm,
+)
 
 H = HalfInteger
 
@@ -92,8 +98,9 @@ def test_lower_bound_zero_displacement():
     rho = pure_state(s, H(0))
     res = distance_lower_bound(tr, rho, rho)
     assert res.value == 0.0
-    assert connes_distance_optimized(tr, rho, rho) == DistanceResult(0.0, "diagonal_exact", None,
-                                                                     None, 0, "exact")
+    zero = DistanceResult(0.0, "diagonal_exact", None, None, 0, "exact", 0.0)
+    assert connes_distance_optimized(tr, rho, rho) == zero
+    assert distance._certified_supremum(tr, rho, rho) == zero
 
 
 def test_optimizer_reaches_lower_bound():
@@ -254,12 +261,13 @@ def test_nonzero_trace_is_infinite_distance():
     s = build_space(H(2), 1.0)
     tr = build_dirac(s, "config")
     p, q = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 2.0, 0.0])
-    for rho, rho2 in ((p, q), (q, p)):
+    rho3 = coherent_state(s, 0.3 + 0.4j).projector()
+    for route in (connes_distance_optimized, distance._certified_supremum):
+        for rho, rho2 in ((p, q), (q, p)):
+            with pytest.raises(ArithmeticError, match="infinite distance"):
+                route(tr, rho, rho2)
         with pytest.raises(ArithmeticError, match="infinite distance"):
-            connes_distance_optimized(tr, rho, rho2)
-    rho = coherent_state(s, 0.3 + 0.4j).projector()
-    with pytest.raises(ArithmeticError, match="infinite distance"):
-        connes_distance_optimized(tr, rho, 1.5 * coherent_state(s, -0.5 + 0.1j).projector())
+            route(tr, rho3, 1.5 * coherent_state(s, -0.5 + 0.1j).projector())
 
 
 @pytest.mark.parametrize("case", ["imaginary_diagonal", "lone_off_diagonal", "wrong_shape",
@@ -284,7 +292,7 @@ def test_both_routes_share_the_seminorm_input_rule(case):
         rho2[2, 2] = np.nan
     with pytest.raises(SphereDomainError) as seminorm:
         lipschitz_seminorm(tr, rho2 - rho)
-    for route in (connes_distance_optimized, distance_lower_bound):
+    for route in (connes_distance_optimized, distance._certified_supremum, distance_lower_bound):
         with pytest.raises(SphereDomainError) as info:
             route(tr, rho, rho2)
         assert str(info.value) == str(seminorm.value), route.__name__
@@ -301,8 +309,9 @@ def test_quantum_triple_sums_the_config_route_over_right_sectors():
     tr = build_dirac(build_space(H(1), 1.0), "quantum")
     psi = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
     for rho2 in (np.diag([0.0, 1.0, 0.0, 0.0]), np.outer(psi, psi)):
-        with pytest.raises(ArithmeticError, match="infinite distance"):
-            connes_distance_optimized(tr, np.diag([1.0, 0.0, 0.0, 0.0]), rho2)
+        for route in (connes_distance_optimized, distance._certified_supremum):
+            with pytest.raises(ArithmeticError, match="infinite distance"):
+                route(tr, np.diag([1.0, 0.0, 0.0, 0.0]), rho2)
     for twice_n, want in ((1, 0.6196602723327878), (2, 1.2297271498300795),
                           (3, 1.0973662266217152)):
         dim = twice_n + 1
@@ -474,6 +483,72 @@ def test_su2_invariance_routes():
         assert (got.value, got.iterations, got.stop) == (want.value, want.iterations, want.stop)
         assert got.certificate.tobytes() == want.certificate.tobytes()
         assert got.method == "optimizer"
+
+
+def _coherent_pair(twice_n, z, z2):
+    s = build_space(H(twice_n), 1.0)
+    return build_dirac(s, "config"), *(coherent_state(s, w).projector() for w in (z, z2))
+
+
+def test_barrier_interval_holds_the_exact_value():
+    """The barrier reads no band weight and no Kantorovich sum, so on pairs diagonal in an
+    n.x eigenbasis its interval is checked against the exact route's value: adjacent and
+    pole-to-pole pure states (real, the symmetric basis) and a rotated diagonal mixed pair
+    (complex, the full basis), at 2n <= 4."""
+    pairs = []
+    for twice_n in (2, 4):
+        s = build_space(H(twice_n), 1.3)
+        pairs.append((s, pure_state(s, H(twice_n - 2)).matrix, pure_state(s, H(twice_n)).matrix))
+        pairs.append((s, pure_state(s, H(-twice_n)).matrix, pure_state(s, H(twice_n)).matrix))
+    s = build_space(H(3), 0.8)
+    p, q = np.random.default_rng(3).dirichlet(np.ones(4), size=2)
+    rot = _rotation(s, 1.1, 0.4)
+    pairs.append((s, rot @ np.diag(p) @ rot.conj().T, rot @ np.diag(q) @ rot.conj().T))
+    for s, rho, rho2 in pairs:
+        tr = build_dirac(s, "config")
+        exact = connes_distance_optimized(tr, rho, rho2)
+        assert exact.method == "diagonal_exact" and exact.upper == exact.value
+        got = distance._barrier(tr, _hermitian_element(tr, rho2 - rho))
+        assert (got.method, got.stop) == ("barrier", "certified")
+        assert got.value <= exact.value * (1.0 + 1e-12)
+        assert got.upper >= exact.value * (1.0 - 1e-12)
+        assert got.upper - got.value <= 1e-9 * got.value * (1.0 + 1e-6)
+        assert got.ball_residual <= 1e-12
+        assert abs(np.trace((rho2 - rho) @ got.certificate).real - got.value) <= 1e-12 * got.value
+
+
+@pytest.mark.parametrize("twice_n, z, z2", [(2, 0j, 1e-4 + 0j), (3, 0j, 1e-4 + 0j),
+                                            (3, 0.3 + 0.4j, -0.5 + 0.1j), (4, 0j, 0.5 + 0j)])
+def test_lower_bounds_stay_below_the_barrier_upper(twice_n, z, z2):
+    """On coherent pairs, which no exact route covers, the lower-bound formula and the
+    ascent are feasible values, so neither may exceed the barrier's dual bound; at 2n = 4,
+    z = 0 -> 0.5 the interval meets the value [1.9094651358, 1.9094651364] that another
+    solver certified, where the ascent stops 15% short."""
+    tr, rho, rho2 = _coherent_pair(twice_n, z, z2)
+    got = distance._certified_supremum(tr, rho, rho2)
+    assert (got.method, got.stop) == ("barrier", "certified")
+    assert 0.0 <= got.upper - got.value <= 1e-9 * got.value * (1.0 + 1e-6)
+    assert distance_lower_bound(tr, rho, rho2).value <= got.upper
+    assert connes_distance_optimized(tr, rho, rho2).value <= got.upper
+    assert got.value == pytest.approx(distance._certified_supremum(tr, rho2, rho).value, rel=2e-9)
+    if (twice_n, z2) == (4, 0.5 + 0j):
+        assert got.value <= 1.9094651364 and got.upper >= 1.9094651358
+
+
+def test_barrier_raises_at_the_newton_cap(monkeypatch):
+    """Three Newton steps leave the gap open: OptimizerError, with a feasible value below the
+    certified supremum as best_value. The quantum triple, whose commutant I (x) B makes the
+    barrier's Hessian singular, is refused."""
+    tr, rho, rho2 = _coherent_pair(3, 0j, 0.5 + 0j)
+    full = distance._certified_supremum(tr, rho, rho2)
+    monkeypatch.setattr(distance, "_NEWTON_CAP", 3)
+    with pytest.raises(OptimizerError, match="still open after 3 Newton steps") as err:
+        distance._certified_supremum(tr, rho, rho2)
+    assert 0.0 < err.value.best_value < full.value
+    psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    with pytest.raises(SphereDomainError, match="config triple"):
+        distance._certified_supremum(build_dirac(build_space(H(1), 1.0), "quantum"),
+                                     np.diag([0.5, 0.0, 0.0, 0.5]), np.outer(psi, psi))
 
 
 def _reference_pairs():
