@@ -357,32 +357,27 @@ _GAP = 1e-9  # stop once upper - lower <= _GAP lower
 _NEWTON_CAP = 200  # Newton steps before OptimizerError; the coherent pairs at 2n <= 4 take < 80
 
 
-def _traceless_basis(dim, real):
-    """Orthonormal basis of the traceless Hermitian dim x dim matrices, or of the real symmetric
-    ones if real: (E_ij + E_ji)/sqrt 2 for i < j, then i(E_ji - E_ij)/sqrt 2 unless real, then
-    diag(1, .., 1, -k, 0, .., 0)/sqrt(k(k + 1)) with k ones, k = 1..dim-1."""
+def _traceless_basis(dim):
+    """Orthonormal basis of the traceless Hermitian dim x dim matrices: (E_ij + E_ji)/sqrt 2 for
+    i < j, then i(E_ji - E_ij)/sqrt 2, then diag(1, .., 1, -k, 0, .., 0)/sqrt(k(k + 1)) with
+    k ones, k = 1..dim-1."""
     i, j = np.triu_indices(dim, 1)
     r = np.arange(len(i))
     sym = np.zeros((len(i), dim, dim), dtype=complex)
     sym[r, i, j] = sym[r, j, i] = math.sqrt(0.5)
-    parts = [sym]
-    if not real:
-        anti = np.zeros_like(sym)
-        anti[r, i, j], anti[r, j, i] = -1j * math.sqrt(0.5), 1j * math.sqrt(0.5)
-        parts.append(anti)
+    anti = np.zeros_like(sym)
+    anti[r, i, j], anti[r, j, i] = -1j * math.sqrt(0.5), 1j * math.sqrt(0.5)
     k = np.arange(1, dim)[:, None]
     cols = np.arange(dim)
     diag = ((cols < k) - k * (cols == k)) / np.sqrt(k * (k + 1.0))
-    parts.append(diag[:, :, None] * np.eye(dim))
-    return np.concatenate(parts)
+    return np.concatenate([sym, anti, diag[:, :, None] * np.eye(dim)])
 
 
 def _barrier(triple, drho) -> DistanceResult:
     """Certified supremum of tr(drho a) over the config triple's Lipschitz ball, drho traceless
     within rounding, by log-barrier path following (Vandenberghe & Boyd, SIAM Rev. 38 (1996)).
 
-    a = sum_k x_k B_k over _traceless_basis, real symmetric if drho is real: D is real, so for
-    real drho, Re a is as good as a. The problem is max c.x, c_k = tr(drho B_k)/s with
+    a = sum_k x_k B_k over _traceless_basis. The problem is max c.x, c_k = tr(drho B_k)/s with
     s = max|drho|, subject to -I <= K(x) <= I, K(x) = sum_k x_k M_k, M_k = i[D, pi(B_k)].
     Newton steps minimize -t c.x - log det(I - K) - log det(I + K), damped by 1/(1 + decrement)
     until the decrement is below _CENTRED, where t grows by _GROW. Every iterate is strictly
@@ -403,7 +398,7 @@ def _barrier(triple, drho) -> DistanceResult:
     if triple.representation != "config":
         raise SphereDomainError("the certified supremum is for the config triple only")
     scale = np.abs(drho).max()
-    B = _traceless_basis(len(drho), not drho.imag.any())
+    B = _traceless_basis(len(drho))
     M = 1j * _commutator(triple, B)
     c = np.einsum("ij,kji->k", drho, B).real / scale
     N = len(M[0])

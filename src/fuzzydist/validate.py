@@ -267,8 +267,10 @@ def _coherent_sup_gap(seed):
     # the closed form divides by the ladder commutator norm, the Connes
     # distance takes a supremum over the full Lipschitz ball; the two
     # functionals coincide only at n = 1. At n = 3/2 the certified interval
-    # must meet [1.2342597834, 1.2342597838], the value two independent
-    # log-barrier solvers certified
+    # must meet [1.2342597834, 1.2342597838]: a constant that two log-barrier
+    # solvers outside this package certified. Neither solver is in the
+    # repository, so the constant cannot be regenerated from it; inside the
+    # package the interval is checked only by its own dual bound
     lo, hi = {}, {}
     for t in (1, 2, 3):
         rep = coherent.coherent_route_report(HalfInteger(t), 1.0)

@@ -190,7 +190,9 @@ def test_route_report_sup_ratios():
     at n = 1/2, where the exact route answers, and within 1e-9 relative from the
     barrier above. At n = 3/2 and n = 2 it meets the intervals [1.2342597834,
     1.2342597838] and [1.3635305376, 1.3635305380] that independent log-barrier
-    solvers certified; the ascent stops at 1.145 and 1.221 there. The ratios at
+    solvers outside the package certified (they are not in the repository, so
+    these constants cannot be regenerated from it); the ascent stops at 1.145
+    and 1.221 there. The ratios at
     n = 1/2 and 1 are the validate check coherent-sup-gap.
     """
     rep = coherent_route_report(H(1), 1.0)

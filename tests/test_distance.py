@@ -493,8 +493,7 @@ def _coherent_pair(twice_n, z, z2):
 def test_barrier_interval_holds_the_exact_value():
     """The barrier reads no band weight and no Kantorovich sum, so on pairs diagonal in an
     n.x eigenbasis its interval is checked against the exact route's value: adjacent and
-    pole-to-pole pure states (real, the symmetric basis) and a rotated diagonal mixed pair
-    (complex, the full basis), at 2n <= 4."""
+    pole-to-pole pure states and a rotated diagonal mixed pair, at 2n <= 4."""
     pairs = []
     for twice_n in (2, 4):
         s = build_space(H(twice_n), 1.3)
@@ -522,8 +521,9 @@ def test_barrier_interval_holds_the_exact_value():
 def test_lower_bounds_stay_below_the_barrier_upper(twice_n, z, z2):
     """On coherent pairs, which no exact route covers, the lower-bound formula and the
     ascent are feasible values, so neither may exceed the barrier's dual bound; at 2n = 4,
-    z = 0 -> 0.5 the interval meets the value [1.9094651358, 1.9094651364] that another
-    solver certified, where the ascent stops 15% short."""
+    z = 0 -> 0.5 the interval meets the value [1.9094651358, 1.9094651364] that a solver
+    outside the package certified (not in the repository, so the constant cannot be
+    regenerated from it), where the ascent stops 15% short."""
     tr, rho, rho2 = _coherent_pair(twice_n, z, z2)
     got = distance._certified_supremum(tr, rho, rho2)
     assert (got.method, got.stop) == ("barrier", "certified")
