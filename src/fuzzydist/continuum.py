@@ -7,6 +7,16 @@ matrices, monopole connection components on the two charts, and the
 tautological line-bundle connection in the stereographic chart.
 
 Everything is checked numerically at sampled points; no computer algebra.
+
+Broadcasting: every function of a point of S^3 (its angles, the fields of an
+EulerPoint, or a spinor) takes arrays as well as numbers, and broadcasts over
+their leading axes. A result that is one number per point comes back as a float
+for scalar arguments and as an array of the broadcast shape for stacked ones; a
+vector or matrix per point gets its own trailing axes, (..., 2) for a spinor,
+(..., 3) for a Hopf image or Killing field, (..., 3, 3) for the metric and
+(..., 2, 2) for a Clifford generator. Scalar and stacked calls run the same
+code, so a sample of points is checked in one call. The stereographic
+connection functions take one complex point each.
 """
 
 from __future__ import annotations
@@ -24,6 +34,25 @@ class GeometryDomainError(ValueError):
     pass
 
 
+def _real(x):
+    """A per-point result as a float for a single point, as the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _uniform(rng, samples: int, *bounds) -> np.ndarray:
+    """One column per (lo, hi) of `samples` rows of rng.uniform(lo, hi), drawn row by row."""
+    draws = [rng.uniform(lo, hi) for _ in range(samples) for lo, hi in bounds]
+    return np.array(draws).reshape(samples, len(bounds)).T
+
+
+def _sin_off_poles(theta, what: str):
+    """sin(theta), refused where it vanishes; a nan passes and propagates."""
+    st = np.sin(theta)
+    if np.any(np.abs(st) < 1e-12):
+        raise GeometryDomainError("%s singular at the poles" % what)
+    return st
+
+
 @dataclass(frozen=True)
 class EulerPoint:
     r: float
@@ -32,12 +61,12 @@ class EulerPoint:
     psi: float
 
     def __post_init__(self):
-        if not self.r > 0:
+        if not np.all(np.greater(self.r, 0)):
             raise GeometryDomainError("radius must be positive")
 
 
 def euler_to_spinor(p: EulerPoint) -> np.ndarray:
-    """Two-component spinor of the S^3 point (r, theta, phi, psi).
+    """Two-component spinor of the S^3 point (r, theta, phi, psi), on the last axis.
 
     chi = sqrt(r) (cos(theta/2) e^{-i(phi+psi)/2}, sin(theta/2) e^{+i(phi-psi)/2}).
     The phase signs are fixed by requiring the Hopf projection chi^dag
@@ -45,26 +74,22 @@ def euler_to_spinor(p: EulerPoint) -> np.ndarray:
     (conjugated) choice flips the sign of the second component, see
     spinor_convention_report.
     """
-    sr = math.sqrt(p.r)
-    return np.array([
-        sr * math.cos(p.theta / 2.0) * cmath.exp(-0.5j * (p.phi + p.psi)),
-        sr * math.sin(p.theta / 2.0) * cmath.exp(0.5j * (p.phi - p.psi)),
-    ])
+    sr = np.sqrt(p.r)
+    return np.stack([sr * np.cos(p.theta / 2.0) * np.exp(-0.5j * (p.phi + p.psi)),
+                     sr * np.sin(p.theta / 2.0) * np.exp(0.5j * (p.phi - p.psi))], axis=-1)
 
 
 def hopf_projection(chi: np.ndarray) -> np.ndarray:
-    """x_i = chi^dag sigma_i chi."""
-    return np.array([float(np.real(chi.conj() @ (s @ chi))) for s in _pauli()])
+    """x_i = chi^dag sigma_i chi, on the last axis."""
+    return np.einsum("...a,iab,...b->...i", chi.conj(), _pauli(), chi).real
 
 
-def hopf_deviation(p: EulerPoint, spinor_fn=euler_to_spinor) -> float:
+def hopf_deviation(p: EulerPoint, spinor_fn=euler_to_spinor):
     x = hopf_projection(spinor_fn(p))
-    expect = p.r * np.array([
-        math.sin(p.theta) * math.cos(p.phi),
-        math.sin(p.theta) * math.sin(p.phi),
-        math.cos(p.theta),
-    ])
-    return float(np.abs(x - expect).max())
+    st = np.sin(p.theta)
+    expect = np.stack(np.broadcast_arrays(st * np.cos(p.phi), st * np.sin(p.phi),
+                                          np.cos(p.theta)), axis=-1)
+    return _real(np.abs(x - np.expand_dims(p.r, -1) * expect).max(axis=-1))
 
 
 def spinor_convention_report(samples: int = 50, seed: int = 7) -> dict:
@@ -73,96 +98,84 @@ def spinor_convention_report(samples: int = 50, seed: int = 7) -> dict:
     The implemented convention lands on the spherical coordinates to machine
     precision; the conjugated one misses the x2 sign (order-one deviation).
     """
-    rng = _random(seed)
-    worst_impl = worst_conj = 0.0
-    for _ in range(samples):
-        p = EulerPoint(rng.uniform(0.5, 2.0), rng.uniform(0.05, math.pi - 0.05),
-                       rng.uniform(0, 2 * math.pi), rng.uniform(0, 4 * math.pi))
-        worst_impl = max(worst_impl, hopf_deviation(p))
-        # the alternative phase assignment is the conjugated spinor
-        worst_conj = max(worst_conj, hopf_deviation(p, lambda q: euler_to_spinor(q).conj()))
-    return {"implemented": worst_impl, "conjugated": worst_conj}
+    p = EulerPoint(*_uniform(_random(seed), samples, (0.5, 2.0), (0.05, math.pi - 0.05),
+                             (0, 2 * math.pi), (0, 4 * math.pi)))
+    # the alternative phase assignment is the conjugated spinor
+    conj = hopf_deviation(p, lambda q: euler_to_spinor(q).conj())
+    return {"implemented": float(np.max(hopf_deviation(p), initial=0.0)),
+            "conjugated": float(np.max(conj, initial=0.0))}
 
 
 # ---------------------------------------------------------------------------
 # metric and Killing fields
 
-def s3_metric(theta: float) -> np.ndarray:
+def s3_metric(theta) -> np.ndarray:
     """Round S^3 metric in (theta, phi, psi) coordinates at unit radius."""
-    g = np.diag([0.25, 0.25, 0.25])
-    g[1, 2] = g[2, 1] = 0.25 * math.cos(theta)
+    g = np.zeros(np.shape(theta) + (3, 3))
+    g[..., range(3), range(3)] = 0.25
+    g[..., 1, 2] = g[..., 2, 1] = 0.25 * np.cos(theta)
     return g
 
 
-def s3_metric_fd(theta: float, phi: float, psi: float) -> np.ndarray:
+def s3_metric_fd(theta, phi, psi) -> np.ndarray:
     """ds^2 = dchi^dag dchi reconstructed by central differences at steps 1e-5
     and 5e-6 plus one Richardson refinement."""
+    base = np.broadcast_arrays(theta, phi, psi)
+
     def jac(step):
         cols = []
-        base = np.array([theta, phi, psi])
         for mu in range(3):
-            e = np.zeros(3)
-            e[mu] = step
-            up = EulerPoint(1.0, *(base + e))
-            dn = EulerPoint(1.0, *(base - e))
-            cols.append((euler_to_spinor(up) - euler_to_spinor(dn)) / (2 * step))
-        g = np.zeros((3, 3))
-        for mu in range(3):
-            for nu in range(3):
-                g[mu, nu] = float(np.real(np.vdot(cols[mu], cols[nu])))
-        return g
+            up, dn = list(base), list(base)
+            up[mu], dn[mu] = base[mu] + step, base[mu] - step
+            cols.append((euler_to_spinor(EulerPoint(1.0, *up))
+                         - euler_to_spinor(EulerPoint(1.0, *dn))) / (2 * step))
+        cols = np.stack(cols, axis=-2)
+        return np.einsum("...ma,...na->...mn", cols.conj(), cols).real
 
     g1 = jac(1e-5)
     g2 = jac(1e-5 / 2.0)
     return (4.0 * g2 - g1) / 3.0
 
 
-def killing_fields(theta: float, phi: float):
+def killing_fields(theta, phi):
     """Component vectors (d_theta, d_phi, d_psi) of the three rotation
     generators J1, J2, J3 and the fibre generator K."""
-    if abs(math.sin(theta)) < 1e-12:
-        raise GeometryDomainError("Killing components are singular at the poles")
-    ct, st = math.cos(theta) / math.sin(theta), math.sin(theta)
-    j1 = np.array([1j * math.sin(phi), 1j * math.cos(phi) * ct, -1j * math.cos(phi) / st])
-    j2 = np.array([-1j * math.cos(phi), 1j * math.sin(phi) * ct, -1j * math.sin(phi) / st])
-    j3 = np.array([0.0, -1j, 0.0])
-    k = np.array([0.0, 0.0, 1j])
+    st = _sin_off_poles(theta, "Killing components are")
+    ct = np.cos(theta) / st
+    sp, cp = np.sin(phi), np.cos(phi)
+    j1 = np.stack(np.broadcast_arrays(1j * sp, 1j * cp * ct, -1j * cp / st), axis=-1)
+    j2 = np.stack(np.broadcast_arrays(-1j * cp, 1j * sp * ct, -1j * sp / st), axis=-1)
+    j3, k = np.zeros_like(j1), np.zeros_like(j1)
+    j3[..., 1], k[..., 2] = -1j, 1j
     return j1, j2, j3, k
 
 
-def killing_orthonormality_deviation(theta: float, phi: float) -> float:
+def killing_orthonormality_deviation(theta, phi):
     """Max deviation of g(J_i, J_j) from delta_ij/4 (sesquilinear contraction)."""
-    g = s3_metric(theta)
-    js = killing_fields(theta, phi)[:3]
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            val = complex(np.einsum("mn,m,n->", g, js[i], js[j].conj()))
-            expect = 0.25 if i == j else 0.0
-            worst = max(worst, abs(val - expect))
-    return worst
+    js = np.stack(killing_fields(theta, phi)[:3], axis=-2)
+    val = np.einsum("...mn,...im,...jn->...ij", s3_metric(theta), js, js.conj())
+    return _real(np.abs(val - 0.25 * np.eye(3)).max(axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
 # Clifford generators
 
-def clifford_sigmas(theta: float, phi: float):
+def clifford_sigmas(theta, phi):
     """The curved-index generators sigma^theta, sigma^phi.
 
     sigma^theta = [[1, -cot e^{-i phi}], [-cot e^{i phi}, -1]],
     sigma^phi   = [[0, -i e^{-i phi}], [i e^{i phi}, 0]].
     """
-    if abs(math.sin(theta)) < 1e-12:
-        raise GeometryDomainError("sigma matrices are singular at the poles")
-    cot = math.cos(theta) / math.sin(theta)
-    st = np.array([[1.0, -cot * cmath.exp(-1j * phi)],
-                   [-cot * cmath.exp(1j * phi), -1.0]], dtype=complex)
-    sf = np.array([[0.0, -1j * cmath.exp(-1j * phi)],
-                   [1j * cmath.exp(1j * phi), 0.0]], dtype=complex)
+    cot = np.cos(theta) / _sin_off_poles(theta, "sigma matrices are")
+    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
+    st = np.zeros(np.broadcast(theta, phi).shape + (2, 2), dtype=complex)
+    sf = np.zeros_like(st)
+    st[..., 0, 0], st[..., 0, 1], st[..., 1, 0], st[..., 1, 1] = 1.0, -cot * em, -cot * ep, -1.0
+    sf[..., 0, 1], sf[..., 1, 0] = -1j * em, 1j * ep
     return st, sf
 
 
-def clifford_algebra_deviations(theta: float, phi: float) -> dict:
+def clifford_algebra_deviations(theta, phi) -> dict:
     """Measured identities of the printed generators.
 
     Note which square carries csc^2: sigma^theta squares to csc^2(theta) I
@@ -171,33 +184,36 @@ def clifford_algebra_deviations(theta: float, phi: float) -> dict:
     """
     st, sf = clifford_sigmas(theta, phi)
     eye = np.eye(2)
-    return {
-        "hermitian": max(float(np.abs(st - st.conj().T).max()),
-                         float(np.abs(sf - sf.conj().T).max())),
-        "anticommutator": float(np.abs(st @ sf + sf @ st).max()),
-        "sigma_phi_squared": float(np.abs(sf @ sf - eye).max()),
-        "sigma_theta_squared": float(np.abs(st @ st - eye / math.sin(theta) ** 2).max()),
+
+    def dev(m):
+        return np.abs(m).max(axis=(-2, -1))
+
+    devs = {
+        "hermitian": np.maximum(dev(st - st.conj().swapaxes(-2, -1)),
+                                dev(sf - sf.conj().swapaxes(-2, -1))),
+        "anticommutator": dev(st @ sf + sf @ st),
+        "sigma_phi_squared": dev(sf @ sf - eye),
+        "sigma_theta_squared": dev(st @ st - eye / np.expand_dims(np.sin(theta), (-2, -1)) ** 2),
     }
+    return {name: _real(v) for name, v in devs.items()}
 
 
 # ---------------------------------------------------------------------------
 # monopole connection
 
-def monopole_connection(k: int, theta: float, chart: str) -> float:
+def monopole_connection(k, theta, chart: str):
     """A_phi on the chosen chart; A_theta vanishes on both.
 
     plus (regular at theta = 0):  (k/2)(cos theta - 1)
     minus (regular at theta = pi): (k/2)(cos theta + 1)
     The difference between charts is exactly -k, a pure gauge shift.
     """
-    if chart == "plus":
-        return 0.5 * k * (math.cos(theta) - 1.0)
-    if chart == "minus":
-        return 0.5 * k * (math.cos(theta) + 1.0)
-    raise GeometryDomainError("chart must be 'plus' or 'minus'")
+    if chart not in ("plus", "minus"):
+        raise GeometryDomainError("chart must be 'plus' or 'minus'")
+    return _real(0.5 * k * (np.cos(theta) + (-1.0 if chart == "plus" else 1.0)))
 
 
-def monopole_section_residual(k: int, theta: float) -> float:
+def monopole_section_residual(k, theta):
     """Rebuild both A_phi components from explicit unit-spinor sections.
 
     Gauge-fixed sections (first/second component real) are differentiated in
@@ -217,11 +233,9 @@ def monopole_section_residual(k: int, theta: float) -> float:
     for which in ("plus", "minus"):
         c0 = section(which, phi)
         d = (section(which, phi + h) - section(which, phi - h)) / (2 * h)
-        a = float(np.real(1j * k * np.vdot(c0, d)))
-        vals[which] = a
-        worst = max(worst, abs(a - monopole_connection(k, theta, which)))
-    worst = max(worst, abs((vals["plus"] - vals["minus"]) - (-k)))
-    return worst
+        vals[which] = a = np.real(1j * k * np.sum(c0.conj() * d, axis=-1))
+        worst = np.maximum(worst, np.abs(a - monopole_connection(k, theta, which)))
+    return _real(np.maximum(worst, np.abs((vals["plus"] - vals["minus"]) - (-k))))
 
 
 # ---------------------------------------------------------------------------

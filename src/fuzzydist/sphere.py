@@ -176,10 +176,14 @@ def _matrix_of(op) -> np.ndarray:
     return op.matrix if isinstance(op, HSOperator) else np.asarray(op, dtype=complex)
 
 
-def _square(op, dim: int) -> np.ndarray:
-    """_matrix_of(op), checked to be dim x dim; SphereDomainError otherwise."""
-    m = _matrix_of(op)
-    if m.shape != (dim, dim):
+def _square(op, dim: int, fock: bool = False) -> np.ndarray:
+    """_matrix_of(op), checked to be dim x dim; SphereDomainError otherwise. With `fock`, for
+    the real two-mode space, op may also be a stack of them on its last two axes, and a float64
+    op stays real."""
+    m = np.asarray(op.matrix if isinstance(op, HSOperator) else op)
+    if not (fock and m.dtype == np.float64):
+        m = m.astype(complex, copy=False)
+    if m.shape[-2:] != (dim, dim) or (m.ndim > 2 and not fock):
         raise SphereDomainError("operator shape %r does not match dimension %d" % (m.shape, dim))
     return m
 
@@ -222,8 +226,9 @@ class TwoModeFock:
     """Two bosonic modes truncated at `cutoff` quanta per mode.
 
     The oscillators are normalized so [chi_a, chi_b^dag] = (lam/2) delta_ab,
-    i.e. matrix elements sqrt(lam/2) sqrt(count). State (k1, k2) sits at
-    flat index k1 * cutoff + k2.
+    i.e. matrix elements sqrt(lam/2) sqrt(count), and are real float64
+    matrices, so chi^dag is the transpose. State (k1, k2) sits at flat index
+    k1 * cutoff + k2.
     """
 
     def __init__(self, cutoff: int, lam: float = 1.0):
@@ -231,14 +236,11 @@ class TwoModeFock:
             raise SphereDomainError("cutoff must be at least 2")
         self.cutoff = int(cutoff)
         self.lam = lam = _lam(lam)
-        a = np.zeros((cutoff, cutoff), dtype=complex)
-        for k in range(1, cutoff):
-            a[k - 1, k] = math.sqrt(lam / 2.0) * math.sqrt(k)
+        a = np.diag(math.sqrt(lam / 2.0) * np.sqrt(np.arange(1.0, cutoff)), 1)
         eye = np.eye(cutoff)
         self.chi1 = np.kron(a, eye)
         self.chi2 = np.kron(eye, a)
-        self.number_op = (self.chi1.conj().T @ self.chi1
-                          + self.chi2.conj().T @ self.chi2)
+        self.number_op = self.chi1.T @ self.chi1 + self.chi2.T @ self.chi2
 
     def flat_index(self, k1: int, k2: int) -> int:
         return k1 * self.cutoff + k2
@@ -263,48 +265,45 @@ class TwoModeFock:
         return [self.flat_index(k1, two_n - k1) for k1 in range(two_n, -1, -1)]
 
     def embed_sphere_operator(self, sphere: FuzzySphere, op) -> np.ndarray:
-        """Lift a dim x dim sphere operator into the full Fock space."""
-        idx = self.sphere_block_indices(sphere.n)
-        m = _square(op, sphere.dim)
-        out = np.zeros((self.cutoff ** 2, self.cutoff ** 2), dtype=complex)
-        for a, ia in enumerate(idx):
-            for b, ib in enumerate(idx):
-                out[ia, ib] = m[a, b]
+        """Lift a dim x dim sphere operator, or a stack of them, into the full Fock space;
+        a real one stays real."""
+        idx = np.array(self.sphere_block_indices(sphere.n))
+        m = _square(op, sphere.dim, fock=True)
+        out = np.zeros(m.shape[:-2] + (self.cutoff ** 2,) * 2, dtype=m.dtype)
+        out[..., idx[:, None], idx] = m
         return out
 
-    def position_operators(self):
-        """x_i = chi^dag sigma_i chi on the full truncated space."""
-        chis = (self.chi1, self.chi2)
-        dags = tuple(c.conj().T for c in chis)
-        paulis = _pauli()
-        out = []
-        for s in paulis:
-            x = np.zeros_like(self.chi1)
-            for a in range(2):
-                for b in range(2):
-                    if s[a, b] != 0:
-                        x = x + s[a, b] * (dags[a] @ chis[b])
-            out.append(x)
-        return out
+    def position_operators(self) -> np.ndarray:
+        """x_i = chi^dag sigma_i chi on the full truncated space, as one (3, D, D) stack: the
+        Pauli matrices contracted with the 2 x 2 stack of bilinears chi_a^dag chi_b, which are
+        real, as real and imaginary parts."""
+        chis = np.stack([self.chi1, self.chi2])
+        bilinears = (chis.swapaxes(-2, -1)[:, None] @ chis).reshape(4, -1)
+        s = _pauli().reshape(3, 4)
+        x = np.empty((3, bilinears.shape[1]), dtype=complex)
+        x.real = s.real @ bilinears
+        x.imag = s.imag @ bilinears
+        return x.reshape((3,) + self.chi1.shape)
 
 
-def _pauli():
-    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    return (s1, s2, s3)
+def _pauli() -> np.ndarray:
+    """sigma_1, sigma_2, sigma_3 as one (3, 2, 2) stack."""
+    return np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def k_adjoint_action(cutoff: int, op, lam: float = 1.0) -> np.ndarray:
-    """[N, op] on the truncated two-mode space.
+    """[N, op] on the truncated two-mode space, for one operator or a stack of them; a real
+    op gives a real result.
 
     Algebra basis elements |n,n3><n,n3'| (winding 0) give zero away from the
     truncation boundary; a net-creation monomial of winding k gives
     k*(lam/2)*op there.
     """
     fock = TwoModeFock(cutoff, lam)
-    m = _square(op, cutoff ** 2)
-    return fock.number_op @ m - m @ fock.number_op
+    m = _square(op, cutoff ** 2, fock=True)
+    out = fock.number_op @ m
+    out -= m @ fock.number_op
+    return out
 
 
 def jordan_schwinger_check(n, lam: float, cutoff: int) -> dict:
@@ -318,8 +317,6 @@ def jordan_schwinger_check(n, lam: float, cutoff: int) -> dict:
     fock = TwoModeFock(cutoff, lam)
     idx = fock.sphere_block_indices(n)
     sphere = build_space(n, lam)
-    worst = 0.0
-    for x_full, x_direct in zip(fock.position_operators(), (sphere.x1, sphere.x2, sphere.x3)):
-        block = x_full[np.ix_(idx, idx)]
-        worst = max(worst, float(np.abs(block - x_direct).max()))
+    blocks = fock.position_operators()[:, idx][..., idx]
+    worst = float(np.abs(blocks - np.stack([sphere.x1, sphere.x2, sphere.x3])).max())
     return {"max_deviation": worst, "block_dim": len(idx)}

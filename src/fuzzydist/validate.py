@@ -93,19 +93,14 @@ def _sphere_winding(seed):
         fock = sphere.TwoModeFock(cutoff, 1.0)
         s = sphere.build_space(n, 1.0)
         interior = fock.interior_indices()
-        # every matrix unit of the algebra has winding 0
-        for a in range(s.dim):
-            for b in range(s.dim):
-                op = np.zeros((s.dim, s.dim), dtype=complex)
-                op[a, b] = 1.0
-                emb = fock.embed_sphere_operator(s, op)
-                comm = sphere.k_adjoint_action(cutoff, emb, 1.0)
-                worst = _worst(worst, float(np.abs(comm[np.ix_(interior, interior)]).max()))
-        # a single creation operator has winding 1: [N, chi1dag] = (lam/2) chi1dag
-        chi1dag = fock.chi1.conj().T
-        comm = sphere.k_adjoint_action(cutoff, chi1dag, 1.0)
-        dev = np.abs((comm - 0.5 * chi1dag)[np.ix_(interior, interior)]).max()
-        worst = _worst(worst, float(dev))
+        # every matrix unit of the algebra has winding 0, and a single creation operator
+        # winding 1: [N, chi1dag] = (lam/2) chi1dag; one stack of all of them
+        units = np.eye(s.dim ** 2).reshape(-1, s.dim, s.dim)
+        chi1dag = fock.chi1.T
+        comm = sphere.k_adjoint_action(
+            cutoff, np.concatenate([fock.embed_sphere_operator(s, units), [chi1dag]]), 1.0)
+        comm[-1] -= 0.5 * chi1dag
+        worst = _worst(worst, float(np.abs(comm[:, interior][..., interior]).max()))
     mono = sphere.winding_number(sphere.FockMonomial(2, 1, 0, 0))
     passed = worst <= 1e-12 and mono == 3
     return (passed, worst,
@@ -521,14 +516,12 @@ def _thermal_distance(seed):
 
 @_check("continuum-hopf")
 def _continuum_hopf(seed):
-    rng = sphere._random(seed)
-    worst = 0.0
-    for _ in range(100):
-        p = continuum.EulerPoint(rng.uniform(0.5, 2.0), rng.uniform(0.05, math.pi - 0.05),
-                                 rng.uniform(0, 2 * math.pi), rng.uniform(0, 4 * math.pi))
-        worst = _worst(worst, continuum.hopf_deviation(p))
-        chi = continuum.euler_to_spinor(p)
-        worst = _worst(worst, abs(float(np.real(np.vdot(chi, chi))) - p.r))
+    p = continuum.EulerPoint(*continuum._uniform(
+        sphere._random(seed), 100, (0.5, 2.0), (0.05, math.pi - 0.05), (0, 2 * math.pi),
+        (0, 4 * math.pi)))
+    chi = continuum.euler_to_spinor(p)
+    worst = _worst(float(np.max(continuum.hopf_deviation(p))),
+                   float(np.abs(np.sum(chi.conj() * chi, axis=-1).real - p.r).max()))
     rep = continuum.spinor_convention_report(samples=20, seed=seed)
     passed = worst <= 1e-12 and rep["conjugated"] > 0.1
     return (passed, worst,
@@ -536,61 +529,49 @@ def _continuum_hopf(seed):
             "(deviation %.2f)" % rep["conjugated"])
 
 
+def _angles(seed, *bounds):
+    """100 points of continuum._uniform from seed's stream, theta in (0.1, pi - 0.1), phi in
+    (0, 2 pi) and whatever further bounds follow."""
+    return continuum._uniform(sphere._random(seed), 100, (0.1, math.pi - 0.1),
+                              (0, 2 * math.pi), *bounds)
+
+
 @_check("continuum-metric")
 def _continuum_metric(seed):
-    rng = sphere._random(seed)
-    worst = 0.0
-    for _ in range(100):
-        th = rng.uniform(0.1, math.pi - 0.1)
-        ph = rng.uniform(0, 2 * math.pi)
-        ps = rng.uniform(0, 4 * math.pi)
-        g = continuum.s3_metric_fd(th, ph, ps)
-        worst = _worst(worst, float(np.abs(g - continuum.s3_metric(th)).max()))
-        det = np.linalg.det(continuum.s3_metric(th))
-        worst_det = abs(det - math.sin(th) ** 2 / 64.0)
-        worst = _worst(worst, worst_det)
+    th, ph, ps = _angles(seed, (0, 4 * math.pi))
+    g = continuum.s3_metric(th)
+    worst = _worst(float(np.abs(continuum.s3_metric_fd(th, ph, ps) - g).max()),
+                   float(np.abs(np.linalg.det(g) - np.sin(th) ** 2 / 64.0).max()))
     return (worst <= 1e-8, worst,
             "finite-difference reconstruction of the round metric, 100 points")
 
 
 @_check("continuum-killing")
 def _continuum_killing(seed):
-    rng = sphere._random(seed)
-    worst = 0.0
-    for _ in range(100):
-        th = rng.uniform(0.1, math.pi - 0.1)
-        ph = rng.uniform(0, 2 * math.pi)
-        worst = _worst(worst, continuum.killing_orthonormality_deviation(th, ph))
-        g = continuum.s3_metric(th)
-        k = continuum.killing_fields(th, ph)[3]
-        worst = _worst(worst, abs(complex(np.einsum("mn,m,n->", g, k, k.conj())) - 0.25))
+    th, ph = _angles(seed)
+    k = continuum.killing_fields(th, ph)[3]
+    gkk = np.einsum("...mn,...m,...n->...", continuum.s3_metric(th), k, k.conj())
+    worst = _worst(float(np.max(continuum.killing_orthonormality_deviation(th, ph))),
+                   float(np.abs(gkk - 0.25).max()))
     return worst <= 1e-12, worst, "g(J_i, J_j) = delta_ij/4 and g(K, K) = 1/4 at 100 points"
 
 
 @_check("continuum-clifford")
 def _continuum_clifford(seed):
-    rng = sphere._random(seed)
-    worst = 0.0
-    for _ in range(100):
-        th = rng.uniform(0.1, math.pi - 0.1)
-        ph = rng.uniform(0, 2 * math.pi)
-        devs = continuum.clifford_algebra_deviations(th, ph)
-        worst = _worst(worst, *devs.values())
+    devs = continuum.clifford_algebra_deviations(*_angles(seed))
+    worst = _worst(*(float(np.max(v)) for v in devs.values()))
     return (worst <= 1e-12, worst,
             "hermiticity, anticommutation, squares (csc^2 sits with sigma^theta)")
 
 
 @_check("continuum-monopole")
 def _continuum_monopole(seed):
-    rng = sphere._random(seed)
-    worst = 0.0
-    for k in range(-3, 4):
-        for _ in range(15):
-            th = rng.uniform(0.1, math.pi - 0.1)
-            diff = (continuum.monopole_connection(k, th, "plus")
-                    - continuum.monopole_connection(k, th, "minus"))
-            worst = _worst(worst, abs(diff + k))
-            worst = _worst(worst, continuum.monopole_section_residual(k, th))
+    k = np.repeat(np.arange(-3, 4), 15)  # 15 draws for each k, in the order they are drawn
+    (th,) = continuum._uniform(sphere._random(seed), k.size, (0.1, math.pi - 0.1))
+    diff = (continuum.monopole_connection(k, th, "plus")
+            - continuum.monopole_connection(k, th, "minus"))
+    worst = _worst(float(np.abs(diff + k).max()),
+                   float(np.max(continuum.monopole_section_residual(k, th))))
     return (worst <= 1e-8, worst,
             "chart difference is the pure gauge -k; sections rebuild both components")
 

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fuzzydist import continuum
 from fuzzydist.continuum import (
     EulerPoint,
     GeometryDomainError,
@@ -17,6 +20,7 @@ from fuzzydist.continuum import (
     euler_to_spinor,
     hopf_deviation,
     hopf_projection,
+    killing_fields,
     killing_orthonormality_deviation,
     monopole_connection,
     monopole_section_residual,
@@ -26,6 +30,7 @@ from fuzzydist.continuum import (
     tautological_connection,
     tautological_connection_fd,
 )
+from fuzzydist.sphere import TwoModeFock, k_adjoint_action
 
 
 def test_hopf_projection_hits_spherical_triple():
@@ -154,3 +159,99 @@ def test_connection_check_still_rejects_the_doubled_form(z):
         assert connection_fd_deviation(z, dz) <= 1e-6
         if abs(tautological_connection(z, dz)) > 0.1 * scale:
             assert connection_fd_deviation(z, dz, doubled_connection_form) >= 0.3
+
+
+# ---------------------------------------------------------------------------
+# broadcasting: a stack of points gives, point by point, what one point gives
+
+_POINT = st.tuples(st.floats(0.5, 2.0), st.floats(0.05, math.pi - 0.05),
+                   st.floats(0.0, 2 * math.pi), st.floats(0.0, 4 * math.pi), st.integers(-3, 3))
+
+# name -> (function of stacked or scalar arguments, the arguments it takes of r, theta, phi,
+# psi, k); vector and matrix results are stacked on trailing axes, so out[idx] is one point's.
+# RESIDUALS vanish in exact arithmetic, so they are compared on the scale of their terms
+RESIDUALS = {"hopf_deviation", "killing_orthonormality_deviation",
+             "clifford_algebra_deviations", "monopole_section_residual"}
+PER_POINT = {
+    "euler_to_spinor": (lambda *a: euler_to_spinor(EulerPoint(*a)), "r th ph ps"),
+    "hopf_projection": (lambda *a: hopf_projection(euler_to_spinor(EulerPoint(*a))),
+                        "r th ph ps"),
+    "hopf_deviation": (lambda *a: hopf_deviation(EulerPoint(*a)), "r th ph ps"),
+    "s3_metric": (s3_metric, "th"),
+    "s3_metric_fd": (s3_metric_fd, "th ph ps"),
+    "killing_fields": (lambda t, p: np.stack(killing_fields(t, p), axis=-2), "th ph"),
+    "killing_orthonormality_deviation": (killing_orthonormality_deviation, "th ph"),
+    "clifford_sigmas": (lambda t, p: np.stack(clifford_sigmas(t, p), axis=-3), "th ph"),
+    "clifford_algebra_deviations": (
+        lambda t, p: np.stack(list(clifford_algebra_deviations(t, p).values()), axis=-1),
+        "th ph"),
+    "monopole_connection_plus": (lambda k, t: monopole_connection(k, t, "plus"), "k th"),
+    "monopole_connection_minus": (lambda k, t: monopole_connection(k, t, "minus"), "k th"),
+    "monopole_section_residual": (monopole_section_residual, "k th"),
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from([(1,), (5,), (2, 3)]), st.data())
+def test_stacked_calls_match_scalar_calls_point_by_point(shape, data):
+    size = math.prod(shape)
+    points = data.draw(st.lists(_POINT, min_size=size, max_size=size))
+    cols = dict(zip(("r", "th", "ph", "ps", "k"),
+                    (np.array(c).reshape(shape) for c in zip(*points))))
+    for name, (fn, names) in PER_POINT.items():
+        args = [cols[a] for a in names.split()]
+        out = fn(*args)
+        for idx in np.ndindex(shape):
+            one = fn(*(a[idx].item() for a in args))
+            # the same numpy code runs both; 1e-14 allows an ulp of cos or exp between them, or
+            # a different summation order, on the largest term: r, csc^2 theta or |k|
+            scale = cols["r"][idx] + np.sin(cols["th"][idx]) ** -2 + abs(cols["k"][idx])
+            np.testing.assert_allclose(out[idx], one, rtol=1e-14, err_msg=name,
+                                       atol=1e-14 * scale if name in RESIDUALS else 0.0)
+
+
+def test_scalar_calls_keep_their_types_and_shapes():
+    p = EulerPoint(1.3, 0.8, 0.4, 2.1)
+    assert euler_to_spinor(p).shape == (2,) and hopf_projection(euler_to_spinor(p)).shape == (3,)
+    assert s3_metric(0.8).shape == (3, 3) and s3_metric_fd(0.8, 0.4, 2.1).shape == (3, 3)
+    assert [f.shape for f in killing_fields(0.8, 0.4)] == [(3,)] * 4
+    assert [m.shape for m in clifford_sigmas(0.8, 0.4)] == [(2, 2)] * 2
+    floats = [hopf_deviation(p), killing_orthonormality_deviation(0.8, 0.4),
+              monopole_connection(2, 0.8, "plus"), monopole_section_residual(2, 0.8),
+              *clifford_algebra_deviations(0.8, 0.4).values()]
+    assert all(type(v) is float for v in floats)
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.5j])
+def test_k_adjoint_action_on_a_stack_is_per_slice(phase):
+    fock = TwoModeFock(4, 0.8)
+    stack = np.stack([fock.chi1.T, fock.chi1.T @ fock.chi2, fock.chi2 @ fock.chi2.T]) + phase
+    out = k_adjoint_action(4, stack, 0.8)
+    assert out.shape == stack.shape and out.dtype == stack.dtype  # a real stack stays real
+    for op, got in zip(stack, out):
+        np.testing.assert_array_equal(got, k_adjoint_action(4, op, 0.8))
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+def test_euler_point_refuses_a_stack_with_a_bad_radius(r):
+    with pytest.raises(GeometryDomainError):
+        EulerPoint(np.array([1.0, r, 2.0]), np.full(3, 0.5), np.zeros(3), np.zeros(3))
+    EulerPoint(np.array([1.0, 0.5, 2.0]), np.full(3, 0.5), np.zeros(3), np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# a nan point propagates: builtin max(worst, nan) keeps worst, so no fold may use it
+
+def test_a_nan_angle_gives_a_nan_deviation(monkeypatch):
+    assert math.isnan(killing_orthonormality_deviation(math.nan, 0.3))
+    assert math.isnan(monopole_section_residual(1, math.nan))
+    draw = continuum._uniform
+
+    def nan_theta(*args):
+        cols = draw(*args)
+        cols[1, 3] = math.nan
+        return cols
+
+    monkeypatch.setattr(continuum, "_uniform", nan_theta)
+    rep = spinor_convention_report(samples=10, seed=7)
+    assert math.isnan(rep["implemented"]) and math.isnan(rep["conjugated"])

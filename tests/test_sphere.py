@@ -295,3 +295,17 @@ def test_two_mode_embedding_roundtrip():
     assert np.allclose(emb[np.ix_(idx, idx)], op)
     with pytest.raises(SphereDomainError):
         TwoModeFock(1, 1.0)
+
+
+def test_jordan_schwinger_check_keeps_a_nan(monkeypatch):
+    # the nan reaches x3 only, the last matrix compared: a builtin max fold kept the earlier
+    # deviation and read it as a pass
+    pauli = sphere._pauli
+
+    def nan_in_sigma3():
+        s = pauli()
+        s[2, 0, 0] = math.nan
+        return s
+
+    monkeypatch.setattr(sphere, "_pauli", nan_in_sigma3)
+    assert math.isnan(jordan_schwinger_check(H(2), 1.0, cutoff=6)["max_deviation"])

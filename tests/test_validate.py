@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from fuzzydist import continuum, sphere
 from fuzzydist.validate import _worst, check_names, run_checks
 
 
@@ -70,3 +72,46 @@ def test_registry_check_passes(name):
     (result,) = run_checks(names=[name])
     assert result.name == name
     assert result.passed, "%s: %s (max deviation %r)" % (name, result.note, result.max_deviation)
+
+
+def _wrap(monkeypatch, owner, name, change):
+    """Replace owner.name by change(the original)."""
+    monkeypatch.setattr(owner, name, change(getattr(owner, name)))
+
+
+def _offset_number_op(init):
+    def offset(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.number_op[1, 1] += 1e-9  # (k1, k2) = (0, 1), an interior state
+    return offset
+
+
+def _scale_j3(fields):
+    def scaled(theta, phi):
+        j1, j2, j3, k = fields(theta, phi)
+        return j1, j2, 1.001 * j3, k
+    return scaled
+
+
+# each check rewritten as one call over a stack -> a fault planted where it reads its input
+FAULTS = {
+    "sphere-winding": (sphere.TwoModeFock, "__init__", _offset_number_op),
+    "jordan-schwinger": (sphere, "_pauli",
+                         lambda f: lambda: f() * np.array([1, -1, 1])[:, None, None]),  # -sigma2
+    "continuum-hopf": (continuum, "hopf_projection", lambda f: lambda chi: f(chi)[..., [1, 0, 2]]),
+    # s3_metric without its cos(theta) term: its value at the equator, everywhere
+    "continuum-metric": (continuum, "s3_metric",
+                         lambda f: lambda th: f(np.full(np.shape(th), math.pi / 2))),
+    "continuum-killing": (continuum, "killing_fields", _scale_j3),
+    "continuum-clifford": (continuum, "clifford_sigmas",
+                           lambda f: lambda th, ph: (f(th, ph)[0], 1.001 * f(th, ph)[1])),
+    "continuum-monopole": (continuum, "monopole_connection",
+                           lambda f: lambda k, th, chart: f(k, th, "plus")),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_a_rewritten_check_fails_on_a_planted_fault(monkeypatch, name):
+    _wrap(monkeypatch, *FAULTS[name])
+    (result,) = run_checks(names=[name])
+    assert result.passed is False
