@@ -74,11 +74,6 @@ def test_registry_check_passes(name):
     assert result.passed, "%s: %s (max deviation %r)" % (name, result.note, result.max_deviation)
 
 
-def _wrap(monkeypatch, owner, name, change):
-    """Replace owner.name by change(the original)."""
-    monkeypatch.setattr(owner, name, change(getattr(owner, name)))
-
-
 def _offset_number_op(init):
     def offset(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -93,7 +88,8 @@ def _scale_j3(fields):
     return scaled
 
 
-# each check rewritten as one call over a stack -> a fault planted where it reads its input
+# each check rewritten as one call over a stack -> (owner, name, change): owner.name is
+# replaced by change(the original), a fault planted where the check reads its input
 FAULTS = {
     "sphere-winding": (sphere.TwoModeFock, "__init__", _offset_number_op),
     "jordan-schwinger": (sphere, "_pauli",
@@ -112,6 +108,7 @@ FAULTS = {
 
 @pytest.mark.parametrize("name", FAULTS)
 def test_a_rewritten_check_fails_on_a_planted_fault(monkeypatch, name):
-    _wrap(monkeypatch, *FAULTS[name])
+    owner, attr, change = FAULTS[name]
+    monkeypatch.setattr(owner, attr, change(getattr(owner, attr)))
     (result,) = run_checks(names=[name])
     assert result.passed is False
