@@ -4,7 +4,10 @@ States here are labeled by a position index n3 and an internal sector label.
 Displacing n3 by one step costs a different amount depending on whether the
 sector label moves along: the two branch expressions are checked against a
 raw eigensolver, then mixtures over the sector are minimized, and thermal
-weights interpolate between delta and uniform.
+weights interpolate between delta and uniform. Last, the supremum itself on
+the quantum triple, whose Dirac operator is D_c (x) I: a product pair is at
+its config distance (the slice map), and an entangled pair gets a certified
+interval.
 
 Run with:  python3 demos/04_quantum_and_mixed.py
 """
@@ -13,8 +16,9 @@ import math
 
 import numpy as np
 
-from fuzzydist import (EnergySpectrum, HalfInteger, ProbabilityProfile, delta_matrix,
-                       distinct_sector_seminorm_symmetrized, minimize_path_distance,
+from fuzzydist import (EnergySpectrum, HalfInteger, ProbabilityProfile, build_dirac,
+                       build_space, coherent_state, connes_distance_optimized, delta_matrix,
+                       distance, distinct_sector_seminorm_symmetrized, minimize_path_distance,
                        quantum_pure_distance, quantum_seminorm_oracle,
                        same_sector_seminorm, thermal_distance, thermal_prefactor,
                        trace_norm_distance, uniform_minimized_distance)
@@ -76,6 +80,27 @@ def main():
     for beta in (0.0, 0.5, 1.0, 2.0, 8.0):
         print("  beta = %4.1f: %.10f" % (beta, thermal_distance(n, lam, HalfInteger(0), spectrum, beta)))
     print("  (beta = 0 equals the uniform value %.10f)" % d_closed)
+
+    # The quantum triple's D is D_c (x) I, so for any right state sigma the
+    # pair rho (x) sigma -> rho' (x) sigma is at the config distance of
+    # rho -> rho'. At n = 1/2 every config pair is exact.
+    s = build_space(HalfInteger(1), lam)
+    rho, rho2 = (coherent_state(s, z).projector() for z in (0j, 0.5 + 0.25j))
+    sigma = np.diag([0.7, 0.3])
+    config = connes_distance_optimized(build_dirac(s, "config"), rho, rho2)
+    quantum = connes_distance_optimized(build_dirac(s, "quantum"), np.kron(rho, sigma),
+                                        np.kron(rho2, sigma))
+    print("\nslice map at n = 1/2, coherent z = 0 -> 0.5 + 0.25i:")
+    print("  config  %.12f (%s)" % (config.value, config.method))
+    print("  quantum %.12f (%s), right state diag(0.7, 0.3)" % (quantum.value, quantum.method))
+
+    # An entangled pair with equal marginals has no config counterpart; the
+    # log-barrier method brackets its supremum.
+    psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    got = distance._certified_supremum(build_dirac(s, "quantum"), np.diag([0.5, 0.0, 0.0, 0.5]),
+                                       np.outer(psi, psi))
+    print("entangled pair diag(1/2, 0, 0, 1/2) -> (|00) + |11))/sqrt 2: [%.10f, %.10f] (%s),"
+          " sqrt(6)/4 = %.10f" % (got.value, got.upper, got.method, math.sqrt(6.0) / 4.0))
 
 
 if __name__ == "__main__":

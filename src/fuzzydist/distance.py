@@ -1,17 +1,21 @@
-"""Distance engines on the configuration space.
+"""Distance engines on the configuration and quantum spaces.
 
 Three routes to the spectral distance between states:
 
 * the closed form for neighbouring basis states,
 * the general lower-bound formula tr(drho^2)/||[D, pi(drho)]||, and
-* the true supremum over the Lipschitz ball: exact, as a 1-D Kantorovich sum,
-  for displacements diagonal in the n.x eigenbasis (n along their spin-1 part v),
-  which covers every pair at n = 1/2, and otherwise from a projected subgradient ascent
-  (connes_distance_optimized) or, on the config triple, as a certified interval from a
-  log-barrier method (_certified_supremum). Diagonal means off-diagonal within SYMMETRY_TOL
-  max|drho| times the rounding of n, min(dim max(1, lam max|drho|/|v|), 1e3), capped so that
-  a rounding-sized v, whose frame is arbitrary, goes to the ascent or the barrier. A trace
-  above rounding is at infinite distance.
+* the true supremum over the Lipschitz ball, written once for D = D_c (x) I_k: k = 1 on the
+  config triple and k = dim on the quantum one, read from the size of drho, never from the
+  triple's label. It is exact, as a 1-D Kantorovich sum per right sector, for displacements
+  diagonal in the frame V (x) I_k, V the n.x eigenbasis (n along the spin-1 part v of
+  tr_R drho), which covers every config pair at n = 1/2 and every product of a rotated
+  diagonal config pair with a diagonal right state. Otherwise it comes from a projected
+  subgradient ascent (connes_distance_optimized) or as a certified interval from a
+  log-barrier method (_certified_supremum), both run at lam = 1 and scaled by lam.
+  Diagonal means off-diagonal within SYMMETRY_TOL max|drho| times the rounding of n,
+  min(dim max(1, max|tr_R drho|/|v|), 1e3) with v at lam = 1, capped so that a rounding-sized
+  v, whose frame is arbitrary, goes to the ascent or the barrier. A k x k marginal tr_L drho
+  (the trace at k = 1) above rounding is at infinite distance.
 
 Plus the quantized polar angle and the continuum arc-length comparator.
 """
@@ -19,7 +23,7 @@ Plus the quantized polar angle and the continuum arc-length comparator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -27,7 +31,8 @@ import numpy as np
 from .halfint import _quarters, ladder_radicand
 from .linalg import SYMMETRY_TOL
 from .sphere import SphereDomainError, _adjacent_step, _halfint, _lam, _matrix_of, _random, _row
-from .triple import SpectralTriple, _commutator, _hermitian_element, lipschitz_seminorm
+from .triple import (SpectralTriple, _at_unit_scale, _commutator, _hermitian_element,
+                     lipschitz_seminorm)
 
 
 class OptimizerError(RuntimeError):
@@ -41,7 +46,7 @@ class OptimizerError(RuntimeError):
 @dataclass
 class DistanceResult:
     value: float  # the supremum, or a lower bound on it (norm_pipeline, optimizer, barrier)
-    method: str  # norm_pipeline | diagonal_exact | optimizer (the ascent) | barrier
+    method: str  # norm_pipeline | diagonal_exact | optimizer (the ascent) | barrier; either triple
     certificate: Optional[np.ndarray] = None
     ball_residual: Optional[float] = None
     iterations: Optional[int] = None  # ascent: its best start's iterations; barrier: Newton steps
@@ -146,60 +151,73 @@ _FRAME_SLACK = 1e3  # the most the n.x frame test widens SYMMETRY_TOL for roundi
 
 def connes_distance_optimized(triple: SpectralTriple, rho, rho2, seed: int = 42) -> DistanceResult:
     """Maximize tr(drho a) over Hermitian a, ||[D, pi(a)]|| <= 1, drho = rho2 - rho: exactly if
-    drho is diagonal in the n.x eigenbasis, else by _ascend, the one user of seed; the input
-    rules are _supremum's."""
-    return _supremum(triple, rho, rho2,
-                     lambda drho: _ascend(triple, drho, _MAX_ITERS, seed, _RESTARTS))
+    drho is diagonal in the frame V (x) I_k of _supremum, else by _ascend, the one user of seed;
+    the input rules are _supremum's."""
+    return _supremum(triple, rho, rho2, lambda tr, d: _ascend(tr, d, _MAX_ITERS, seed, _RESTARTS))
 
 
 def _certified_supremum(triple: SpectralTriple, rho, rho2) -> DistanceResult:
     """The supremum of connes_distance_optimized as a certified interval [value, upper]: exact
-    if drho is diagonal in the n.x eigenbasis, else by _barrier (config triple only); the input
+    if drho is diagonal in the frame V (x) I_k, else by _barrier, on either triple; the input
     rules are _supremum's."""
-    return _supremum(triple, rho, rho2, lambda drho: _barrier(triple, drho))
+    return _supremum(triple, rho, rho2, _barrier)
 
 
 def _supremum(triple, rho, rho2, fallback) -> DistanceResult:
-    """The supremum of tr(drho a) over the Lipschitz ball, drho = rho2 - rho: _diagonal_supremum
-    if drho is diagonal in the n.x eigenbasis, else fallback(drho). drho obeys the seminorm's
-    input rule: SphereDomainError unless it is dim x dim, finite and Hermitian within
-    SYMMETRY_TOL (_hermitian_element), as in distance_lower_bound. ArithmeticError if
-    |tr drho| exceeds rounding: a + t I then raises tr(drho a) without bound, so the distance
-    is infinite. On the quantum triple the same holds for its right marginal, the partial
-    trace over the left index, as I (x) B commutes with D_q. drho = 0 is exact at 0, with no
-    potential."""
+    """The supremum of tr(drho a) over the Lipschitz ball, drho = rho2 - rho, for D = D_c (x) I_k
+    (k = 1 on the config triple, dim on the quantum one): _diagonal_supremum if drho is diagonal
+    in the frame V (x) I_k, V an n.x eigenbasis, else fallback(triple at lam = 1, drho), whose
+    value, certificate, upper and OptimizerError.best_value are then scaled by lam, as D
+    scales as 1/lam. drho obeys the seminorm's input rule: SphereDomainError unless it is
+    square, finite and Hermitian within SYMMETRY_TOL (_hermitian_element), as in
+    distance_lower_bound. ArithmeticError if the k x k marginal tr_L drho (tr drho at k = 1)
+    exceeds rounding: I (x) B commutes with D, so a + I (x) B raises tr(drho a) without bound
+    and the distance is infinite. drho = 0 is exact at 0, with no potential."""
     m, m2 = _matrix_of(rho), _matrix_of(rho2)
     drho = _hermitian_element(triple, m2 - m)
     scale = np.abs(drho).max()
     if scale == 0.0:
         return DistanceResult(0.0, "diagonal_exact", None, None, 0, "exact", 0.0)
-    t = np.trace(drho)
-    if abs(t) > SYMMETRY_TOL * max(1.0, abs(np.trace(m)), abs(np.trace(m2))):
-        raise ArithmeticError("displacement of trace %.3e: infinite distance" % abs(t))
-    if triple.representation == "quantum":
-        dim = triple.sphere.dim
-        right = np.abs(np.einsum("ijik->jk", drho.reshape((dim,) * 4))).max()
-        if right > SYMMETRY_TOL * scale:
-            raise ArithmeticError("right marginal of size %.3e: infinite distance" % right)
-    drho0 = drho - t / len(drho) * np.eye(len(drho))  # the exact route drops the rounding trace
+    dim = triple.sphere.dim
+    blocks = drho.reshape(dim, len(drho) // dim, dim, -1)  # [i, p, j, q]: left i, j; right p, q
+    marginal = np.trace(blocks, axis1=0, axis2=2)  # tr_L drho, k x k: tr drho at k = 1
+    if np.abs(marginal).max() > SYMMETRY_TOL * max(1.0, abs(np.trace(m)), abs(np.trace(m2))):
+        raise ArithmeticError("marginal of size %.3e: infinite distance" % np.abs(marginal).max())
+    # the exact route drops the rounding part I (x) tr_L drho / dim
+    drho0 = (blocks - np.eye(dim)[:, None, :, None] * marginal[:, None, :] / dim).reshape(m.shape)
     V, r = None, drho0  # exactly diagonal: the n3 basis itself, V = I with no eigh
     if (drho - np.diag(np.diagonal(drho))).any():
-        xs = (triple.sphere.x1, triple.sphere.x2, triple.sphere.x3)
-        # v_i = Re tr(drho x_i); the quantum triple's algebra M_(dim^2) keeps the fallback
-        v = [np.vdot(x, drho).real for x in xs] if triple.representation == "config" else []
+        unit, lam = _at_unit_scale(triple), triple.sphere.lam
+        xs = (unit.sphere.x1, unit.sphere.x2, unit.sphere.x3)
+        reduced = np.trace(blocks, axis1=1, axis2=3)  # tr_R drho, dim x dim
+        v = [np.vdot(x, reduced).real for x in xs]  # v_i = Re tr(tr_R(drho) x_i) at lam = 1
         if any(v):  # columns by descending eigenvalue, the row order of n3
             V = np.linalg.eigh(np.tensordot(v, xs, 1))[1][:, ::-1]
-            r = V.conj().T @ drho0 @ V
-            # rounding in n = v/|v| and V grows as dim lam scale/|v| (measured at 2n <= 40)
-            slack = min(len(r) * max(1.0, triple.sphere.lam * scale / math.hypot(*v)), _FRAME_SLACK)
+            r = _sandwich(V.conj().T, drho0, V)
+            # rounding in n = v/|v| and V grows as dim max|tr_R drho|/|v| (measured at 2n <= 40)
+            slack = min(dim * max(1.0, np.abs(reduced).max() / math.hypot(*v)), _FRAME_SLACK)
         if V is None or np.abs(r - np.diag(np.diagonal(r))).max() > SYMMETRY_TOL * scale * slack:
-            return fallback(drho)
+            try:
+                got = fallback(unit, drho)
+            except OptimizerError as err:  # a lower bound at lam = 1, so lam times it here
+                err.best_value = None if err.best_value is None else err.best_value * lam
+                raise
+            return replace(got, value=got.value * lam, upper=got.upper and got.upper * lam,
+                           certificate=None if got.certificate is None else got.certificate * lam)
     return _diagonal_supremum(triple, drho0, np.diagonal(r).real, V)
 
 
+def _sandwich(L, a, R):
+    """(L (x) I_k) a (R (x) I_k) for a (dim k) x (dim k) matrix a and dim x dim L and R: one
+    product per right block a[:, p, :, q], so at k = 1 the products L @ a @ R themselves."""
+    blocks = a.reshape(len(L), len(a) // len(L), len(L), -1).transpose(1, 3, 0, 2)
+    return (L @ blocks @ R).transpose(2, 0, 3, 1).reshape(a.shape)
+
+
 def _diagonal_supremum(triple, drho, d, V) -> DistanceResult:
-    """sum_k w_k |F_k|, F = cumsum(d): the exact supremum for traceless drho = V diag(d) V^dag,
-    V an eigenbasis of n.x by descending eigenvalue (None: the identity, n along x3).
+    """sum_k w_k |F_k|, F = cumsum(d): the exact supremum for drho = W diag(d) W^dag with zero
+    marginal tr_L drho, W = V (x) I_k, V an eigenbasis of n.x by descending eigenvalue (None:
+    the identity, n along x3).
 
     e^{it sigma3/2} (x) e^{it J3} commutes with D, so averaging over t makes some optimal a
     diagonal. [D, pi(diag f)] is a one-step shift in the spinor off-diagonal blocks, so the
@@ -211,16 +229,17 @@ def _diagonal_supremum(triple, drho, d, V) -> DistanceResult:
     x3 to n.x also commutes with D, and V = U_n up to phases that drop out of V diag V^dag,
     so the potential for drho is V a V^dag; its dense ball residual checks the weights and V.
 
-    On the quantum triple (V None, zero right marginal) d is the weight matrix w[i, j] of
-    drho, left index i, flattened. D_q = D_c (x) I commutes with I (x) |j><j|, so compressing
-    a to right sector j leaves its seminorm at most 1 and is a config problem for column j.
-    The supremum is the config sum over the columns, attained by sum_j a_j (x) |j><j|."""
+    At k > 1 (the quantum triple) d is the weight matrix w[i, j] of drho, left index i,
+    flattened, and U_(1/2) (x) U_n (x) I commutes with D = D_c (x) I, so W = V (x) I. D also
+    commutes with I (x) |j><j|, so compressing a to right sector j leaves its seminorm at most
+    1 and is a config problem for column j. The supremum is the config sum over the columns,
+    attained by W (sum_j a_j (x) |j><j|) W^dag. At k = 1 this is the config route itself."""
     s = triple.sphere
     F = np.cumsum(d.reshape(s.dim, -1), axis=0)  # one column per right sector j
     g = np.append(s.radius / s._xplus * s.lam, 0.0)[:, None] * np.sign(F)  # w_k sign(F_k)
     a = np.diag(np.cumsum(g[::-1], axis=0)[::-1].ravel())  # sum_j a_j (x) |j><j|, row-major
     if V is not None:
-        a = V @ a @ V.conj().T
+        a = _sandwich(V, a, V.conj().T)
         a = (a + a.conj().T) / 2.0
     value = float(np.real(np.trace(drho @ a)))
     return DistanceResult(value, "diagonal_exact", a, abs(lipschitz_seminorm(triple, a) - 1.0), 0,
@@ -374,10 +393,15 @@ def _traceless_basis(dim):
 
 
 def _barrier(triple, drho) -> DistanceResult:
-    """Certified supremum of tr(drho a) over the config triple's Lipschitz ball, drho traceless
-    within rounding, by log-barrier path following (Vandenberghe & Boyd, SIAM Rev. 38 (1996)).
+    """Certified supremum of tr(drho a) over the Lipschitz ball of D = D_c (x) I_k, drho of zero
+    marginal tr_L drho within rounding, by log-barrier path following (Vandenberghe & Boyd,
+    SIAM Rev. 38 (1996)).
 
-    a = sum_k x_k B_k over _traceless_basis. The problem is max c.x, c_k = tr(drho B_k)/s with
+    a = sum_k x_k B_k over the basis B_i (x) C_j, B_i over _traceless_basis(dim) and C_j over
+    _traceless_basis(k) and I/sqrt(k), at k = 1 the traceless basis itself. It is orthonormal
+    and spans the Hermitian a with tr_L a = 0, the complement of the seminorm's kernel I (x) M_k
+    (the commutant of D), so the Hessian below is regular; c has no part along the kernel,
+    where tr(drho (I (x) C)) = tr(tr_L(drho) C) is rounding. The problem is max c.x, c_k = tr(drho B_k)/s with
     s = max|drho|, subject to -I <= K(x) <= I, K(x) = sum_k x_k M_k, M_k = i[D, pi(B_k)].
     Newton steps minimize -t c.x - log det(I - K) - log det(I + K), damped by 1/(1 + decrement)
     until the decrement is below _CENTRED, where t grows by _GROW. Every iterate is strictly
@@ -395,10 +419,10 @@ def _barrier(triple, drho) -> DistanceResult:
 
     Returns the lower bound as value, its potential a/||[D, pi(a)]|| (rescaled by the dense
     seminorm) with its ball residual, the Newton steps taken, and the upper bound as upper."""
-    if triple.representation != "config":
-        raise SphereDomainError("the certified supremum is for the config triple only")
     scale = np.abs(drho).max()
-    B = _traceless_basis(len(drho))
+    k = len(drho) // triple.sphere.dim
+    right = np.concatenate([_traceless_basis(k), np.eye(k)[None] / math.sqrt(k)])
+    B = np.kron(_traceless_basis(triple.sphere.dim), right)  # B_i (x) C_j, by every axis
     M = 1j * _commutator(triple, B)
     c = np.einsum("ij,kji->k", drho, B).real / scale
     N = len(M[0])

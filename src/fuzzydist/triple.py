@@ -57,6 +57,12 @@ def build_dirac(sphere: FuzzySphere, representation: str = "config", k: int = 0)
     return SpectralTriple(sphere, representation, np.kron(D, np.eye(sphere.dim)))
 
 
+def _at_unit_scale(triple: SpectralTriple) -> SpectralTriple:
+    """triple itself at lam = 1, else the same triple built at lam = 1; D scales as 1/lam."""
+    s = triple.sphere
+    return triple if s.lam == 1.0 else build_dirac(FuzzySphere(s.n), triple.representation)
+
+
 def _commutator(triple: SpectralTriple, a: np.ndarray) -> np.ndarray:
     """[D, pi(a)] for Hermitian a or each slice of a stack: D pi(a) is one product with D
     viewed as a (4 dim) x dim matrix; D pi(a) - (D pi(a))^dag is written into the conj copy."""

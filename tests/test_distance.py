@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzydist import distance
-from fuzzydist.coherent import coherent_state
+from fuzzydist.coherent import coherent_route_report, coherent_state
 from fuzzydist.distance import (
     _PATIENCE,
     _TOL,
@@ -445,8 +446,9 @@ def test_off_diagonal_perturbation_leaves_the_exact_route(monkeypatch, twice_n, 
 
 def test_su2_invariance_routes():
     """Antipodal coherent states are pole to pole in a rotated frame, so their distance is
-    exact. A displacement with no spin-1 part, one on the quantum triple, and coherent pairs
-    at 2n >= 2 that are not antipodal go to the ascent, bitwise as if it were called directly."""
+    exact. A displacement with no spin-1 part, an entangled one on the quantum triple, whose
+    tr_R drho is 0, and coherent pairs at 2n >= 2 that are not antipodal go to the ascent,
+    bitwise as if it were called directly."""
     s = build_space(H(4), 1.0)
     tr = build_dirac(s, "config")
     for z in (0.3 + 0.4j, 2.0 - 1.0j):
@@ -461,8 +463,8 @@ def test_su2_invariance_routes():
     got = connes_distance_optimized(build_dirac(s, "config"), rot @ p @ rot.conj().T,
                                     rot @ q @ rot.conj().T)
     assert got.method == "optimizer"
-    # the quantum triple's algebra is M_(dim^2), on which the spin-1 part is not defined;
-    # both states have right marginal I/2, so the distance is finite
+    # both states have marginals I/2, so the distance is finite, and tr_R drho = 0 has no
+    # spin-1 part: the frame gate has no n.x to rotate to
     psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     got = connes_distance_optimized(build_dirac(build_space(H(1), 1.0), "quantum"),
                                     np.diag([0.5, 0.0, 0.0, 0.5]), np.outer(psi, psi))
@@ -485,8 +487,8 @@ def test_su2_invariance_routes():
         assert got.method == "optimizer"
 
 
-def _coherent_pair(twice_n, z, z2):
-    s = build_space(H(twice_n), 1.0)
+def _coherent_pair(twice_n, z, z2, lam=1.0):
+    s = build_space(H(twice_n), lam)
     return build_dirac(s, "config"), *(coherent_state(s, w).projector() for w in (z, z2))
 
 
@@ -535,20 +537,128 @@ def test_lower_bounds_stay_below_the_barrier_upper(twice_n, z, z2):
         assert got.value <= 1.9094651364 and got.upper >= 1.9094651358
 
 
+def _product_pair(twice_n, z, z2):
+    """The coherent pair z -> z2, the right state B = diag(1..dim)/tr, and the quantum pair
+    (rho (x) B, rho' (x) B) with the triples of both."""
+    s = build_space(H(twice_n), 1.0)
+    rho, rho2 = (coherent_state(s, w).projector() for w in (z, z2))
+    right = np.diag(np.arange(1.0, s.dim + 1.0)) / (s.dim * (s.dim + 1.0) / 2.0)
+    return ((build_dirac(s, "config"), rho, rho2), right,
+            (build_dirac(s, "quantum"), np.kron(rho, right), np.kron(rho2, right)))
+
+
 def test_barrier_raises_at_the_newton_cap(monkeypatch):
     """Three Newton steps leave the gap open: OptimizerError, with a feasible value below the
-    certified supremum as best_value. The quantum triple, whose commutant I (x) B makes the
-    barrier's Hessian singular, is refused."""
+    certified supremum as best_value, on the config triple and on the quantum one. The barrier
+    runs on the quantum triple over traceless(dim) (x) M_k, the complement of the commutant
+    I (x) M_k: the entangled pair at 2n = 1 gets a point interval at sqrt(6)/4, and a product
+    pair at 2n = 2 the interval of its config pair, as the slice map requires."""
     tr, rho, rho2 = _coherent_pair(3, 0j, 0.5 + 0j)
     full = distance._certified_supremum(tr, rho, rho2)
+    psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    got = distance._certified_supremum(build_dirac(build_space(H(1), 1.0), "quantum"),
+                                       np.diag([0.5, 0.0, 0.0, 0.5]), np.outer(psi, psi))
+    assert (got.method, got.stop) == ("barrier", "certified")
+    want = math.sqrt(6.0) / 4.0
+    assert got.value <= want * (1.0 + 1e-12) and got.upper >= want * (1.0 - 1e-12)
+    config, _, quantum = _product_pair(2, 0j, 0.5 + 0j)
+    q, c = distance._certified_supremum(*quantum), distance._certified_supremum(*config)
+    assert q.method == c.method == "barrier"
+    assert q.value <= c.upper and c.value <= q.upper
     monkeypatch.setattr(distance, "_NEWTON_CAP", 3)
     with pytest.raises(OptimizerError, match="still open after 3 Newton steps") as err:
         distance._certified_supremum(tr, rho, rho2)
     assert 0.0 < err.value.best_value < full.value
-    psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    with pytest.raises(SphereDomainError, match="config triple"):
-        distance._certified_supremum(build_dirac(build_space(H(1), 1.0), "quantum"),
-                                     np.diag([0.5, 0.0, 0.0, 0.5]), np.outer(psi, psi))
+    with pytest.raises(OptimizerError, match="still open after 3 Newton steps") as err:
+        distance._certified_supremum(*quantum)
+    assert 0.0 < err.value.best_value < q.value
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-100, 1e100, 1e200])
+def test_extreme_lambda_scales_the_unit_result(monkeypatch, lam):
+    """D scales as 1/lam, so the non-exact routes run at lam = 1 and scale their value, upper,
+    certificate and best_value by lam. At lam = 1e200 the frame gate's sum v.x overflowed and
+    both routes raised LinAlgError; at 1e-200 the barrier raised and the ascent stopped at
+    0.6527 lam, the lower-bound value, as zero_gradient; coherent_route_report raised at
+    1e100, 1e-200 and 1e200."""
+    unit, scaled = (_coherent_pair(2, 0j, 0.5 + 0j, x) for x in (1.0, lam))
+    for route in (connes_distance_optimized, distance._certified_supremum):
+        want, got = route(*unit), route(*scaled)
+        assert (got.method, got.stop, got.iterations) == (want.method, want.stop, want.iterations)
+        assert abs(got.value / lam - want.value) <= 1e-12 * want.value
+        assert np.abs(got.certificate / lam - want.certificate).max() <= 1e-12
+        assert got.ball_residual <= 1e-12
+        if want.upper is not None:
+            assert abs(got.upper / lam - want.upper) <= 1e-12 * want.upper
+    report, want = (coherent_route_report(H(2), x) for x in (lam, 1.0))
+    for key in ("sup_to_closed_ratio", "sup_upper_to_closed_ratio"):
+        assert abs(report[key] - want[key]) <= 1e-12
+    monkeypatch.setattr(distance, "_NEWTON_CAP", 3)
+    with pytest.raises(OptimizerError) as low:
+        distance._certified_supremum(*unit)
+    with pytest.raises(OptimizerError) as err:
+        distance._certified_supremum(*scaled)
+    assert abs(err.value.best_value / lam - low.value.best_value) <= 1e-12 * low.value.best_value
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(1, 5), st.floats(0.5, 2.0), st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi),
+       st.integers(0, 2**32 - 1))
+@example(twice_n=5, lam=1.0, theta=1.0, phi=0.0, seed=400)
+def test_quantum_product_pair_is_its_config_pair(twice_n, lam, theta, phi, seed):
+    """The slice map: for a diagonal right state sigma, rho (x) sigma -> rho' (x) sigma on the
+    quantum triple is at the config distance of rho -> rho'. For a rotated diagonal config
+    pair the frame gate reads v from tr_R drho = rho' - rho and takes the frame V (x) I, as
+    U_(1/2) (x) U_n (x) I commutes with D_q, so the pair is exact on both triples."""
+    rng = np.random.default_rng(seed)
+    p, q = rng.dirichlet(np.ones(twice_n + 1), size=2)
+    sigma = np.diag(rng.dirichlet(np.ones(twice_n + 1)))
+    s = build_space(H(twice_n), lam)
+    rot = _rotation(s, theta, phi)
+    rho, rho2 = (rot @ np.diag(w) @ rot.conj().T for w in (p, q))
+    want = connes_distance_optimized(build_dirac(s, "config"), rho, rho2)
+    got = connes_distance_optimized(build_dirac(s, "quantum"), np.kron(rho, sigma),
+                                    np.kron(rho2, sigma))
+    assert want.method == got.method == "diagonal_exact"
+    assert abs(got.value - want.value) <= 1e-12 * want.value
+    assert got.ball_residual <= 1e-12
+
+
+def test_the_marginal_rule_drops_rounding_and_keeps_genuine_marginals():
+    """tr_L drho, a k x k matrix on D_c (x) I_k, is checked against SYMMETRY_TOL max(1, |tr rho|,
+    |tr rho'|) on both triples. The quantum rule was relative to max|drho|, so the rounding
+    marginals of (z = 0 -> 1e-4) (x) B, 1.7e-16 at 2n = 1 and 3.0e-16 at 2n = 2, raised
+    ArithmeticError on product pairs at a finite distance. A marginal or a trace of 1e-9
+    still raises."""
+    for twice_n in (1, 2):
+        config, right, quantum = _product_pair(twice_n, 0j, 1e-4 + 0j)
+        for route in (connes_distance_optimized, distance._certified_supremum):
+            got, want = route(*quantum), route(*config)
+            if got.upper is not None:  # the exact route at 2n = 1, the barrier at 2n = 2
+                assert got.value <= want.upper * (1.0 + 1e-12)
+                assert want.value <= got.upper * (1.0 + 1e-12)
+        (qt, rho, rho2), (ct, c, c2) = quantum, config
+        bump = np.diag([1e-9, -1e-9] + [0.0] * (len(c) - 2))
+        raising = [(qt, rho, np.kron(c2, right + bump)),  # marginal -bump
+                   (qt, rho, rho2 * (1.0 + 1e-9)),  # trace 1e-9
+                   (ct, c, c2 * (1.0 + 1e-9))]
+        for route in (connes_distance_optimized, distance._certified_supremum):
+            for args in raising:
+                with pytest.raises(ArithmeticError, match="infinite distance"):
+                    route(*args)
+
+
+def test_quantum_pole_pair_in_a_rotated_frame_is_exact_and_fast():
+    """diag(1/2, 0, 1/2, 0) -> psi = (e_0 + e_2)/sqrt 2 on the quantum triple at 2n = 1 is the
+    config pole-to-pole pair (x) |0><0| in the frame V (x) I. Without the frame on the quantum
+    triple the ascent answered 0.4330127019 as stalled, after 7.9 s."""
+    psi = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
+    tr = build_dirac(build_space(H(1), 1.0), "quantum")
+    start = time.perf_counter()
+    got = connes_distance_optimized(tr, np.diag([0.5, 0.0, 0.5, 0.0]), np.outer(psi, psi))
+    assert time.perf_counter() - start < 0.1
+    assert (got.method, got.stop) == ("diagonal_exact", "exact")
+    assert abs(got.value - math.sqrt(3.0) / 4.0) <= 1e-12 and got.ball_residual <= 1e-12
 
 
 def _reference_pairs():

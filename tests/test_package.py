@@ -1,5 +1,6 @@
 """The package surface: lazy imports, exports derived from the submodules, the version."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -73,6 +74,19 @@ def test_no_seeded_draw_imports_numpy_random():
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["diagonal_exact", "True", "optimizer", "True", "optimizer",
                                   "True", "small_step", "True", "0", "True", "0", "True"]
+
+
+def test_distance_never_reads_the_representation():
+    """The distance routes see D = D_c (x) I_k only through the matrix sizes, k = 1 on the
+    config triple and dim on the quantum one, so fuzzydist.distance must not branch on the
+    triple's label: no attribute `representation`, and no getattr of it by name."""
+    import fuzzydist.distance
+
+    tree = ast.parse(Path(fuzzydist.distance.__file__).read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "representation"
+             or isinstance(node, ast.Constant) and node.value == "representation"]
+    assert reads == []
 
 
 def test_validate_imports_no_fractions_or_decimal():
